@@ -127,30 +127,44 @@ def exp_scaled_residue(k: int, e: int, t: Fraction, bits: int) -> int:
     The truncation error is certified by the positive decreasing tail (for
     e < 0) or by finiteness (e >= 0); with the default 256-bit scale the
     result is accurate to ~1e-75 relative, far below double precision.
+
+    Term j is floor(c_j * (tn^n << bits) / (n! * td^n)) with n = k + j + 1;
+    the binomial c_j, the scaled power and the denominator are carried from
+    one term to the next as exact running products.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     tn, td = t.numerator, t.denominator
     j0 = max(0, -k - 1)
+    n = k + j0 + 1
+    power = tn**n << bits
+    denom = math.factorial(n) * td**n
     if e >= 0:
         total = 0
+        coef = math.comb(e, j0)
         for j in range(j0, e + 1):
-            n = k + j + 1
-            num = math.comb(e, j) * (tn**n << bits)
-            term = num // (math.factorial(n) * td**n)
+            term = coef * power // denom
             total += -term if j % 2 else term
+            coef = coef * (e - j) // (j + 1)
+            n += 1
+            power *= tn
+            denom *= n * td
         return total
     total = 0
     j = j0
+    coef = math.comb(-e - 1 + j0, j0)
     # beyond this power the term ratio t*(j-e) / ((j+1)(n+1)) is safely < 1
     decay_floor = 2 * (float(t) + abs(e) + abs(k)) + 16
     while True:
-        n = k + j + 1
-        term = (math.comb(-e - 1 + j, j) * (tn**n << bits)) // (math.factorial(n) * td**n)
+        term = coef * power // denom
         total += term
         if term == 0 and n > decay_floor:
             return total
+        coef = coef * (j - e) // (j + 1)
         j += 1
+        n += 1
+        power *= tn
+        denom *= n * td
         if j - j0 > MAX_SERIES_TERMS:
             raise AccuracyError(f"fixed-point residue series for (k={k}, e={e}) did not settle")
 

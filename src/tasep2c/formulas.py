@@ -10,9 +10,11 @@ here comes with at least two independent evaluation routes:
 * a *quadrature* route that evaluates the same multiple integral by the
   adaptive tensor-product circle rule.
 
-The residue route is the default and the numerically stable one; the
-alternating permutation sums are capped at N = 8 because sign cancellation
-grows with N, and the determinant evaluator is the sanctioned large-N path.
+The residue route is the default and the numerically stable one.  Every
+alternating permutation sum it meets is a determinant of one-variable
+integrals (Schuetz 1997; Chatterjee and Schuetz 2010), so all of them run
+through one exact kernel, :func:`_fixed_det`: fraction-free Bareiss
+elimination (Bareiss 1968) on fixed-point integers, at any N.
 Quadrature is limited to moderate times (the integrand reaches exp(2t) on
 the default radius-0.5 circles) and, for the full transition matrix, to
 N <= 4 since every grid node costs a 2^N amplitude product.
@@ -22,17 +24,19 @@ product formula, so the residue route expands each amplitude entry
 symbolically as a polynomial over Fraction coefficients divided by powers of
 (1 - xi_a); each monomial then separates into one-variable residue factors.
 
-Conditioning: the alternating permutation sums cancel catastrophically in
-double precision (at N = 5 the terms outweigh the result by ~8 digits), so
-every residue route accumulates e^t-scaled fixed-point integers from
+Conditioning: the alternating sums cancel catastrophically in double
+precision (at N = 5 the terms outweigh the result by ~8 digits), so every
+residue route works on e^t-scaled fixed-point integers from
 :func:`tasep2c.contour.exp_scaled_residue` and converts to float only at
-the very end; the per-particle factor e^(-t) is restored in log space.
+the very end, by one correctly rounded integer division followed by the
+per-particle factor e^(-t).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,16 +47,10 @@ import numpy as np
 
 from . import bethe, contour
 from .bethe import SparseMatrix, word_index
-from .contour import QuadratureSpec, residue_value
+from .contour import QuadratureSpec
 from .errors import AccuracyError, WindowTooSmallWarning
-from .permutations import enumerate_permutations, inverse, sign
+from .permutations import enumerate_permutations, inverse
 
-#: Alternating permutation sums are refused beyond this size; use the
-#: determinant evaluator instead (the N! term count, not precision, is the
-#: limit -- fixed-point accumulation removes the cancellation loss).
-MAX_ALTERNATING_N = 8
-#: The shifted-step expansion is a double permutation sum ((N!)^2 terms).
-MAX_DOUBLE_SUM_N = 6
 #: Beyond this time the circle-quadrature factor exp(t/xi) overwhelms the
 #: rule on radius-0.5 contours; the residue route has no such limit.
 MAX_QUADRATURE_TIME = 30.0
@@ -60,7 +58,8 @@ MAX_QUADRATURE_TIME = 30.0
 _PROBABILITY_SLACK = 1e-9
 #: Fixed-point scale for exact accumulation of alternating sums.
 _FIXED_BITS = 256
-_LN2 = math.log(2.0)
+#: e^(-_EXP_CHUNK) is still a normal float; larger decays are applied in chunks.
+_EXP_CHUNK = 700.0
 
 
 @lru_cache(maxsize=200_000)
@@ -69,12 +68,71 @@ def _scaled_residue(k: int, e: int, t: float, bits: int = _FIXED_BITS) -> int:
     return contour.exp_scaled_residue(k, e, Fraction(t), bits)
 
 
+def _times_exp(mant: float, exp2: int, s: float) -> tuple[float, int]:
+    """mant * 2^exp2 * e^(-s) as a renormalized (mantissa, exponent) pair."""
+    while s > _EXP_CHUNK:
+        mant, shift = math.frexp(mant * math.exp(-_EXP_CHUNK))
+        exp2 += shift
+        s -= _EXP_CHUNK
+    mant, shift = math.frexp(mant * math.exp(-s))
+    return mant, exp2 + shift
+
+
 def _fixed_result(total: int, nvars: int, t: float, bits: int = _FIXED_BITS) -> float:
-    """Convert an accumulated fixed-point sum to float, restoring e^(-nvars*t)."""
+    """Convert a fixed-point integer at scale 2^bits to float, restoring e^(-nvars*t).
+
+    The integer is divided exactly (int / int rounds correctly) and then
+    multiplied by e^(-nvars*t).  Where that factor underflows, the mantissa
+    and binary exponent are kept apart and e^(-t) is multiplied in nvars
+    times, renormalizing after each factor.
+    """
     if total == 0:
         return 0.0
-    magnitude = math.exp(math.log(abs(total)) - bits * _LN2 - nvars * t)
-    return magnitude if total > 0 else -magnitude
+    top = total.bit_length() - 1
+    mant = total / (1 << top)  # 1 <= |mant| <= 2, so mant * decay stays normal
+    decay = math.exp(-nvars * t)
+    if decay >= sys.float_info.min:
+        return math.ldexp(mant * decay, top - bits)
+    exp2 = top - bits
+    for _ in range(nvars):
+        mant, exp2 = _times_exp(mant, exp2, t)
+    return math.ldexp(mant, exp2)
+
+
+def _fixed_det(mat: list[list[int]]) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination.
+
+    Fraction-free Gaussian elimination (Bareiss 1968): every division is
+    exact, so the entries stay integers no larger than minors of ``mat``.
+    A zero pivot is replaced by a lower row with a nonzero entry in its
+    column.  For entries at fixed-point scale 2^b the result is at scale
+    2^(n*b); it is not shifted back, since flooring it would zero every
+    determinant below 2^-b.
+    """
+    a = [list(row) for row in mat]
+    n = len(a)
+    det_sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            det_sign = -det_sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return det_sign * a[-1][-1]
+
+
+def _det_result(det: int, n: int, t: float) -> float:
+    """Float value of an N x N determinant of _scaled_residue entries."""
+    return _fixed_result(det, n, t, n * _FIXED_BITS)
 
 
 def head_word(n: int) -> str:
@@ -370,9 +428,10 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     """Transition probability between two states with species word 21...1.
 
     The amplitude center entry factorizes, so each permutation term is a
-    product of one-variable residue integrals: variable a carries the power
-    x_{sigma^-1(a)} - y_a - 1 and the (1 - xi_a) exponent
-    (a - 2)_+ - (sigma^-1(a) - 2)_+.  Feasible to N = 8.
+    product of one-variable residue integrals and the alternating sum is the
+    determinant det[J(x_j - y_a - 1, (a - 1)_+ - (j - 1)_+)] over 0-based
+    a, j, where J(k, e) is the integral of xi^k (1 - xi)^e.  It is evaluated
+    exactly by :func:`_fixed_det` at any N.
     """
     _check_pair(initial, final)
     _require_head(initial, "head transition")
@@ -382,25 +441,13 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     if t == 0:
         return 1.0 if final.positions == initial.positions else 0.0
     n = initial.n
-    if n > MAX_ALTERNATING_N:
-        raise ValueError(f"alternating permutation sum capped at N = {MAX_ALTERNATING_N}")
     y = initial.positions
     x = final.positions
-    bits = _FIXED_BITS
-    total = 0
-    for p in enumerate_permutations(n):
-        inv = inverse(p)
-        acc = 1 << bits
-        for a0 in range(n):
-            pos0 = inv[a0] - 1
-            e = (a0 - 1 if a0 >= 1 else 0) - (pos0 - 1 if pos0 >= 1 else 0)
-            v = _scaled_residue(x[pos0] - y[a0] - 1, e, t)
-            if v == 0:
-                acc = 0
-                break
-            acc = (acc * v) >> bits
-        total += sign(p) * acc
-    return _as_probability(_fixed_result(total, n, t), "head transition probability")
+    mat = [
+        [_scaled_residue(x[j] - y[a] - 1, max(a - 1, 0) - max(j - 1, 0), t) for j in range(n)]
+        for a in range(n)
+    ]
+    return _as_probability(_det_result(_fixed_det(mat), n, t), "head transition probability")
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +466,10 @@ def leftmost_probability(
 
     The defining N-fold integral carries the prefactor (1 - xi_1), the
     ratio Vandermonde over prod_(i<j) (1 - xi_i), and 1/(1 - xi_i) per
-    variable.  The residue route expands the Vandermonde into a permutation
-    sum, leaving per-variable factors with pole order N - i + 1 at 1
-    (reduced by one for i = 1); quadrature integrates the displayed
-    integrand directly.
+    variable.  The residue route expands the Vandermonde into the
+    determinant det[J(x - y_i - 1 + j, -(N - i) + [i = 0])] over 0-based
+    i, j, with pole order N - i at 1 (reduced by one for i = 0);
+    quadrature integrates the displayed integrand directly.
     """
     _require_head(initial, "leftmost probability")
     if t < 0:
@@ -434,21 +481,11 @@ def leftmost_probability(
     if t == 0:
         return 1.0 if x == y[0] else 0.0
     if method == "residue":
-        if n > MAX_ALTERNATING_N:
-            raise ValueError(f"alternating permutation sum capped at N = {MAX_ALTERNATING_N}")
-        bits = _FIXED_BITS
-        total = 0
-        for p in enumerate_permutations(n):
-            acc = 1 << bits
-            for i0 in range(n):
-                e = -(n - i0) + (1 if i0 == 0 else 0)
-                v = _scaled_residue(x - y[i0] - 1 + p[i0] - 1, e, t)
-                if v == 0:
-                    acc = 0
-                    break
-                acc = (acc * v) >> bits
-            total += sign(p) * acc
-        value = _fixed_result(total, n, t)
+        mat = [
+            [_scaled_residue(x - y[i] - 1 + j, -(n - i) + (i == 0), t) for j in range(n)]
+            for i in range(n)
+        ]
+        value = _det_result(_fixed_det(mat), n, t)
     elif method == "quadrature":
         value = _leftmost_quadrature(y, x, t, quad or QuadratureSpec(), two_species=True)
     else:
@@ -466,7 +503,9 @@ def tasep_leftmost_probability(
     """Single-species analogue: P(x_1 = x at time t) for the plain TASEP.
 
     Identical integrand except the prefactor (1 - xi_1 ... xi_N) replaces
-    (1 - xi_1); kept as a cross-check companion sharing all machinery.
+    (1 - xi_1); kept as a cross-check companion sharing all machinery.  The
+    residue route is det A - det B with A = [J(x - y_i - 1 + j, -(N - i))]
+    and B the same with the power raised by one.
     """
     if len(set(initial.species)) != 1:
         raise ValueError("single-species formula needs all particles of one species")
@@ -479,20 +518,16 @@ def tasep_leftmost_probability(
     if t == 0:
         return 1.0 if x == y[0] else 0.0
     if method == "residue":
-        if n > MAX_ALTERNATING_N:
-            raise ValueError(f"alternating permutation sum capped at N = {MAX_ALTERNATING_N}")
-        bits = _FIXED_BITS
-        total = 0
-        for p in enumerate_permutations(n):
-            lead = 1 << bits
-            shifted = 1 << bits
-            for i0 in range(n):
-                e = -(n - i0)
-                k = x - y[i0] - 1 + p[i0] - 1
-                lead = (lead * _scaled_residue(k, e, t)) >> bits
-                shifted = (shifted * _scaled_residue(k + 1, e, t)) >> bits
-            total += sign(p) * (lead - shifted)
-        value = _fixed_result(total, n, t)
+        lead, shifted = (
+            _fixed_det(
+                [
+                    [_scaled_residue(x - y[i] - 1 + j + up, -(n - i), t) for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+            for up in (0, 1)
+        )
+        value = _det_result(lead - shifted, n, t)
     elif method == "quadrature":
         value = _leftmost_quadrature(y, x, t, quad or QuadratureSpec(), two_species=False)
     else:
@@ -554,8 +589,11 @@ def leftmost_probability_shifted_step(
     The specialized integrand carries h_l times the squared Vandermonde over
     prod (xi_i - 1)^(N-1), with prefactor (-1)^(N(N-1)/2) / N!.  The residue
     route expands both Vandermonde factors and the h_l monomials into a
-    double permutation sum of separable residue factors; shift = 0
-    reproduces the plain step initial condition.
+    double permutation sum of separable residue factors.  Because h_l is
+    symmetric, that sum is N! times the sum over monomials m of h_l of
+    det[J(x - N - l - 1 + i + j + m_i)], so the N! cancels (see
+    :func:`_step_det_sum`); shift = 0 reproduces the plain step initial
+    condition.
     """
     if shift < 0:
         raise ValueError(f"shift must be nonnegative, got {shift}")
@@ -567,39 +605,8 @@ def leftmost_probability_shifted_step(
         return 0.0
     if t == 0:
         return 1.0 if x == 1 else 0.0
-    pref = (-1) ** (n * (n - 1) // 2)
     if method == "residue":
-        if n > MAX_DOUBLE_SUM_N:
-            raise ValueError(
-                f"double permutation sum capped at N = {MAX_DOUBLE_SUM_N}; "
-                "use the determinant evaluator"
-            )
-        bits = _FIXED_BITS
-        jsign = (-1) ** (n - 1)
-        jcache: dict[int, int] = {}
-
-        def jval(k: int) -> int:
-            if k not in jcache:
-                jcache[k] = jsign * _scaled_residue(k, -(n - 1), t)
-            return jcache[k]
-
-        base = x - n - shift - 1
-        perms = [(p, sign(p)) for p in enumerate_permutations(n)]
-        monos = list(_homogeneous_monomials(n, shift))
-        total = 0
-        for p, ps in perms:
-            for q, qs in perms:
-                pq = ps * qs
-                for mono in monos:
-                    acc = 1 << bits
-                    for i in range(n):
-                        v = jval(base + p[i] - 1 + q[i] - 1 + mono[i])
-                        if v == 0:
-                            acc = 0
-                            break
-                        acc = (acc * v) >> bits
-                    total += pq * acc
-        value = pref * _fixed_result(total, n, t) / math.factorial(n)
+        value = _step_det_sum(shift, n, x, t)
     elif method == "quadrature":
         if t > MAX_QUADRATURE_TIME:
             raise ValueError(f"t={t} too large for circle quadrature; use the residue route")
@@ -626,6 +633,7 @@ def leftmost_probability_shifted_step(
                 val = val * xis[i] ** (x - n - shift - 1) / (xis[i] - 1) ** (n - 1)
             return val
 
+        pref = (-1) ** (n * (n - 1) // 2)
         value = pref * contour.multi_contour(F, n, quad or QuadratureSpec()).value.real
         value /= math.factorial(n)
     else:
@@ -633,14 +641,34 @@ def leftmost_probability_shifted_step(
     return _as_probability(value, "shifted-step leftmost probability")
 
 
+def _step_det_sum(shift: int, n: int, x: int, t: float) -> float:
+    """Step-like leftmost probability as a sum of N x N determinants.
+
+    Returns (-1)^(N(N-1)/2) times the sum over monomials m of h_shift of
+    det[J(x - N - shift - 1 + i + j + m_i, -(N - 1))], 0-based i, j.  The
+    integrand's pole factor is (xi - 1)^-(N-1), which differs from the
+    (1 - xi) form of J by (-1)^(N-1) per entry; that sign cancels in the
+    determinant since (-1)^(N(N-1)) = 1.
+    """
+    base = x - n - shift - 1
+    total = 0
+    for mono in _homogeneous_monomials(n, shift):
+        total += _fixed_det(
+            [
+                [_scaled_residue(base + i + j + mono[i], -(n - 1), t) for j in range(n)]
+                for i in range(n)
+            ]
+        )
+    return (-1) ** (n * (n - 1) // 2) * _det_result(total, n, t)
+
+
 def leftmost_probability_step_det(n: int, x: int, t: float) -> float:
     """Step initial condition via the N x N determinant of contour integrals.
 
-    Entry (i, j) is the one-variable integral with power i + j + x - N - 1
-    and pole factor (xi - 1)^-(N-1); the prefactor is (-1)^(N(N-1)/2).
-    This is the preferred large-N evaluator: no N! permutation sum.  Up to
-    N = 6 the determinant is expanded with compensated summation for full
-    accuracy; beyond that LU factorization takes over.
+    Entry (i, j), 0-based, is the one-variable integral with power
+    x - N - 1 + i + j and pole factor (xi - 1)^-(N-1); the prefactor is
+    (-1)^(N(N-1)/2).  The determinant is evaluated exactly by
+    :func:`_fixed_det` for every N, so this is the large-N evaluator.
     """
     if n < 1:
         raise ValueError("need at least one particle")
@@ -650,33 +678,7 @@ def leftmost_probability_step_det(n: int, x: int, t: float) -> float:
         return 0.0
     if t == 0:
         return 1.0 if x == 1 else 0.0
-    sign_pref = (-1) ** (n * (n - 1) // 2)
-    if n <= 6:
-        bits = _FIXED_BITS
-        jsign = (-1) ** (n - 1)
-        entries = {
-            k: jsign * _scaled_residue(k, -(n - 1), t) for k in range(x - n - 1, x + n - 2)
-        }
-        mat = [[entries[i + j + x - n - 1] for j in range(n)] for i in range(n)]
-        total = 0
-        for p in enumerate_permutations(n):
-            acc = 1 << bits
-            for i in range(n):
-                v = mat[i][p[i] - 1]
-                if v == 0:
-                    acc = 0
-                    break
-                acc = (acc * v) >> bits
-            total += sign(p) * acc
-        det = _fixed_result(total, n, t)
-    else:
-        jsign = (-1.0) ** (n - 1)
-        entries = {
-            k: jsign * residue_value(k, -(n - 1), t) for k in range(x - n - 1, x + n - 2)
-        }
-        mat = [[entries[i + j + x - n - 1] for j in range(n)] for i in range(n)]
-        det = float(np.linalg.det(np.array(mat)))
-    return _as_probability(sign_pref * det, "determinant leftmost probability")
+    return _as_probability(_step_det_sum(0, n, x, t), "determinant leftmost probability")
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,36 @@ def test_exp_scaled_residue_matches_float():
                 assert scaled / 2.0**bits == pytest.approx(expect, rel=1e-12, abs=1e-18)
 
 
+def _per_term_scaled_residue(k, e, t, bits):
+    """exp_scaled_residue with every term's binomial, power and factorial built afresh."""
+    tn, td = t.numerator, t.denominator
+    j0 = max(0, -k - 1)
+    if e >= 0:
+        total = 0
+        for j in range(j0, e + 1):
+            n = k + j + 1
+            term = math.comb(e, j) * (tn**n << bits) // (math.factorial(n) * td**n)
+            total += -term if j % 2 else term
+        return total
+    total = 0
+    j = j0
+    decay_floor = 2 * (float(t) + abs(e) + abs(k)) + 16
+    while True:
+        n = k + j + 1
+        term = math.comb(-e - 1 + j, j) * (tn**n << bits) // (math.factorial(n) * td**n)
+        total += term
+        if term == 0 and n > decay_floor:
+            return total
+        j += 1
+
+
+def test_exp_scaled_residue_running_products_are_bit_identical():
+    for t in (Fraction(0.1), Fraction(1), Fraction(5, 2), Fraction(100)):
+        for k in (-15, -4, -1, 0, 3, 12):
+            for e in (-9, -3, -1, 0, 1, 4):
+                assert exp_scaled_residue(k, e, t, 256) == _per_term_scaled_residue(k, e, t, 256)
+
+
 def test_quadrature_residue_of_inverse():
     result = circle_quadrature(lambda z: 1 / z)
     assert result.value == pytest.approx(1.0, abs=1e-14)

@@ -1,7 +1,12 @@
+import itertools
 import math
+import random
+import sys
+import time
 
 import pytest
 
+from tasep2c import contour, formulas
 from tasep2c.contour import QuadratureSpec
 from tasep2c.errors import WindowTooSmallWarning
 from tasep2c.formulas import (
@@ -186,13 +191,92 @@ class TestStepFamily:
             math.exp(-1), abs=1e-12
         )
 
-    def test_large_n_uses_lu_route(self):
-        value = leftmost_probability_step_det(7, 1, 0.5)
-        assert 0.0 <= value <= 1.0
+    def test_large_n_renewal_anchor(self):
+        # x1 = 1 at time t iff the front particle's clock never rang
+        assert leftmost_probability_step_det(7, 1, 0.5) == pytest.approx(
+            math.exp(-0.5), rel=1e-15
+        )
 
-    def test_double_sum_cap(self):
-        with pytest.raises(ValueError):
-            leftmost_probability_shifted_step(0, 7, 1, 1.0)
+    def test_shifted_step_n7_matches_leftmost(self):
+        y = step_configuration(7)
+        for x in (1, 3):
+            a = leftmost_probability_shifted_step(0, 7, x, 1.0)
+            b = leftmost_probability(y, x, 1.0)
+            assert a == pytest.approx(b, rel=1e-12)
+
+
+def _leibniz(mat):
+    n = len(mat)
+    total = 0
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= mat[i][p[i]]
+        total += term
+    return total
+
+
+class TestDeterminantKernel:
+    def test_matches_leibniz_on_random_matrices(self):
+        rng = random.Random(20260118)
+        for n in range(1, 7):
+            for magnitude in (3, 2**300):
+                for _ in range(4):
+                    mat = [[rng.randint(-magnitude, magnitude) for _ in range(n)] for _ in range(n)]
+                    assert formulas._fixed_det(mat) == _leibniz(mat)
+
+    def test_zero_pivots_need_row_swaps(self):
+        leading = [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
+        # the second pivot vanishes only after the first elimination step
+        inner = [[1, 1, 1, 2], [1, 1, 2, 3], [1, 2, 1, 5], [2, 7, 1, 8]]
+        for mat in (leading, inner):
+            assert formulas._fixed_det(mat) == _leibniz(mat) != 0
+
+    def test_singular_matrices(self):
+        assert formulas._fixed_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
+        assert formulas._fixed_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+        assert formulas._fixed_det([[2**256, 0], [2**256, 0]]) == 0
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("t", (0.1, 1.0, 5.0, 100.0))
+    @pytest.mark.parametrize("n", (7, 14, 20, 30))
+    def test_determinant_renewal_anchor(self, n, t):
+        # exp(-n t) underflows from n t ~ 708 on; that path multiplies e^-t in n times
+        rel = 1e-15 if math.exp(-n * t) >= sys.float_info.min else 1e-14
+        assert leftmost_probability_step_det(n, 1, t) == pytest.approx(math.exp(-t), rel=rel)
+
+    @pytest.mark.parametrize("n", (7, 8, 9, 10))
+    def test_step_routes_agree(self, n):
+        y = step_configuration(n)
+        for x in (1, 3, 6):
+            for t in (0.5, 2.0):
+                a = leftmost_probability(y, x, t)
+                assert leftmost_probability_shifted_step(0, n, x, t) == pytest.approx(a, rel=1e-12)
+                assert leftmost_probability_step_det(n, x, t) == pytest.approx(a, rel=1e-12)
+
+    def test_step_routes_agree_on_a_tiny_value(self):
+        # a float LU determinant of the same matrix returns 0.0 here
+        a = leftmost_probability(step_configuration(14), 6, 0.5)
+        assert 4.9e-87 < a < 5.0e-87
+        assert leftmost_probability_shifted_step(0, 14, 6, 0.5) == pytest.approx(a, rel=1e-12)
+        assert leftmost_probability_step_det(14, 6, 0.5) == pytest.approx(a, rel=1e-12)
+
+    def test_single_particle_beyond_exp_underflow(self):
+        # e^-800 is below the float range; the Poisson(800) mass at 800 is not
+        y = Configuration((0,), "2")
+        expect = math.exp(800 * math.log(800.0) - 800.0 - math.lgamma(801))
+        assert leftmost_probability(y, 800, 800.0) == pytest.approx(expect, rel=1e-11)
+
+    def test_n30_leftmost_within_budget(self):
+        # about 0.3 s cold on a 2-core machine; the budget leaves room for a loaded one
+        formulas._scaled_residue.cache_clear()
+        contour.exp_scaled_residue.cache_clear()
+        start = time.perf_counter()
+        value = leftmost_probability(step_configuration(30), 1, 1.0)
+        assert time.perf_counter() - start < 5.0
+        assert value == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 class TestTasep:
