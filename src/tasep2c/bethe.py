@@ -17,10 +17,17 @@ parameters read off the partially built permutation at each step, produces
 the amplitude matrix of that permutation; the braid relations make the
 result independent of the chosen word.
 
+Formulas need a single amplitude column rather than the whole matrix.
+:func:`amplitude_columns` pushes a unit column through the T factors of
+every permutation at once, sharing the steps of common word prefixes, and
+builds no 2^N x 2^N matrix; the full matrices of :func:`amplitude` serve the
+structure, braid and closed-form checks.
+
 All matrices here are stored sparsely (dict-of-rows) because T factors have
 at most two nonzeros per row and amplitude products stay upper triangular.
-Entries are generic scalars: exact fractions for identity checking, complex
-floats or numpy node arrays for quadrature.
+Entries are generic scalars: exact fractions for identity checking,
+symbolic rational functions for the residue route, complex floats or numpy
+node arrays for quadrature.
 
 Species words index matrix rows the same way throughout the package: the
 word (w_1 ... w_N) over {1, 2} maps to the binary integer with digits
@@ -32,7 +39,8 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .errors import PoleError
 from .permutations import adjacent_decomposition, enumerate_permutations, sign
@@ -290,6 +298,91 @@ def amplitude_from_word(word: Iterable[int], point) -> SparseMatrix:
 def amplitude(sigma: Sequence[int], point) -> SparseMatrix:
     """Amplitude matrix of a permutation (identity permutation -> identity)."""
     return amplitude_from_word(adjacent_decomposition(sigma), point)
+
+
+@lru_cache(maxsize=8)
+def _word_trie(n: int) -> dict:
+    """Prefix tree of the canonical reduced words of S_n.
+
+    Children are keyed by slot; the key None holds the permutation whose
+    word ends at that node.
+    """
+    root: dict = {}
+    for sigma in enumerate_permutations(n):
+        node = root
+        for a in adjacent_decomposition(sigma):
+            node = node.setdefault(a, {})
+        node[None] = sigma
+    return root
+
+
+def _push_column(column: dict, block: SparseMatrix, slot: int, n: int) -> dict:
+    """Apply the slot operator of a 4x4 block to a sparse column vector.
+
+    Entry i accumulates block[s][s2] * column[k] over the block row s of i in
+    stored order, exactly as ``SparseMatrix.__matmul__`` accumulates the same
+    entry of the full product, so both give identical values.
+    """
+    right = n - slot - 1
+    mask = 3 << right
+    feeds: dict = {}
+    for s, row in block.rows.items():
+        for s2 in row:
+            feeds.setdefault(s2, []).append(s)
+    targets = {}
+    for k in column:
+        base = k & ~mask
+        for s in feeds.get((k >> right) & 3, ()):
+            targets[base | (s << right)] = None
+    out = {}
+    for i in targets:
+        base = i & ~mask
+        total = None
+        for s2, a in block.rows[(i >> right) & 3].items():
+            b = column.get(base | (s2 << right))
+            if b is not None:
+                term = a * b
+                total = term if total is None else total + term
+        if not _is_scalar_zero(total):
+            out[i] = total
+    return out
+
+
+def amplitude_columns(n: int, col: int, scatter: Callable) -> dict:
+    """Column ``col`` of the amplitude matrix of every permutation of S_n.
+
+    Returns {sigma: {row: value}}: the unit column e_col pushed through the
+    slot operators of the canonical word of sigma, without building any
+    2^N x 2^N matrix.  ``scatter(alpha, beta)`` returns the 4x4 scattering
+    block for the 1-based particle labels alpha, beta, so entries may be any
+    scalar type (exact, symbolic, numpy node arrays); each block is requested
+    once.  Species counts are conserved, so a column holds at most
+    C(N, #2s) entries.  Permutations whose words share a prefix share its
+    slot steps (154 instead of 600 at N = 5).  The words are the canonical
+    ones of :func:`amplitude`, so every entry equals the corresponding entry
+    of ``amplitude(sigma, point)`` computed the same way, operation by
+    operation.
+    """
+    blocks: dict = {}
+    out: dict = {}
+
+    def walk(node: dict, column: dict, current: list) -> None:
+        sigma = node.get(None)
+        if sigma is not None:
+            out[sigma] = column
+        for a, child in node.items():
+            if a is None:
+                continue
+            alpha, beta = current[a - 1], current[a]
+            block = blocks.get((alpha, beta))
+            if block is None:
+                block = blocks[(alpha, beta)] = scatter(alpha, beta)
+            nxt = list(current)
+            nxt[a - 1], nxt[a] = beta, alpha
+            walk(child, _push_column(column, block, a, n), nxt)
+
+    walk(_word_trie(n), {col: 1}, list(range(1, n + 1)))
+    return out
 
 
 def amplitude_center(sigma: Sequence[int], point):

@@ -16,13 +16,20 @@ integrals (Schuetz 1997; Chatterjee and Schuetz 2010), so all of them run
 through one exact kernel, :func:`_fixed_det`: fraction-free Bareiss
 elimination (Bareiss 1968) on fixed-point integers, at any N.
 Quadrature is limited to moderate times (the integrand reaches exp(2t) on
-the default radius-0.5 circles) and, for the full transition matrix, to
-N <= 4 since every grid node costs a 2^N amplitude product.
+the default radius-0.5 circles) and, for transitions between arbitrary
+species words, to N <= 4: beyond that the N-fold grid no longer fits the
+evaluation budget of :func:`tasep2c.contour.multi_contour` with room to
+double it.
 
 For transitions between arbitrary species words the amplitude entry has no
-product formula, so the residue route expands each amplitude entry
-symbolically as a polynomial over Fraction coefficients divided by powers of
-(1 - xi_a); each monomial then separates into one-variable residue factors.
+product formula.  Both routes read it from one amplitude column of every
+permutation, computed by :func:`tasep2c.bethe.amplitude_columns`, which
+pushes the initial word's unit column through the slot operators along a
+prefix tree of reduced words and never builds a 2^N x 2^N matrix.  The
+residue route runs it once per (N, initial word) over symbolic entries, each
+a polynomial with integer coefficients divided by powers of (1 - xi_a), and
+every monomial then separates into one-variable residue factors.  Quadrature
+runs it once per grid evaluation over numpy node arrays.
 
 Conditioning: the alternating sums cancel catastrophically in double
 precision (at N = 5 the terms outweigh the result by ~8 digits), so every
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -210,7 +218,7 @@ def _require_head(config: Configuration, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# symbolic amplitude entries: polynomial / prod (1 - xi_a)^m  over Fractions
+# symbolic amplitude entries: polynomial / prod (1 - xi_a)^m  over integers
 # ---------------------------------------------------------------------------
 
 
@@ -218,7 +226,7 @@ def _poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for ma, ca in p.items():
         for mb, cb in q.items():
-            key = tuple(a + b for a, b in zip(ma, mb))
+            key = tuple(map(operator.add, ma, mb))
             if key in out:
                 out[key] += ca * cb
             else:
@@ -232,15 +240,15 @@ def _unit_mono(var: int, nvars: int) -> tuple[int, ...]:
 
 def _one_minus_power(var: int, power: int, nvars: int) -> dict:
     zero = (0,) * nvars
-    out = {zero: Fraction(1)}
-    base = {zero: Fraction(1), _unit_mono(var, nvars): Fraction(-1)}
+    out = {zero: 1}
+    base = {zero: 1, _unit_mono(var, nvars): -1}
     for _ in range(power):
         out = _poly_mul(out, base)
     return out
 
 
 class _RationalEntry:
-    """num / prod_a (1 - xi_a)^den[a] with a Fraction-coefficient numerator."""
+    """num / prod_a (1 - xi_a)^den[a] with an integer-coefficient numerator."""
 
     __slots__ = ("num", "den")
 
@@ -294,9 +302,9 @@ def _sym_scattering(alpha: int, beta: int, nvars: int) -> SparseMatrix:
     den = tuple(1 if i == alpha - 1 else 0 for i in range(nvars))
     e_a = _unit_mono(alpha - 1, nvars)
     e_b = _unit_mono(beta - 1, nvars)
-    diag = _RationalEntry({zero: Fraction(-1), e_b: Fraction(1)}, den)
-    offd = _RationalEntry({e_b: Fraction(1), e_a: Fraction(-1)}, den)
-    mid = _RationalEntry({zero: Fraction(-1)}, (0,) * nvars)
+    diag = _RationalEntry({zero: -1, e_b: 1}, den)
+    offd = _RationalEntry({e_b: 1, e_a: -1}, den)
+    mid = _RationalEntry({zero: -1}, (0,) * nvars)
     m = SparseMatrix(4)
     m.set(0, 0, diag)
     m.set(1, 1, diag)
@@ -306,26 +314,23 @@ def _sym_scattering(alpha: int, beta: int, nvars: int) -> SparseMatrix:
     return m
 
 
-@lru_cache(maxsize=4096)
-def _sym_amplitude(n: int, sigma: tuple[int, ...]) -> SparseMatrix:
-    from .permutations import adjacent_decomposition
+@lru_cache(maxsize=4)
+def _sym_columns(n: int, col: int) -> dict:
+    """Symbolic amplitude column ``col`` of every permutation: {sigma: {row: entry}}.
 
-    mat = SparseMatrix.identity(1 << n)
-    current = list(range(1, n + 1))
-    for a in adjacent_decomposition(sigma):
-        alpha, beta = current[a - 1], current[a]
-        mat = bethe.two_site_embed(_sym_scattering(alpha, beta, n), a, n) @ mat
-        current[a - 1], current[a] = beta, alpha
-    return mat
+    Few are kept: at N = 6 a column of a word with three 2s holds 1.4M terms
+    (about 180 MB).
+    """
+    return bethe.amplitude_columns(n, col, lambda a, b: _sym_scattering(a, b, n))
 
 
 def _entry_terms(entry, n: int):
-    """Yield (coefficient, monomial, pole orders) triples of an entry."""
+    """Yield (integer coefficient, monomial, pole orders) triples of an entry."""
     if isinstance(entry, _RationalEntry):
         for mono, coef in entry.num.items():
             yield coef, mono, entry.den
     elif entry:
-        yield Fraction(entry), (0,) * n, (0,) * n
+        yield entry, (0,) * n, (0,) * n
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +347,12 @@ def transition_probability(
 ) -> float:
     """P(state = final at time t | state = initial at time 0).
 
-    The residue route expands each amplitude entry symbolically and sums
-    separable residue factors; quadrature evaluates the N-fold integral of
-    the full matrix integrand (N <= 4, one 2^N amplitude product per node).
-    At t = 0 the exact indicator is returned bit-exactly.
+    The residue route (N <= 6) expands each amplitude entry symbolically and
+    sums separable residue factors; quadrature evaluates the N-fold integral
+    of the amplitude-entry integrand (N <= 4, limited by the grid budget of
+    :func:`tasep2c.contour.multi_contour`, not by the amplitudes).  Both read
+    their entries from one amplitude column per permutation.  At t = 0 the
+    exact indicator is returned bit-exactly.
     """
     _check_pair(initial, final)
     if t < 0:
@@ -355,12 +362,18 @@ def transition_probability(
         return 1.0 if same else 0.0
     n = initial.n
     if method == "residue":
-        if n > 5:
-            raise ValueError("symbolic residue expansion supports N <= 5")
+        if n > 6:
+            raise ValueError(
+                "symbolic residue expansion supports N <= 6 (head words at any N: "
+                "head_transition_probability)"
+            )
         value = _transition_residue(initial, final, t)
     elif method == "quadrature":
         if n > 4:
-            raise ValueError("matrix quadrature supports N <= 4")
+            raise ValueError(
+                "transition quadrature supports N <= 4: beyond that the multi_contour "
+                "grid budget (max_evals) leaves no room to refine the grid"
+            )
         if t > MAX_QUADRATURE_TIME:
             raise ValueError(f"t={t} too large for circle quadrature; use the residue route")
         value = _transition_quadrature(initial, final, t, quad or QuadratureSpec())
@@ -374,17 +387,16 @@ def _transition_residue(initial: Configuration, final: Configuration, t: float) 
     y = initial.positions
     x = final.positions
     row = word_index(final.species)
-    col = word_index(initial.species)
     bits = _FIXED_BITS
     total = 0
-    for p in enumerate_permutations(n):
-        entry = _sym_amplitude(n, p).get(row, col)
+    for p, column in _sym_columns(n, word_index(initial.species)).items():
+        entry = column.get(row)
         if not entry:
             continue
         inv = inverse(p)
         ks = [x[inv[a0] - 1] - y[a0] - 1 for a0 in range(n)]
         for coef, mono, den in _entry_terms(entry, n):
-            acc = (coef.numerator << bits) // coef.denominator
+            acc = coef << bits
             for a0 in range(n):
                 v = _scaled_residue(ks[a0] + mono[a0], -den[a0], t)
                 if v == 0:
@@ -409,10 +421,12 @@ def _transition_quadrature(
         eps = 0
         for z in xis:
             eps = eps + (1.0 / z - 1.0)
+        columns = bethe.amplitude_columns(
+            n, col, lambda a, b: bethe.scattering_matrix(xis[a - 1], xis[b - 1])
+        )
         acc = 0
         for p in perms:
-            vec = bethe.amplitude(p, xis).matvec({col: 1.0})
-            entry = vec.get(row)
+            entry = columns[p].get(row)
             if entry is None:
                 continue
             phase = entry

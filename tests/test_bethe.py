@@ -1,14 +1,17 @@
+import cmath
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from tasep2c import bethe
+from tasep2c import bethe, formulas
 from tasep2c.bethe import (
     SparseMatrix,
     SpectralPoint,
     amplitude,
     amplitude_center,
+    amplitude_columns,
     amplitude_from_word,
     bethe_residuals,
     blocking_matrix,
@@ -198,3 +201,58 @@ def test_sparse_matrix_basics():
 def test_embed_rejects_bad_block():
     with pytest.raises(ValueError):
         two_site_embed(SparseMatrix.identity(8), 1, 3)
+
+
+def _column(mat, col):
+    return {i: row[col] for i, row in mat.rows.items() if col in row}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_amplitude_columns_match_full_matrices_exactly(n):
+    xi = random_rational_point(n, random.Random(40 + n))
+    amps = {p: amplitude(p, xi) for p in enumerate_permutations(n)}
+    for col in range(1 << n):
+        cols = amplitude_columns(n, col, lambda a, b: scattering_matrix(xi[a - 1], xi[b - 1]))
+        assert set(cols) == set(amps)
+        for p, amp in amps.items():
+            assert cols[p] == _column(amp, col)
+
+
+def test_amplitude_columns_on_node_arrays_are_bit_identical():
+    m = 4
+    nodes = [0.5 * cmath.exp(2j * cmath.pi * (k + 0.5) / m) for k in range(m)]
+    xis = [np.array(nodes).reshape([m if i == v else 1 for i in range(3)]) for v in range(3)]
+    for col in range(8):
+        cols = amplitude_columns(3, col, lambda a, b: scattering_matrix(xis[a - 1], xis[b - 1]))
+        for p in enumerate_permutations(3):
+            full = amplitude(p, xis).matvec({col: 1.0})
+            assert set(cols[p]) == set(full)
+            for i, value in full.items():
+                assert np.array_equal(cols[p][i], value)
+
+
+def _full_symbolic_amplitude(n, sigma):
+    # the product of embedded slot operators that the column kernel replaces
+    mat = SparseMatrix.identity(1 << n)
+    current = list(range(1, n + 1))
+    for a in adjacent_decomposition(sigma):
+        alpha, beta = current[a - 1], current[a]
+        block = formulas._sym_scattering(alpha, beta, n)
+        mat = two_site_embed(block, a, n) @ mat
+        current[a - 1], current[a] = beta, alpha
+    return mat
+
+
+def test_symbolic_columns_match_full_products_at_n5():
+    n = 5
+
+    def terms(entry):
+        return sorted(formulas._entry_terms(entry, n))
+
+    full = {p: _full_symbolic_amplitude(n, p) for p in enumerate_permutations(n)}
+    for col in range(1 << n):
+        cols = formulas._sym_columns(n, col)
+        for p, mat in full.items():
+            expect = _column(mat, col)
+            assert set(cols[p]) == set(expect)
+            assert all(terms(cols[p][r]) == terms(v) for r, v in expect.items())

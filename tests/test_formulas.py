@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tasep2c import contour, formulas
+from tasep2c import contour, formulas, simulate
 from tasep2c.contour import QuadratureSpec
 from tasep2c.errors import WindowTooSmallWarning
 from tasep2c.formulas import (
@@ -109,6 +109,44 @@ class TestTransition:
         y = step_configuration(2)
         with pytest.raises(ValueError):
             transition_probability(y, y, 1.0, method="magic")
+
+    @pytest.mark.parametrize("t", (0.5, 1.5))
+    def test_n6_head_words_match_determinant(self, t):
+        y = step_configuration(6)
+        for xs in ((2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 6, 8), (2, 3, 5, 6, 7, 9)):
+            x = Configuration(xs, "211111")
+            expect = head_transition_probability(y, x, t)
+            assert transition_probability(y, x, t) == pytest.approx(expect, rel=1e-12)
+
+    def test_n6_non_head_word_matches_monte_carlo(self):
+        y = step_configuration(6)
+        final = Configuration((1, 2, 3, 4, 5, 7), "121111")
+        exact = transition_probability(y, final, 1.0)
+        assert 0.0 <= exact <= 1.0
+        est = simulate.estimate_event(y, simulate.transition_event(final), 1.0, 40_000, seed=6)
+        band = 6 * math.sqrt(exact * (1 - exact) / est.runs)
+        assert abs(est.estimate - exact) <= band
+
+    def test_size_caps(self):
+        with pytest.raises(ValueError, match="N <= 6"):
+            transition_probability(step_configuration(7), step_configuration(7), 1.0)
+        with pytest.raises(ValueError, match="grid budget"):
+            transition_probability(
+                step_configuration(5), step_configuration(5), 1.0, method="quadrature"
+            )
+
+    def test_cold_n5_within_budget(self):
+        # about 0.03 s cold on a 2-core machine
+        formulas._sym_columns.cache_clear()
+        formulas._scaled_residue.cache_clear()
+        contour.exp_scaled_residue.cache_clear()
+        y = step_configuration(5)
+        final = Configuration((2, 3, 4, 5, 7), "12111")
+        start = time.perf_counter()
+        value = transition_probability(y, final, 0.5)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"cold N = 5 transition took {elapsed:.3f} s"
+        assert 0.0 < value < 1.0
 
 
 class TestLeftmost:
