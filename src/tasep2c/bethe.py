@@ -319,33 +319,21 @@ def _word_trie(n: int) -> dict:
 def _push_column(column: dict, block: SparseMatrix, slot: int, n: int) -> dict:
     """Apply the slot operator of a 4x4 block to a sparse column vector.
 
-    Entry i accumulates block[s][s2] * column[k] over the block row s of i in
-    stored order, exactly as ``SparseMatrix.__matmul__`` accumulates the same
-    entry of the full product, so both give identical values.
+    Each entry collects its block-row terms in stored order, the order in
+    which ``SparseMatrix.__matmul__`` collects the same entry of the full
+    product, so both give identical values.
     """
     right = n - slot - 1
     mask = 3 << right
-    feeds: dict = {}
+    out: dict = {}
     for s, row in block.rows.items():
-        for s2 in row:
-            feeds.setdefault(s2, []).append(s)
-    targets = {}
-    for k in column:
-        base = k & ~mask
-        for s in feeds.get((k >> right) & 3, ()):
-            targets[base | (s << right)] = None
-    out = {}
-    for i in targets:
-        base = i & ~mask
-        total = None
-        for s2, a in block.rows[(i >> right) & 3].items():
-            b = column.get(base | (s2 << right))
-            if b is not None:
-                term = a * b
-                total = term if total is None else total + term
-        if not _is_scalar_zero(total):
-            out[i] = total
-    return out
+        for s2, a in row.items():
+            for k, b in column.items():
+                if (k >> right) & 3 == s2:
+                    i = (k & ~mask) | (s << right)
+                    term = a * b
+                    out[i] = out[i] + term if i in out else term
+    return {i: v for i, v in out.items() if not _is_scalar_zero(v)}
 
 
 def amplitude_columns(n: int, col: int, scatter: Callable) -> dict:
