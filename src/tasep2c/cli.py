@@ -8,8 +8,9 @@ and the library version; elapsed wall time is included only under
 the same seed and parameters.
 
 Monte Carlo runs fan out over a process pool when the TASEP2C_WORKERS
-environment variable is above 1; estimates are bit-identical for any
-worker count because every run owns its own seeded substream.
+environment variable is above 1, each worker advancing its span of runs in
+lockstep numpy blocks.  Estimates are bit-identical for any worker count,
+because run r draws only from its own SplitMix64 stream keyed by (seed, r).
 
 Exit codes: 0 success, 1 usage error, 2 accuracy/agreement failure,
 3 identity verification failure.
@@ -251,9 +252,12 @@ def _cmd_simulate(args) -> int:
         if args.final is None:
             raise _UsageError("transition event needs --final")
         predicate = simulate.transition_event(_final_configuration(args))
-    estimate = simulate.estimate_event(
-        initial, predicate, args.time, args.runs, args.seed, processes=_workers()
-    )
+    try:
+        estimate = simulate.estimate_event(
+            initial, predicate, args.time, args.runs, args.seed, processes=_workers()
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     extra = {
         "method": "monte-carlo",
         "value": estimate.estimate,

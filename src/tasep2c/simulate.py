@@ -9,18 +9,37 @@ rings.  The target site decides the outcome:
 * first class behind second  -> the pair swaps (species 2 displaces 1);
 * second class behind first  -> blocked.
 
-By superposition this is simulated as: wait Exponential(N), pick one of the
-N particles uniformly, attempt its jump (blocked attempts simply consume
-the ring).  Swaps exchange the species labels at fixed ordered positions,
-which keeps the position vector strictly increasing structurally; the
-position vector alone evolves exactly like a single-species process.
+By superposition (uniformization, Jensen 1953) this is simulated as: wait
+Exponential(N), pick one of the N particles uniformly, attempt its jump
+(blocked attempts simply consume the ring).  Swaps exchange the species
+labels at fixed ordered positions, which keeps the position vector strictly
+increasing structurally; the position vector alone evolves exactly like a
+single-species process.
 
-Reproducibility: run r of a batch draws from ``random.Random`` seeded with
-splitmix64(seed, r), so runs are independent streams, order-independent and
-parallel-safe, and a (seed, runs) pair pins the estimate bit-exactly --
-with any worker count, since hit counters merge order-independently.
-Predicates built by :func:`leftmost_event` / :func:`transition_event` are
-picklable, which the multi-process path needs.
+Engine: :func:`final_state_sample` advances runs in lockstep blocks of
+``_BLOCK`` runs, one numpy int64 row of positions and species digits per
+run.  Each step draws a dwell and a particle for every live run, applies
+the move, block and swap rules with masks, and retires the runs whose clock
+has passed t, counting their final rows.  :func:`estimate_event` is that
+histogram with the predicate applied once per distinct state, weighted by
+its count.  The ``processes`` pool splits the runs into spans, one per
+worker, and merges the histograms.
+
+Random numbers: run r owns the SplitMix64 stream (Steele, Lea & Flood,
+OOPSLA 2014) keyed by ``splitmix64(seed ^ splitmix64(r))``; its draw j is
+the (j+1)-th output of that stream, computed counter-style in numpy
+``uint64``.  Step k of a run uses draw 2k for the dwell, -log(1 - u)/N with
+u the top 53 bits over 2^53, and draw 2k+1 for the particle, the draw
+modulo N (a bias below N/2^64).  A run's final state therefore depends
+only on (seed, r), so a (seed, runs) pair pins every histogram and
+estimate bit-exactly, whatever the block size, the split of the runs into
+spans, or the worker count.
+``numpy.random`` is not used: importing it alone costs about 5 MB of
+resident memory.
+
+The scalar :func:`step_dynamics` / :func:`simulate_until` stepper over a
+``random.Random`` (:func:`substream`) is kept as an independent oracle for
+the same law.
 """
 
 from __future__ import annotations
@@ -34,21 +53,48 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .formulas import Configuration
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# runs advanced together; sets only speed and temporary memory, never a value
+_BLOCK = 2048
 
 
 def _splitmix64(state: int) -> int:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GAMMA) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function, in place on a uint64 array (arithmetic wraps)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _run_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """Stream keys splitmix64(seed ^ splitmix64(r)) of runs start..stop-1."""
+    runs = np.arange(start, stop, dtype=np.uint64)
+    inner = _mix64(runs + np.uint64(_GAMMA))
+    return _mix64((inner ^ np.uint64(seed & _MASK64)) + np.uint64(_GAMMA))
+
+
+def _draws(keys: np.ndarray, j: int) -> np.ndarray:
+    """Draw j of every stream: the SplitMix64 output at counter key + (j+1)*gamma."""
+    return _mix64(keys + np.uint64(((j + 1) * _GAMMA) & _MASK64))
+
+
 def substream(seed: int, run_index: int) -> random.Random:
-    """Independent RNG for one run, derived deterministically from the seed."""
+    """Independent scalar RNG for one run, for the :func:`simulate_until` oracle."""
     return random.Random(_splitmix64((seed & _MASK64) ^ _splitmix64(run_index)))
 
 
@@ -103,14 +149,73 @@ def _run_raw(
             pos[i] = target
 
 
+def _check_time(t: float) -> float:
+    t = float(t)
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    return t
+
+
 def simulate_until(initial: Configuration, t: float, rng: random.Random) -> Configuration:
     """State at time t: the composition of step_dynamics until the clock passes t."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    t = _check_time(t)
     if t == 0:
         return initial
     pos, spc = _run_raw(list(initial.positions), list(initial.species), initial.n, t, rng)
     return Configuration(pos, spc)
+
+
+def _advance_block(
+    initial: Configuration, t: float, keys: np.ndarray, finals: Counter
+) -> None:
+    """Advance one block of runs to time t and count their final rows in ``finals``.
+
+    A run's row holds its n positions, a wall, its n species digits and a
+    0.  The wall sits at the last particle's starting site, which that
+    particle's target always exceeds, so particle i + 1 always exists and
+    the wall never blocks.
+    """
+    n = initial.n
+    ahead = n + 1  # from a particle's position to its species digit
+    state = np.empty((len(keys), 2 * ahead), np.int64)
+    state[:] = initial.positions + initial.positions[-1:] + tuple(map(int, initial.species + "0"))
+    remaining = np.full(len(keys), t)
+    step = 0
+    while True:
+        u = (_draws(keys, 2 * step) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        remaining -= -np.log(1.0 - u) / n
+        done = remaining <= 0
+        if done.any():
+            finals.update(map(tuple, state[done].tolist()))
+            keep = ~done
+            if not keep.any():
+                return
+            keys, remaining, state = keys[keep], remaining[keep], state[keep]
+        at = np.arange(0, state.size, 2 * ahead)
+        at += (_draws(keys, 2 * step + 1) % np.uint64(n)).astype(np.int64)
+        flat = state.reshape(-1)
+        target = flat[at] + 1
+        blocked = flat[at + 1] == target
+        flat[at] = target - blocked
+        # a blocked pair swaps exactly when it reads 21
+        at += ahead
+        swap = at[blocked & (flat[at] > flat[at + 1])]
+        flat[swap] = 1
+        flat[swap + 1] = 2
+        step += 1
+
+
+def _sample_span(
+    initial: Configuration, t: float, seed: int, span: tuple[int, int]
+) -> Counter[tuple[tuple[int, ...], str]]:
+    """Histogram of the final states of runs span[0]..span[1]-1."""
+    finals: Counter[tuple[int, ...]] = Counter()
+    for lo in range(span[0], span[1], _BLOCK):
+        _advance_block(initial, t, _run_keys(seed, lo, min(lo + _BLOCK, span[1])), finals)
+    n = initial.n
+    return Counter(
+        {(row[:n], "".join(map(str, row[n + 1 : -1]))): c for row, c in finals.items()}
+    )
 
 
 def _chunk_ranges(runs: int, chunks: int) -> list[tuple[int, int]]:
@@ -124,32 +229,21 @@ def _chunk_ranges(runs: int, chunks: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _sample_chunk(initial: Configuration, t: float, seed: int, span: tuple[int, int]) -> Counter:
-    counts: Counter[tuple[tuple[int, ...], str]] = Counter()
-    n = initial.n
-    pos0 = list(initial.positions)
-    spc0 = list(initial.species)
-    for r in range(*span):
-        counts[_run_raw(pos0.copy(), spc0.copy(), n, t, substream(seed, r))] += 1
-    return counts
-
-
-def _count_chunk(
-    initial: Configuration,
-    predicate: Callable[[Configuration], bool],
-    t: float,
-    seed: int,
-    span: tuple[int, int],
-) -> int:
-    hits = 0
-    n = initial.n
-    pos0 = list(initial.positions)
-    spc0 = list(initial.species)
-    for r in range(*span):
-        pos, spc = _run_raw(pos0.copy(), spc0.copy(), n, t, substream(seed, r))
-        if predicate(Configuration(pos, spc)):
-            hits += 1
-    return hits
+def _histogram(
+    initial: Configuration, t: float, runs: int, seed: int, processes: int
+) -> Counter[tuple[tuple[int, ...], str]]:
+    t = _check_time(t)
+    if runs < 1:
+        raise ValueError(f"need at least one run, got {runs}")
+    if processes > 1:
+        worker = partial(_sample_span, initial, t, seed)
+        with multiprocessing.Pool(processes) as pool:
+            parts = pool.map(worker, _chunk_ranges(runs, processes))
+        total: Counter = Counter()
+        for part in parts:
+            total.update(part)
+        return total
+    return _sample_span(initial, t, seed, (0, runs))
 
 
 def final_state_sample(
@@ -160,19 +254,9 @@ def final_state_sample(
     One batch serves every event probability at once, which is how the
     acceptance checks amortize a million runs across a whole x-sweep.
     Results are identical for every ``processes`` value: runs own their
-    substreams and counters merge commutatively.
+    streams and counters merge commutatively.
     """
-    if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
-    if processes > 1:
-        worker = partial(_sample_chunk, initial, t, seed)
-        with multiprocessing.Pool(processes) as pool:
-            parts = pool.map(worker, _chunk_ranges(runs, processes))
-        total: Counter = Counter()
-        for part in parts:
-            total.update(part)
-        return total
-    return _sample_chunk(initial, t, seed, (0, runs))
+    return _histogram(initial, t, runs, seed, processes)
 
 
 def estimate_event(
@@ -185,18 +269,14 @@ def estimate_event(
 ) -> SimulationEstimate:
     """Fraction of seeded runs whose final state satisfies the predicate.
 
-    ``processes`` > 1 farms chunks of runs out to a process pool; the
-    predicate must then be picklable (the factories below qualify).
+    The predicate is applied once per distinct final state of the
+    :func:`final_state_sample` histogram, in this process, so any callable
+    works with every ``processes`` value.  Both share one private entry
+    point, so a wrapper around either public function sees each batch once.
     """
-    if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
     start = time.perf_counter()
-    if processes > 1:
-        worker = partial(_count_chunk, initial, predicate, t, seed)
-        with multiprocessing.Pool(processes) as pool:
-            hits = sum(pool.map(worker, _chunk_ranges(runs, processes)))
-    else:
-        hits = _count_chunk(initial, predicate, t, seed, (0, runs))
+    counts = _histogram(initial, t, runs, seed, processes)
+    hits = sum(c for (pos, spc), c in counts.items() if predicate(Configuration(pos, spc)))
     p = hits / runs
     return SimulationEstimate(
         estimate=p,

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per release criterion, one printed line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the pass/fail lines;
-the full module takes a few minutes, dominated by the million-run Monte
-Carlo batches of criterion 6.
+the exact-rational identity suite of criterion 1 takes most of the module's
+time.  Criteria 1 and 6 also gate their own wall time.
 """
 
 import math
@@ -233,7 +233,7 @@ def test_criterion_6_monte_carlo_consistency():
     _report(
         6,
         "exact vs 10^6-run Monte Carlo",
-        ok_leftmost and worst_spot <= MC_SIGMA,
+        ok_leftmost and worst_spot <= MC_SIGMA and elapsed <= 60.0,
         f"leftmost max|z| {worst_z:.2f}, transitions max|z| {worst_spot:.2f}, {elapsed:.0f}s",
     )
 

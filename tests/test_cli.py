@@ -91,6 +91,18 @@ def test_simulate_runs_validation(capsys):
     assert "runs" in err
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-1"])
+def test_simulate_rejects_bad_time(capsys, time):
+    code, out, err = run_cli(
+        capsys,
+        *"simulate --n 2 --step-l 0 --event leftmost --position 1 --runs 10 --time".split(),
+        time,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "time" in err
+
+
 def test_usage_error_on_bad_initial(capsys):
     code, _, err = run_cli(
         capsys, *"exact leftmost --n 2 --initial 5,3 --position 1 --time 1".split()

@@ -1,9 +1,12 @@
 import math
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+from tasep2c import simulate
 from tasep2c.formulas import Configuration, step_configuration
 from tasep2c.simulate import (
     SimulationEstimate,
@@ -15,6 +18,9 @@ from tasep2c.simulate import (
     substream,
     transition_event,
 )
+
+GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
 
 
 class ScriptedRng:
@@ -171,3 +177,145 @@ def test_renewal_consistency():
     est = estimate_event(y, leftmost_event(1), t, runs, seed)
     se = math.sqrt(math.exp(-t) * (1 - math.exp(-t)) / runs)
     assert abs(est.estimate - math.exp(-t)) <= 4 * se
+
+
+def test_parallel_estimates_accept_lambdas():
+    y = step_configuration(3)
+    event = lambda s: s.positions[0] == 2  # noqa: E731
+    seq = estimate_event(y, event, 1.0, 3000, seed=4)
+    assert 0.0 < seq.estimate < 1.0
+    for processes in (2, 3):
+        par = estimate_event(y, event, 1.0, 3000, seed=4, processes=processes)
+        assert par.estimate == seq.estimate
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_bad_times_raise(t):
+    y = step_configuration(2)
+    with pytest.raises(ValueError, match="time"):
+        final_state_sample(y, t, 10, seed=0)
+    with pytest.raises(ValueError, match="time"):
+        estimate_event(y, leftmost_event(1), t, 10, seed=0)
+    with pytest.raises(ValueError, match="time"):
+        simulate_until(y, t, random.Random(0))
+
+
+def reference_stream(seed, run):
+    """SplitMix64 outputs of run `run`, stepped sequentially on Python ints."""
+
+    def step(state):
+        state = (state + GAMMA) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return state, z ^ (z >> 31)
+
+    _, inner = step(run)
+    _, state = step((seed & MASK64) ^ inner)
+    while True:
+        state, out = step(state)
+        yield out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1, 2**63 + 12345, -1, -987654321])
+def test_engine_draws_match_reference_splitmix64(seed):
+    for run in (0, 1, 2047, 2048, 999_999):
+        keys = simulate._run_keys(seed, run, run + 1)
+        expected = reference_stream(seed, run)
+        for j in range(42):
+            assert int(simulate._draws(keys, j)[0]) == next(expected), (seed, run, j)
+    span = [int(k) for k in simulate._run_keys(seed, 3, 9)]
+    assert span == [int(simulate._run_keys(seed, r, r + 1)[0]) for r in range(3, 9)]
+
+
+def replay(initial, t, seed, run):
+    """One run of the engine replayed in Python from the reference stream."""
+    draws = reference_stream(seed, run)
+    pos, spc, n = list(initial.positions), list(initial.species), initial.n
+    remaining = t
+    while True:
+        u = (next(draws) >> 11) * 2.0**-53
+        remaining -= -math.log(1.0 - u) / n
+        if remaining <= 0:
+            return tuple(pos), "".join(spc)
+        i = next(draws) % n
+        if i + 1 < n and pos[i + 1] == pos[i] + 1:
+            if spc[i] == "2" and spc[i + 1] == "1":
+                spc[i], spc[i + 1] = "1", "2"
+        else:
+            pos[i] += 1
+
+
+@pytest.mark.parametrize(
+    "initial, t, seed",
+    [
+        (step_configuration(3), 1.5, 2**63 + 5),
+        (Configuration((0, 1, 2, 4), "2121"), 2.0, -3),
+        (Configuration((5,), "1"), 3.0, 11),
+    ],
+)
+def test_engine_final_states_match_scalar_replay(initial, t, seed):
+    runs = 300
+    expected = Counter(replay(initial, t, seed, r) for r in range(runs))
+    assert final_state_sample(initial, t, runs, seed) == expected
+
+
+def test_histogram_independent_of_span_split_and_block_size(monkeypatch):
+    y = Configuration((0, 1, 3), "211")
+    runs, seed, t = 5000, -7, 1.5
+    whole = final_state_sample(y, t, runs, seed)
+    assert sum(whole.values()) == runs
+    cuts = [0, 1, 2056, 4099, runs]
+    parts = Counter()
+    for span in zip(cuts, cuts[1:]):
+        parts.update(simulate._sample_span(y, t, seed, span))
+    assert parts == whole
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    assert final_state_sample(y, t, runs, seed) == whole
+
+
+# Two-sample chi-square test of homogeneity between the lockstep engine and
+# the scalar random.Random oracle, 20 000 runs each.  Fixed in advance: every
+# final state with at least 40 runs over both samples is a cell, the rarer
+# states share one pooled cell, and the test fails above the 0.999 quantile
+# of chi-square with (cells - 1) degrees of freedom (Wilson-Hilferty).
+@pytest.mark.parametrize(
+    "initial, t, seed",
+    [(step_configuration(2), 1.5, 31), (step_configuration(3), 1.0, 32)],
+)
+def test_engine_law_matches_scalar_oracle(initial, t, seed):
+    runs = 20_000
+    engine = final_state_sample(initial, t, runs, seed)
+    scalar = Counter()
+    for r in range(runs):
+        state = simulate_until(initial, t, substream(seed + 1000, r))
+        scalar[state.positions, state.species] += 1
+    cells, pooled = [], [0, 0]
+    for key in engine.keys() | scalar.keys():
+        a, b = engine.get(key, 0), scalar.get(key, 0)
+        if a + b >= 40:
+            cells.append((a, b))
+        else:
+            pooled[0] += a
+            pooled[1] += b
+    if sum(pooled):
+        cells.append(tuple(pooled))
+    chi2 = sum((a - b) ** 2 / (a + b) for a, b in cells)
+    df = len(cells) - 1
+    quantile = df * (1 - 2 / (9 * df) + 3.0902 * math.sqrt(2 / (9 * df))) ** 3
+    assert df >= 10
+    assert chi2 < quantile, (chi2, quantile, df)
+
+
+def test_engine_does_not_import_numpy_random():
+    # importing numpy.random alone costs several MB of resident memory
+    code = (
+        "import sys\n"
+        "from tasep2c import cli, simulate\n"
+        "from tasep2c.formulas import step_configuration\n"
+        "simulate.final_state_sample(step_configuration(3), 1.0, 3000, 1)\n"
+        "assert cli.main('simulate --n 2 --step-l 0 --event leftmost --position 1 "
+        "--time 1 --runs 100'.split()) == 0\n"
+        "sys.exit('numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
