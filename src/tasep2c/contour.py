@@ -57,6 +57,14 @@ def laurent_coefficient(k: int, e: int) -> int:
     return math.comb(-e - 1 + m, m)
 
 
+def _check_time(t: float) -> float:
+    """Reject a time that is NaN, infinite or negative; return it as a float."""
+    t = float(t)
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    return t
+
+
 def _poisson_weight(n: int, t: float) -> float:
     """exp(-t) t^n / n! robustly for any n >= 0, t >= 0."""
     if t == 0.0:
@@ -78,8 +86,7 @@ def residue_value(k: int, e: int, t: float) -> float:
     and the sum is truncated once terms are decreasing and below
     SERIES_EPS times the partial sum.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if t == 0:
         return laurent_coefficient(k, e)
     j0 = max(0, -k - 1)
@@ -132,8 +139,7 @@ def exp_scaled_residue(k: int, e: int, t: Fraction, bits: int) -> int:
     the binomial c_j, the scaled power and the denominator are carried from
     one term to the next as exact running products.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     tn, td = t.numerator, t.denominator
     j0 = max(0, -k - 1)
     n = k + j0 + 1
@@ -171,6 +177,7 @@ def exp_scaled_residue(k: int, e: int, t: Fraction, bits: int) -> int:
 
 def poisson_upper_tail(t: float, m: int) -> float:
     """P(Poisson(t) > m), summed directly over the tail."""
+    _check_time(t)
     if t == 0:
         return 0.0
     total = 0.0
@@ -192,8 +199,7 @@ class ResidueIntegrand:
     t: float
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"time must be nonnegative, got {self.t}")
+        _check_time(self.t)
 
     def value(self) -> float:
         return residue_value(self.k, self.e, self.t)

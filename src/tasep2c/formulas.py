@@ -55,7 +55,7 @@ import numpy as np
 
 from . import bethe, contour
 from .bethe import SparseMatrix, word_index
-from .contour import QuadratureSpec
+from .contour import QuadratureSpec, _check_time
 from .errors import AccuracyError, WindowTooSmallWarning
 from .permutations import enumerate_permutations, inverse
 
@@ -355,8 +355,7 @@ def transition_probability(
     exact indicator is returned bit-exactly.
     """
     _check_pair(initial, final)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if t == 0:
         same = final.positions == initial.positions and final.species == initial.species
         return 1.0 if same else 0.0
@@ -450,8 +449,7 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     _check_pair(initial, final)
     _require_head(initial, "head transition")
     _require_head(final, "head transition")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if t == 0:
         return 1.0 if final.positions == initial.positions else 0.0
     n = initial.n
@@ -486,8 +484,7 @@ def leftmost_probability(
     quadrature integrates the displayed integrand directly.
     """
     _require_head(initial, "leftmost probability")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     y = initial.positions
     n = initial.n
     if x < y[0]:
@@ -523,8 +520,7 @@ def tasep_leftmost_probability(
     """
     if len(set(initial.species)) != 1:
         raise ValueError("single-species formula needs all particles of one species")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     y = initial.positions
     n = initial.n
     if x < y[0]:
@@ -613,8 +609,7 @@ def leftmost_probability_shifted_step(
         raise ValueError(f"shift must be nonnegative, got {shift}")
     if n < 1:
         raise ValueError("need at least one particle")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if x < 1:
         return 0.0
     if t == 0:
@@ -686,8 +681,7 @@ def leftmost_probability_step_det(n: int, x: int, t: float) -> float:
     """
     if n < 1:
         raise ValueError("need at least one particle")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if x < 1:
         return 0.0
     if t == 0:
@@ -738,6 +732,7 @@ def probability_mass_check(initial: Configuration, t: float, window: int) -> flo
         raise ValueError("mass check enumerates windows only up to N = 3")
     if window < 0:
         raise ValueError("window must be nonnegative")
+    _check_time(t)
     if t == 0:
         return 1.0
     tail = displacement_tail_bound(n, t, window)

@@ -28,6 +28,16 @@ Checked identities, with LHS always an alternating sum over permutations:
                  otherwise;
 * closed_form -- the center amplitude product formula against the full
                  sparse matrix product.
+
+The four variant left sides (equiv_a/b, tasep_a/b, also used by the
+substitution and main-to-variant bridge checks) run through one kernel,
+:func:`_alternating_sum`.  Its tail denominators are products over a suffix
+or prefix of the permutation, so the partial sums depend only on the set of
+values still to place and are memoised on a bitmask: N 2^(N-1) exact terms
+instead of N N!; one form at N = 10 takes about 0.1 s.
+:func:`main_identity` keeps its permutation loop through
+:func:`tasep2c.bethe.amplitude_center` as the independent N! reference that
+the bridge compares the kernel against.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from typing import Sequence
 
 from . import bethe
 from .errors import DegeneratePointError
-from .permutations import enumerate_permutations, sign
+from .permutations import enumerate_permutations
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -110,6 +120,14 @@ def complete_homogeneous(degree: int, xi: Sequence[Fraction]) -> Fraction:
     return total
 
 
+def _identity_point(xi: Sequence[Fraction]) -> RationalPoint:
+    """validate_point, plus the N >= 2 that the permutation-sum identities need."""
+    point = validate_point(xi)
+    if len(point) < 2:
+        raise ValueError("the identity is stated for N >= 2")
+    return point
+
+
 def _suffix_tail_denominator(xi: Sequence[Fraction], p: Sequence[int]) -> Fraction:
     """prod over k = 2..N of (1 - xi_p(k) xi_p(k+1) ... xi_p(N))."""
     n = len(p)
@@ -124,20 +142,6 @@ def _suffix_tail_denominator(xi: Sequence[Fraction], p: Sequence[int]) -> Fracti
     return den
 
 
-def _prefix_tail_denominator(xi: Sequence[Fraction], p: Sequence[int]) -> Fraction:
-    """prod over k = 1..N-1 of (xi_p(1) ... xi_p(k) - 1)."""
-    n = len(p)
-    den = Fraction(1)
-    prefix = Fraction(1)
-    for k in range(1, n):
-        prefix *= xi[p[k - 1] - 1]
-        factor = prefix - 1
-        if factor == 0:
-            raise DegeneratePointError("geometric-tail denominator vanished")
-        den *= factor
-    return den
-
-
 def _tail_numerator(xi: Sequence[Fraction], p: Sequence[int]) -> Fraction:
     """xi_p(2) xi_p(3)^2 ... xi_p(N)^(N-1)."""
     num = Fraction(1)
@@ -146,16 +150,95 @@ def _tail_numerator(xi: Sequence[Fraction], p: Sequence[int]) -> Fraction:
     return num
 
 
+def _alternating_sum(
+    xi: Sequence[Fraction], weight: Sequence[Sequence[Fraction]], tail: str
+) -> Fraction:
+    """sum over sigma of sign(sigma) prod_k weight[k][sigma(k)] / tail(sigma).
+
+    Positions k and values sigma(k) are 0-based.  The tail is "suffix",
+    prod_(k=2..N) (1 - xi_sigma(k) ... xi_sigma(N)), or "prefix",
+    prod_(k=1..N-1) (xi_sigma(1) ... xi_sigma(k) - 1).  Positions are filled
+    from the end for a suffix tail and from the start for a prefix tail, so
+    while a set U of values is still unplaced, the next position, the
+    product of the placed xi and the sign picked up by placing v (the parity
+    of the values of U on v's far side) all depend on U alone.  The partial
+    sums are memoised on the bitmask of U: N 2^(N-1) terms, not N! N.
+    """
+    n = len(xi)
+    full = (1 << n) - 1
+    suffix = tail == "suffix"
+    prod = [Fraction(1)] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        prod[mask] = prod[mask ^ low] * xi[low.bit_length() - 1]
+    # rest[U]: the sum over every order of U on the free positions, already
+    # divided by the tail factor of the placed values (the complement of U)
+    rest = [Fraction(1)] * (full + 1)
+    for mask in range(1, full + 1):
+        size = mask.bit_count()
+        row = weight[size - 1 if suffix else n - size]
+        total = Fraction(0)
+        for v in range(n):
+            bit = 1 << v
+            if not mask & bit:
+                continue
+            far = mask >> (v + 1) if suffix else mask & (bit - 1)
+            term = row[v] * rest[mask ^ bit]
+            if far.bit_count() & 1:
+                total -= term
+            else:
+                total += term
+        if mask != full:
+            placed = prod[full ^ mask]
+            factor = 1 - placed if suffix else placed - 1
+            if factor == 0:
+                raise DegeneratePointError("geometric-tail denominator vanished")
+            total /= factor
+        rest[mask] = total
+    return rest[full]
+
+
+def _variant_sides(xi: RationalPoint, variant: str, d: int) -> tuple[Fraction, Fraction]:
+    """(lhs, rhs) of variant "a" or "b"; d = 1 for the equiv forms, 0 for tasep.
+
+    Variant "a" weighs value i at 0-based position k by
+    xi_i^k / (1 - xi_i)^max(k - d, 0) over the suffix tail; variant "b" by
+    (xi_i / (xi_i - 1))^max(N - 1 - k - d, 0) over the prefix tail.
+    """
+    n = len(xi)
+    total = Fraction(1)
+    for z in xi:
+        total *= z
+    rhs = vandermonde(xi)
+    if variant == "a":
+        weight = [[z**k / (1 - z) ** max(k - d, 0) for z in xi] for k in range(n)]
+        lhs = _alternating_sum(xi, weight, "suffix")
+        if d == 0:
+            rhs *= 1 - total
+        for z in xi:
+            rhs /= (1 - z) ** (n - d)
+    elif variant == "b":
+        weight = [[(z / (z - 1)) ** max(n - 1 - k - d, 0) for z in xi] for k in range(n)]
+        lhs = _alternating_sum(xi, weight, "prefix")
+        if d == 0:
+            rhs *= total - 1
+        for z in xi:
+            rhs /= (z - 1) ** (n - d)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return lhs, rhs
+
+
 def main_identity(xi: Sequence[Fraction]) -> tuple[Fraction, Fraction, bool]:
     """Center-amplitude permutation sum against its closed product form.
 
     Returns (lhs, rhs, lhs == rhs).  For N = 2 at (1/2, 1/3) both sides are
-    -1/2, which is the hand-checkable anchor.
+    -1/2, which is the hand-checkable anchor.  The left side is summed one
+    permutation at a time through :func:`tasep2c.bethe.amplitude_center`,
+    independently of :func:`_alternating_sum`.
     """
-    xi = validate_point(xi)
+    xi = _identity_point(xi)
     n = len(xi)
-    if n < 2:
-        raise ValueError("the identity is stated for N >= 2")
     lhs = Fraction(0)
     for p in enumerate_permutations(n):
         center = bethe.amplitude_center(p, xi)
@@ -177,35 +260,7 @@ def equivalent_identities(xi: Sequence[Fraction], variant: str) -> bool:
     xi_i -> 1/xi_(N-i+1) and accepts any nondegenerate point (coordinates
     beyond (0, 1) included).
     """
-    xi = validate_point(xi)
-    n = len(xi)
-    if n < 2:
-        raise ValueError("the identity is stated for N >= 2")
-    lhs = Fraction(0)
-    if variant == "a":
-        for p in enumerate_permutations(n):
-            term = Fraction(sign(p))
-            for k in range(3, n + 1):
-                term /= (1 - xi[p[k - 1] - 1]) ** (k - 2)
-            term *= _tail_numerator(xi, p)
-            term /= _suffix_tail_denominator(xi, p)
-            lhs += term
-        rhs = vandermonde(xi)
-        for z in xi:
-            rhs /= (1 - z) ** (n - 1)
-    elif variant == "b":
-        for p in enumerate_permutations(n):
-            term = Fraction(sign(p))
-            for k in range(1, n - 1):
-                term *= xi[p[k - 1] - 1] ** (n - 1 - k)
-                term /= (xi[p[k - 1] - 1] - 1) ** (n - 1 - k)
-            term /= _prefix_tail_denominator(xi, p)
-            lhs += term
-        rhs = vandermonde(xi)
-        for z in xi:
-            rhs /= (z - 1) ** (n - 1)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    lhs, rhs = _variant_sides(_identity_point(xi), variant, 1)
     return lhs == rhs
 
 
@@ -215,29 +270,16 @@ def main_variant_bridge(xi: Sequence[Fraction]) -> bool:
     Each main-identity term carries the center amplitude, whose numerator
     prod_i (1 - xi_(2+i))^i does not depend on the permutation; dividing it
     out termwise turns the main sum into the variant-"a" sum.  Checking
-    lhs_main = factor * lhs_a (and the same for the right sides) makes the
-    equivalence mechanical rather than assumed.
+    lhs_main = factor * lhs_a (and the same for the right sides), with the
+    main sum from its permutation loop and lhs_a from the subset kernel,
+    makes the equivalence mechanical rather than assumed.
     """
-    xi = validate_point(xi)
-    n = len(xi)
-    if n < 2:
-        raise ValueError("the identity is stated for N >= 2")
+    xi = _identity_point(xi)
     factor = Fraction(1)
-    for i in range(1, n - 1):
+    for i in range(1, len(xi) - 1):
         factor *= (1 - xi[1 + i]) ** i
-
     lhs_main, rhs_main, _ = main_identity(xi)
-    lhs_a = Fraction(0)
-    for p in enumerate_permutations(n):
-        term = Fraction(sign(p))
-        for k in range(3, n + 1):
-            term /= (1 - xi[p[k - 1] - 1]) ** (k - 2)
-        term *= _tail_numerator(xi, p)
-        term /= _suffix_tail_denominator(xi, p)
-        lhs_a += term
-    rhs_a = vandermonde(xi)
-    for z in xi:
-        rhs_a /= (1 - z) ** (n - 1)
+    lhs_a, rhs_a = _variant_sides(xi, "a", 1)
     return lhs_main == factor * lhs_a and rhs_main == factor * rhs_a
 
 
@@ -247,33 +289,9 @@ def substitution_transport(xi: Sequence[Fraction]) -> bool:
     This is the mechanical check that the inversion substitution really maps
     one displayed identity onto the other, left side onto left side.
     """
-    xi = validate_point(xi)
-    n = len(xi)
-    mapped = tuple(1 / xi[n - 1 - i] for i in range(n))
-
-    def lhs_a(point):
-        total = Fraction(0)
-        for p in enumerate_permutations(n):
-            term = Fraction(sign(p))
-            for k in range(3, n + 1):
-                term /= (1 - point[p[k - 1] - 1]) ** (k - 2)
-            term *= _tail_numerator(point, p)
-            term /= _suffix_tail_denominator(point, p)
-            total += term
-        return total
-
-    def lhs_b(point):
-        total = Fraction(0)
-        for p in enumerate_permutations(n):
-            term = Fraction(sign(p))
-            for k in range(1, n - 1):
-                term *= point[p[k - 1] - 1] ** (n - 1 - k)
-                term /= (point[p[k - 1] - 1] - 1) ** (n - 1 - k)
-            term /= _prefix_tail_denominator(point, p)
-            total += term
-        return total
-
-    return lhs_a(mapped) == lhs_b(xi)
+    xi = _identity_point(xi)
+    mapped = tuple(1 / z for z in reversed(xi))
+    return _variant_sides(mapped, "a", 1)[0] == _variant_sides(xi, "b", 1)[0]
 
 
 def tasep_identities(xi: Sequence[Fraction], variant: str) -> bool:
@@ -282,41 +300,7 @@ def tasep_identities(xi: Sequence[Fraction], variant: str) -> bool:
     Variant "a" is the direct form, variant "b" its inversion substitute
     (valid at any nondegenerate point, components above 1 included).
     """
-    xi = validate_point(xi)
-    n = len(xi)
-    if n < 2:
-        raise ValueError("the identity is stated for N >= 2")
-    lhs = Fraction(0)
-    if variant == "a":
-        for p in enumerate_permutations(n):
-            term = Fraction(sign(p))
-            for k in range(2, n + 1):
-                term /= (1 - xi[p[k - 1] - 1]) ** (k - 1)
-            term *= _tail_numerator(xi, p)
-            term /= _suffix_tail_denominator(xi, p)
-            lhs += term
-        prod = Fraction(1)
-        for z in xi:
-            prod *= z
-        rhs = (1 - prod) * vandermonde(xi)
-        for z in xi:
-            rhs /= (1 - z) ** n
-    elif variant == "b":
-        for p in enumerate_permutations(n):
-            term = Fraction(sign(p))
-            for k in range(1, n):
-                term *= xi[p[k - 1] - 1] ** (n - k)
-                term /= (xi[p[k - 1] - 1] - 1) ** (n - k)
-            term /= _prefix_tail_denominator(xi, p)
-            lhs += term
-        prod = Fraction(1)
-        for z in xi:
-            prod *= z
-        rhs = (prod - 1) * vandermonde(xi)
-        for z in xi:
-            rhs /= (z - 1) ** n
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    lhs, rhs = _variant_sides(_identity_point(xi), variant, 0)
     return lhs == rhs
 
 

@@ -55,6 +55,7 @@ from typing import Callable
 
 import numpy as np
 
+from .contour import _check_time
 from .formulas import Configuration
 
 _MASK64 = (1 << 64) - 1
@@ -147,13 +148,6 @@ def _run_raw(
                 spc[i], spc[i + 1] = "1", "2"
         else:
             pos[i] = target
-
-
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
-    return t
 
 
 def simulate_until(initial: Configuration, t: float, rng: random.Random) -> Configuration:

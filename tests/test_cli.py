@@ -103,6 +103,24 @@ def test_simulate_rejects_bad_time(capsys, time):
     assert "time" in err
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "exact leftmost --n 2 --step-l 0 --position 1",
+        "exact leftmost --n 2 --step-l 0 --position 1 --method quadrature",
+        "compare --n 2 --step-l 0 --event leftmost --position 1 --runs 100",
+    ],
+    ids=["leftmost", "leftmost-quadrature", "compare"],
+)
+def test_exact_commands_reject_bad_time(capsys, argv, time):
+    code, out, err = run_cli(capsys, *argv.split(), f"--time={time}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:") and "time" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_on_bad_initial(capsys):
     code, _, err = run_cli(
         capsys, *"exact leftmost --n 2 --initial 5,3 --position 1 --time 1".split()

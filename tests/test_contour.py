@@ -53,6 +53,18 @@ def test_negative_time_rejected():
         residue_value(0, 0, -1.0)
     with pytest.raises(ValueError):
         ResidueIntegrand(0, 0, -0.5)
+    with pytest.raises(ValueError):
+        exp_scaled_residue(0, -1, Fraction(-1, 2), 64)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_time_rejected(t):
+    with pytest.raises(ValueError, match="finite"):
+        residue_value(0, -1, t)
+    with pytest.raises(ValueError, match="finite"):
+        ResidueIntegrand(0, 0, t)
+    with pytest.raises(ValueError, match="finite"):
+        poisson_upper_tail(t, 3)
 
 
 def test_integrand_dataclass_value():

@@ -361,6 +361,37 @@ class TestMassConservation:
             probability_mass_check(step_configuration(4), 1.0, 5)
 
 
+BAD_TIMES = [math.nan, math.inf, -1.0]
+HEAD2 = step_configuration(2)
+EXACT_ENTRY_POINTS = {
+    "transition": lambda t: transition_probability(HEAD2, Configuration((2, 3), "21"), t),
+    "transition_quadrature": lambda t: transition_probability(
+        HEAD2, Configuration((2, 3), "21"), t, method="quadrature", quad=QUAD
+    ),
+    "head_transition": lambda t: head_transition_probability(
+        HEAD2, Configuration((2, 3), "21"), t
+    ),
+    "leftmost": lambda t: leftmost_probability(HEAD2, 1, t),
+    "leftmost_quadrature": lambda t: leftmost_probability(
+        HEAD2, 1, t, method="quadrature", quad=QUAD
+    ),
+    "tasep_leftmost": lambda t: tasep_leftmost_probability(Configuration((1, 2), "11"), 1, t),
+    "shifted_step": lambda t: leftmost_probability_shifted_step(1, 2, 1, t),
+    "step_det": lambda t: leftmost_probability_step_det(2, 1, t),
+    "mass_check": lambda t: probability_mass_check(HEAD2, t, 4),
+    "tail_bound": lambda t: displacement_tail_bound(2, t, 4),
+}
+
+
+@pytest.mark.parametrize("t", BAD_TIMES, ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("entry", sorted(EXACT_ENTRY_POINTS))
+def test_exact_entry_points_reject_bad_times(entry, t):
+    # nan and inf used to overflow, exhaust the quadrature grid, or (in the
+    # mass check's Poisson tail) loop forever
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        EXACT_ENTRY_POINTS[entry](t)
+
+
 def test_summation_realization_small():
     # summing the head transition kernel over the trailing positions
     # reproduces the leftmost-event probability

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from tasep2c import identities
 from tasep2c.errors import DegeneratePointError
 from tasep2c.identities import (
+    _variant_sides,
     complete_homogeneous,
     closed_form_vs_product,
     descending_vandermonde,
@@ -21,6 +23,7 @@ from tasep2c.identities import (
     vandermonde,
     vandermonde_cofactor,
 )
+from tasep2c.permutations import enumerate_permutations, sign
 
 XI2 = (F(1, 2), F(1, 3))
 XI3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -157,3 +160,85 @@ def test_suite_runner_small():
     keys = {(r["identity"], r["n"]) for r in records}
     assert ("main", 2) in keys and ("braid", 3) in keys
     assert all(r["points"] == 5 and r["degree_bound"] > 0 for r in records)
+
+
+# The four variant forms as (variant, d): d = 1 for equiv, 0 for tasep.
+FORMS = {"equiv_a": ("a", 1), "equiv_b": ("b", 1), "tasep_a": ("a", 0), "tasep_b": ("b", 0)}
+
+
+def leibniz_lhs(xi, variant, d):
+    """The variant left side summed one permutation at a time, 1-based k.
+
+    Variant "a": sign(p) prod_(k>=2+d) (1 - xi_p(k))^-(k-1-d) prod_k xi_p(k)^(k-1)
+    over prod_(k=2..N) (1 - xi_p(k) ... xi_p(N)).  Variant "b":
+    sign(p) prod_(k<N-d) (xi_p(k) / (xi_p(k) - 1))^(N-k-d) over
+    prod_(k=1..N-1) (xi_p(1) ... xi_p(k) - 1).
+    """
+    n = len(xi)
+    total = F(0)
+    for p in enumerate_permutations(n):
+        z = [xi[v - 1] for v in p]
+        term = F(sign(p))
+        if variant == "a":
+            for k in range(2, n + 1):
+                term *= z[k - 1] ** (k - 1)
+                if k >= 2 + d:
+                    term /= (1 - z[k - 1]) ** (k - 1 - d)
+            suffix = F(1)
+            for k in range(n, 1, -1):
+                suffix *= z[k - 1]
+                term /= 1 - suffix
+        else:
+            for k in range(1, n - d):
+                term *= (z[k - 1] / (z[k - 1] - 1)) ** (n - k - d)
+            prefix = F(1)
+            for k in range(1, n):
+                prefix *= z[k - 1]
+                term /= prefix - 1
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_matches_permutation_loop(form, n):
+    variant, d = FORMS[form]
+    rng = random.Random(f"kernel-{form}-{n}")
+    for _ in range(3):
+        xi = random_rational_point(n, rng)
+        if variant == "b":
+            xi = validate_point(tuple(1 / z for z in xi))
+        assert _variant_sides(xi, variant, d)[0] == leibniz_lhs(xi, variant, d)
+
+
+@pytest.mark.parametrize(
+    "form, value",
+    [("equiv_a", F(-1, 2)), ("equiv_b", F(-1, 2)), ("tasep_a", F(-5, 4)), ("tasep_b", F(5, 4))],
+)
+def test_variant_left_sides_hand_values(form, value):
+    # e.g. tasep_a at (1/2, 1/3): (1/3)/(2/3)^2 - (1/2)/(1/2)^2 = 3/4 - 2
+    variant, d = FORMS[form]
+    assert leibniz_lhs(XI2, variant, d) == value
+    assert _variant_sides(XI2, variant, d) == (value, value)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_variant_forms_hold_at_large_n(n):
+    rng = random.Random(f"large-{n}")
+    for _ in range(3):
+        xi = random_rational_point(n, rng)
+        inverted = validate_point(tuple(1 / z for z in xi))
+        assert equivalent_identities(xi, "a")
+        assert equivalent_identities(inverted, "b")
+        assert tasep_identities(xi, "a")
+        assert tasep_identities(inverted, "b")
+
+
+def test_suite_reports_a_broken_identity(monkeypatch):
+    original = identities.vandermonde
+    monkeypatch.setattr(identities, "vandermonde", lambda xi: 2 * original(xi))
+    records = run_identity_suite(
+        n_values=(3,), points=2, identities=("equiv_a", "equiv_b", "tasep_a", "tasep_b")
+    )
+    assert [r["identity"] for r in records] == ["equiv_a", "equiv_b", "tasep_a", "tasep_b"]
+    assert not any(r["passed"] for r in records)

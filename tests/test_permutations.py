@@ -1,8 +1,6 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from tasep2c.permutations import (
     adjacent_decomposition,
@@ -15,9 +13,19 @@ from tasep2c.permutations import (
     sign,
 )
 
-perms = st.integers(min_value=1, max_value=7).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))
-)
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # test-only dependency: only the property tests need it
+    perms = None
+
+    def given(_strategy):
+        return lambda _test: lambda: pytest.importorskip("hypothesis")
+
+else:
+    perms = st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.permutations(list(range(1, n + 1)))
+    )
 
 
 def test_enumerate_sizes_and_signs():
