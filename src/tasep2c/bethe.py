@@ -26,8 +26,8 @@ structure, braid and closed-form checks.
 All matrices here are stored sparsely (dict-of-rows) because T factors have
 at most two nonzeros per row and amplitude products stay upper triangular.
 Entries are generic scalars: exact fractions for identity checking,
-symbolic rational functions for the residue route, complex floats or numpy
-node arrays for quadrature.
+integer Laurent polynomials in the u_a = 1 - xi_a for the residue route,
+complex floats or numpy node arrays for quadrature.
 
 Species words index matrix rows the same way throughout the package: the
 word (w_1 ... w_N) over {1, 2} maps to the binary integer with digits
@@ -161,9 +161,6 @@ class SparseMatrix:
 
     def diagonal(self) -> list:
         return [self.get(i, i) for i in range(self.n)]
-
-    def to_dense(self) -> list[list]:
-        return [[self.get(i, j) for j in range(self.n)] for i in range(self.n)]
 
 
 @dataclass(frozen=True)

@@ -179,14 +179,17 @@ def _final_configuration(args) -> Configuration:
         raise _UsageError(str(exc)) from None
 
 
-def _transition_pair(args) -> tuple[Configuration, Configuration]:
+def _species_initial(args) -> Configuration:
+    """Initial state from --initial or --step-l, with the --species word when given."""
     base, _ = _initial_configuration(args)
-    species = args.species or head_word(args.n)
     try:
-        initial = Configuration(base.positions, species)
+        return Configuration(base.positions, args.species or head_word(args.n))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return initial, _final_configuration(args)
+
+
+def _transition_pair(args) -> tuple[Configuration, Configuration]:
+    return _species_initial(args), _final_configuration(args)
 
 
 def _cmd_exact_transition(args) -> int:
@@ -206,52 +209,37 @@ def _cmd_exact_transition(args) -> int:
     return EXIT_OK
 
 
-def _sim_initial(args) -> Configuration:
-    """Initial state for simulation, honoring --species when given."""
-    base, _ = _initial_configuration(args)
-    species = getattr(args, "species", None) or head_word(args.n)
-    try:
-        return Configuration(base.positions, species)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _check_leftmost_species(args) -> None:
-    if getattr(args, "species", None) not in (None, head_word(args.n)):
-        raise _UsageError("the leftmost event requires the species word 21...1")
+def _event_predicate(args):
+    """Monte Carlo predicate of the selected event, after checking its flags."""
+    if args.event == "leftmost":
+        if args.position is None:
+            raise _UsageError("leftmost event needs --position")
+        if args.species not in (None, head_word(args.n)):
+            raise _UsageError("the leftmost event requires the species word 21...1")
+        return simulate.leftmost_event(args.position)
+    if args.final is None:
+        raise _UsageError("transition event needs --final")
+    return simulate.transition_event(_final_configuration(args))
 
 
 def _event_probe(args):
     """(exact value, predicate) for the selected event."""
+    predicate = _event_predicate(args)
     if args.event == "leftmost":
-        if args.position is None:
-            raise _UsageError("leftmost event needs --position")
-        _check_leftmost_species(args)
-        exact = _leftmost_value(args, args.position)
-        return exact, simulate.leftmost_event(args.position)
-    if args.final is None:
-        raise _UsageError("transition event needs --final")
+        return _leftmost_value(args, args.position), predicate
     initial, final = _transition_pair(args)
     try:
         exact = formulas.transition_probability(initial, final, args.time)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return exact, simulate.transition_event(final)
+    return exact, predicate
 
 
 def _cmd_simulate(args) -> int:
     if args.runs < 1:
         raise _UsageError("--runs must be at least 1")
-    initial = _sim_initial(args)
-    if args.event == "leftmost":
-        if args.position is None:
-            raise _UsageError("leftmost event needs --position")
-        _check_leftmost_species(args)
-        predicate = simulate.leftmost_event(args.position)
-    else:
-        if args.final is None:
-            raise _UsageError("transition event needs --final")
-        predicate = simulate.transition_event(_final_configuration(args))
+    initial = _species_initial(args)
+    predicate = _event_predicate(args)
     try:
         estimate = simulate.estimate_event(
             initial, predicate, args.time, args.runs, args.seed, processes=_workers()
@@ -275,7 +263,7 @@ def _cmd_compare(args) -> int:
         raise _UsageError("--runs must be at least 1")
     started = time.perf_counter()
     exact, predicate = _event_probe(args)
-    initial = _sim_initial(args)
+    initial = _species_initial(args)
     estimate = simulate.estimate_event(
         initial, predicate, args.time, args.runs, args.seed, processes=_workers()
     )

@@ -26,10 +26,12 @@ product formula.  Both routes read it from one amplitude column of every
 permutation, computed by :func:`tasep2c.bethe.amplitude_columns`, which
 pushes the initial word's unit column through the slot operators along a
 prefix tree of reduced words and never builds a 2^N x 2^N matrix.  The
-residue route runs it once per (N, initial word) over symbolic entries, each
-a polynomial with integer coefficients divided by powers of (1 - xi_a), and
-every monomial then separates into one-variable residue factors.  Quadrature
-runs it once per grid evaluation over numpy node arrays.
+residue route runs it once per (N, initial word) over symbolic entries.  In
+u_a = 1 - xi_a the scattering entries are -u_beta/u_alpha, 1 - u_beta/u_alpha
+and -1, so every amplitude entry is an integer Laurent polynomial in the u_a
+(at N = 6 a column holds at most about 130k terms), and each term
+prod_a u_a^e_a separates into one-variable residue factors J(k_a, e_a).
+Quadrature runs it once per grid evaluation over numpy node arrays.
 
 Conditioning: the alternating sums cancel catastrophically in double
 precision (at N = 5 the terms outweigh the result by ~8 digits), so every
@@ -218,99 +220,61 @@ def _require_head(config: Configuration, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# symbolic amplitude entries: polynomial / prod (1 - xi_a)^m  over integers
+# symbolic amplitude entries: integer Laurent polynomials in u_a = 1 - xi_a
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            key = tuple(map(operator.add, ma, mb))
-            if key in out:
-                out[key] += ca * cb
-            else:
-                out[key] = ca * cb
-    return {m: c for m, c in out.items() if c}
+class _ULaurent(dict):
+    """sum of c * prod_a (1 - xi_a)^e[a], stored as {exponent vector e: integer c}.
 
+    Every scattering entry is an integer Laurent polynomial in u_a = 1 - xi_a,
+    so every amplitude entry is one too.  Such polynomials have unique
+    coefficients, so sums cancel exactly and no zero is ever stored; each
+    term separates into one-variable residue factors J(k_a, e_a).
+    """
 
-def _unit_mono(var: int, nvars: int) -> tuple[int, ...]:
-    return tuple(1 if i == var else 0 for i in range(nvars))
-
-
-def _one_minus_power(var: int, power: int, nvars: int) -> dict:
-    zero = (0,) * nvars
-    out = {zero: 1}
-    base = {zero: 1, _unit_mono(var, nvars): -1}
-    for _ in range(power):
-        out = _poly_mul(out, base)
-    return out
-
-
-class _RationalEntry:
-    """num / prod_a (1 - xi_a)^den[a] with an integer-coefficient numerator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: dict, den: tuple[int, ...]):
-        self.num = num
-        self.den = den
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def _scaled(self, c) -> "_RationalEntry":
-        if not c:
-            return _RationalEntry({}, self.den)
-        return _RationalEntry({m: c * v for m, v in self.num.items()}, self.den)
+    __slots__ = ()
 
     def __mul__(self, other):
-        if isinstance(other, _RationalEntry):
-            return _RationalEntry(
-                _poly_mul(self.num, other.num),
-                tuple(a + b for a, b in zip(self.den, other.den)),
-            )
-        return self._scaled(other)
+        if not isinstance(other, _ULaurent):
+            return other * self  # an integer factor, through __rmul__
+        out: dict = {}
+        for ea, ca in self.items():
+            for eb, cb in other.items():
+                key = tuple(map(operator.add, ea, eb))
+                if key in out:
+                    out[key] += ca * cb
+                else:
+                    out[key] = ca * cb
+        return _ULaurent({e: c for e, c in out.items() if c})
 
-    def __rmul__(self, other):
-        return self._scaled(other)
+    def __rmul__(self, c: int):
+        return _ULaurent({e: c * v for e, v in self.items()} if c else {})
 
     def __add__(self, other):
-        if not isinstance(other, _RationalEntry):
-            raise TypeError(f"cannot add {type(other).__name__} to a rational entry")
-        den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        total = dict(self._raised(den).num)
-        for m, c in other._raised(den).num.items():
-            if m in total:
-                total[m] += c
+        out = dict(self)
+        for e, c in other.items():
+            if e in out:
+                out[e] += c
             else:
-                total[m] = c
-        return _RationalEntry({m: c for m, c in total.items() if c}, den)
-
-    def _raised(self, den: tuple[int, ...]) -> "_RationalEntry":
-        num = self.num
-        nvars = len(den)
-        for var, (target, have) in enumerate(zip(den, self.den)):
-            if target > have:
-                num = _poly_mul(num, _one_minus_power(var, target - have, nvars))
-        return _RationalEntry(num, den)
+                out[e] = c
+        return _ULaurent({e: c for e, c in out.items() if c})
 
 
 def _sym_scattering(alpha: int, beta: int, nvars: int) -> SparseMatrix:
-    """Scattering matrix with symbolic entries in variables alpha, beta (1-based)."""
+    """Scattering matrix in the variables u_alpha, u_beta (1-based labels).
+
+    s = -u_beta / u_alpha and q = 1 - u_beta / u_alpha; the 21-diagonal is -1.
+    """
     zero = (0,) * nvars
-    den = tuple(1 if i == alpha - 1 else 0 for i in range(nvars))
-    e_a = _unit_mono(alpha - 1, nvars)
-    e_b = _unit_mono(beta - 1, nvars)
-    diag = _RationalEntry({zero: -1, e_b: 1}, den)
-    offd = _RationalEntry({e_b: 1, e_a: -1}, den)
-    mid = _RationalEntry({zero: -1}, (0,) * nvars)
+    ratio = tuple((i == beta - 1) - (i == alpha - 1) for i in range(nvars))
+    s = _ULaurent({ratio: -1})
     m = SparseMatrix(4)
-    m.set(0, 0, diag)
-    m.set(1, 1, diag)
-    m.set(1, 2, offd)
-    m.set(2, 2, mid)
-    m.set(3, 3, diag)
+    m.set(0, 0, s)
+    m.set(1, 1, s)
+    m.set(1, 2, _ULaurent({zero: 1, ratio: -1}))
+    m.set(2, 2, _ULaurent({zero: -1}))
+    m.set(3, 3, s)
     return m
 
 
@@ -318,19 +282,13 @@ def _sym_scattering(alpha: int, beta: int, nvars: int) -> SparseMatrix:
 def _sym_columns(n: int, col: int) -> dict:
     """Symbolic amplitude column ``col`` of every permutation: {sigma: {row: entry}}.
 
-    Few are kept: at N = 6 a column of a word with three 2s holds 1.4M terms
-    (about 180 MB).
+    Few are kept: at N = 6 the column of 222111 holds 132,336 terms (about
+    17 MB).
     """
-    return bethe.amplitude_columns(n, col, lambda a, b: _sym_scattering(a, b, n))
-
-
-def _entry_terms(entry, n: int):
-    """Yield (integer coefficient, monomial, pole orders) triples of an entry."""
-    if isinstance(entry, _RationalEntry):
-        for mono, coef in entry.num.items():
-            yield coef, mono, entry.den
-    elif entry:
-        yield entry, (0,) * n, (0,) * n
+    columns = bethe.amplitude_columns(n, col, lambda a, b: _sym_scattering(a, b, n))
+    # the identity permutation keeps the unit column's plain integer 1
+    columns[tuple(range(1, n + 1))] = {col: _ULaurent({(0,) * n: 1})}
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +352,10 @@ def _transition_residue(initial: Configuration, final: Configuration, t: float) 
             continue
         inv = inverse(p)
         ks = [x[inv[a0] - 1] - y[a0] - 1 for a0 in range(n)]
-        for coef, mono, den in _entry_terms(entry, n):
+        for e, coef in entry.items():
             acc = coef << bits
             for a0 in range(n):
-                v = _scaled_residue(ks[a0] + mono[a0], -den[a0], t)
+                v = _scaled_residue(ks[a0], e[a0], t)
                 if v == 0:
                     acc = 0
                     break

@@ -130,33 +130,19 @@ def step_dynamics(state: Configuration, rng: random.Random) -> tuple[Configurati
     return Configuration(tuple(pos), "".join(spc)), dwell
 
 
-def _run_raw(
-    pos: list[int], spc: list[str], n: int, t: float, rng: random.Random
-) -> tuple[tuple[int, ...], str]:
-    """In-place event loop; same draw order as step_dynamics."""
-    expovariate = rng.expovariate
-    randrange = rng.randrange
-    remaining = t
-    while True:
-        remaining -= expovariate(n)
-        if remaining <= 0:
-            return tuple(pos), "".join(spc)
-        i = randrange(n)
-        target = pos[i] + 1
-        if i + 1 < n and pos[i + 1] == target:
-            if spc[i] == "2" and spc[i + 1] == "1":
-                spc[i], spc[i + 1] = "1", "2"
-        else:
-            pos[i] = target
-
-
 def simulate_until(initial: Configuration, t: float, rng: random.Random) -> Configuration:
-    """State at time t: the composition of step_dynamics until the clock passes t."""
-    t = _check_time(t)
-    if t == 0:
-        return initial
-    pos, spc = _run_raw(list(initial.positions), list(initial.species), initial.n, t, rng)
-    return Configuration(pos, spc)
+    """State at time t: step_dynamics repeated until the clock passes t.
+
+    The step that passes t is discarded, its particle draw unused.
+    """
+    remaining = _check_time(t)
+    state = initial
+    while True:
+        nxt, dwell = step_dynamics(state, rng)
+        remaining -= dwell
+        if remaining <= 0:
+            return state
+        state = nxt
 
 
 def _advance_block(

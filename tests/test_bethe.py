@@ -245,9 +245,11 @@ def _full_symbolic_amplitude(n, sigma):
 
 def test_symbolic_columns_match_full_products_at_n5():
     n = 5
+    one = formulas._ULaurent({(0,) * n: 1})
 
     def terms(entry):
-        return sorted(formulas._entry_terms(entry, n))
+        # (exponent vector, coefficient) pairs; a plain integer is a constant
+        return sorted((one * entry).items())
 
     full = {p: _full_symbolic_amplitude(n, p) for p in enumerate_permutations(n)}
     for col in range(1 << n):
@@ -256,3 +258,28 @@ def test_symbolic_columns_match_full_products_at_n5():
             expect = _column(mat, col)
             assert set(cols[p]) == set(expect)
             assert all(terms(cols[p][r]) == terms(v) for r, v in expect.items())
+
+
+def _evaluate_u_form(entry, xi):
+    total = F(0)
+    for e, coef in entry.items():
+        term = F(coef)
+        for z, power in zip(xi, e):
+            term *= (1 - z) ** power
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_symbolic_columns_evaluate_to_exact_amplitudes(n):
+    # ties the u = 1 - xi form of _sym_scattering to scattering_matrix
+    rng = random.Random(70 + n)
+    points = [random_rational_point(n, rng) for _ in range(3)]
+    for col in range(1 << n):
+        cols = formulas._sym_columns(n, col)
+        for p in enumerate_permutations(n):
+            assert all(isinstance(v, formulas._ULaurent) for v in cols[p].values())
+            for xi in points:
+                expect = _column(amplitude(p, xi), col)
+                got = {r: _evaluate_u_form(v, xi) for r, v in cols[p].items()}
+                assert got == expect

@@ -148,6 +148,19 @@ class TestTransition:
         assert elapsed < 0.5, f"cold N = 5 transition took {elapsed:.3f} s"
         assert 0.0 < value < 1.0
 
+    def test_cold_n6_three_twos_within_budget(self):
+        # the largest column at N = 6; about 0.4 s cold on a 2-core machine
+        formulas._sym_columns.cache_clear()
+        formulas._scaled_residue.cache_clear()
+        contour.exp_scaled_residue.cache_clear()
+        y = Configuration((1, 2, 3, 4, 5, 6), "222111")
+        final = Configuration((2, 3, 4, 5, 7, 8), "122121")
+        start = time.perf_counter()
+        value = transition_probability(y, final, 0.5)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.5, f"cold N = 6 transition took {elapsed:.3f} s"
+        assert 0.0 < value < 1.0
+
 
 class TestLeftmost:
     def test_single_particle_poisson(self):

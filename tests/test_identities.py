@@ -242,3 +242,31 @@ def test_suite_reports_a_broken_identity(monkeypatch):
     )
     assert [r["identity"] for r in records] == ["equiv_a", "equiv_b", "tasep_a", "tasep_b"]
     assert not any(r["passed"] for r in records)
+
+
+def test_suite_runs_the_main_reference_once_per_point(monkeypatch):
+    calls = []
+    original = identities.main_identity
+
+    def counted(xi):
+        calls.append(xi)
+        return original(xi)
+
+    monkeypatch.setattr(identities, "main_identity", counted)
+    records = run_identity_suite(n_values=(3, 4), points=3, identities=("main", "substitution"))
+    assert all(r["passed"] for r in records)
+    assert len(calls) == 6  # the main entry only; substitution never calls it
+
+
+def test_main_entry_checks_the_bridge(monkeypatch):
+    # a variant-a left side off by a factor breaks only the bridge, not main itself
+    original = identities._variant_sides
+
+    def skewed(xi, variant, d):
+        lhs, rhs = original(xi, variant, d)
+        return 2 * lhs, rhs
+
+    monkeypatch.setattr(identities, "_variant_sides", skewed)
+    assert main_identity(XI3)[2]
+    records = run_identity_suite(n_values=(3,), points=2, identities=("main",))
+    assert [r["passed"] for r in records] == [False]
