@@ -20,7 +20,8 @@ result independent of the chosen word.
 Formulas need a single amplitude column rather than the whole matrix.
 :func:`amplitude_columns` pushes a unit column through the T factors of
 every permutation at once, sharing the steps of common word prefixes, and
-builds no 2^N x 2^N matrix; the full matrices of :func:`amplitude` serve the
+yields each permutation's column as it is reached, so a caller that sums as
+it goes holds one path of columns and no 2^N x 2^N matrix; the full matrices of :func:`amplitude` serve the
 structure, braid and closed-form checks.
 
 All matrices here are stored sparsely (dict-of-rows) because T factors have
@@ -40,7 +41,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import PoleError
 from .permutations import adjacent_decomposition, enumerate_permutations, sign
@@ -333,28 +334,29 @@ def _push_column(column: dict, block: SparseMatrix, slot: int, n: int) -> dict:
     return {i: v for i, v in out.items() if not _is_scalar_zero(v)}
 
 
-def amplitude_columns(n: int, col: int, scatter: Callable) -> dict:
+def amplitude_columns(n: int, col: int, scatter: Callable) -> Iterator[tuple[tuple, dict]]:
     """Column ``col`` of the amplitude matrix of every permutation of S_n.
 
-    Returns {sigma: {row: value}}: the unit column e_col pushed through the
-    slot operators of the canonical word of sigma, without building any
-    2^N x 2^N matrix.  ``scatter(alpha, beta)`` returns the 4x4 scattering
-    block for the 1-based particle labels alpha, beta, so entries may be any
-    scalar type (exact, symbolic, numpy node arrays); each block is requested
-    once.  Species counts are conserved, so a column holds at most
-    C(N, #2s) entries.  Permutations whose words share a prefix share its
-    slot steps (154 instead of 600 at N = 5).  The words are the canonical
-    ones of :func:`amplitude`, so every entry equals the corresponding entry
-    of ``amplitude(sigma, point)`` computed the same way, operation by
-    operation.
+    Yields (sigma, {row: value}) as a depth-first walk of the prefix tree of
+    reduced words reaches the node where sigma's word ends: the unit column
+    e_col pushed through the slot operators of the canonical word of sigma,
+    without building any 2^N x 2^N matrix.  Only the columns on one
+    root-to-node path are alive at a time.  ``scatter(alpha, beta)`` returns
+    the 4x4 scattering block for the 1-based particle labels alpha, beta, so
+    entries may be any scalar type (exact, symbolic, numpy node arrays);
+    each block is requested once.  Species counts are conserved, so a column
+    holds at most C(N, #2s) entries.  Permutations whose words share a
+    prefix share its slot steps (154 instead of 600 at N = 5).  The words
+    are the canonical ones of :func:`amplitude`, so every entry equals the
+    corresponding entry of ``amplitude(sigma, point)`` computed the same
+    way, operation by operation.
     """
     blocks: dict = {}
-    out: dict = {}
 
-    def walk(node: dict, column: dict, current: list) -> None:
+    def walk(node: dict, column: dict, current: list):
         sigma = node.get(None)
         if sigma is not None:
-            out[sigma] = column
+            yield sigma, column
         for a, child in node.items():
             if a is None:
                 continue
@@ -364,10 +366,9 @@ def amplitude_columns(n: int, col: int, scatter: Callable) -> dict:
                 block = blocks[(alpha, beta)] = scatter(alpha, beta)
             nxt = list(current)
             nxt[a - 1], nxt[a] = beta, alpha
-            walk(child, _push_column(column, block, a, n), nxt)
+            yield from walk(child, _push_column(column, block, a, n), nxt)
 
-    walk(_word_trie(n), {col: 1}, list(range(1, n + 1)))
-    return out
+    return walk(_word_trie(n), {col: 1}, list(range(1, n + 1)))
 
 
 def amplitude_center(sigma: Sequence[int], point):

@@ -261,6 +261,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     if args.runs < 1:
         raise _UsageError("--runs must be at least 1")
+    if not args.sigma > 0:
+        raise _UsageError(f"--sigma must be positive, got {args.sigma}")
     started = time.perf_counter()
     exact, predicate = _event_probe(args)
     initial = _species_initial(args)

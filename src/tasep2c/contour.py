@@ -243,16 +243,6 @@ def _nodes(radius: float, m: int) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _trapezoid(f: Callable, radius: float, m: int) -> complex:
-    nodes = _nodes(radius, m)
-    try:
-        vals = np.asarray(f(nodes))
-    except Exception:
-        vals = np.array([f(z) for z in nodes])
-    # (1/2 pi i) closed integral f = mean over nodes of f(xi) * xi
-    return complex(np.mean(vals * nodes))
-
-
 def circle_quadrature(
     f: Callable,
     spec: QuadratureSpec = QuadratureSpec(),
@@ -260,26 +250,21 @@ def circle_quadrature(
 ) -> QuadratureResult:
     """Adaptive trapezoidal rule for (1/2 pi i) * closed integral of f.
 
-    ``f`` is evaluated on numpy arrays of circle nodes when possible and
-    pointwise otherwise.  M doubles until two successive values agree within
-    ``spec.tolerance``; exceeding ``max_points`` raises AccuracyError
-    carrying the best value and last delta.
+    The one-variable case of :func:`multi_contour`.  ``f`` is evaluated on
+    numpy arrays of circle nodes when possible and pointwise otherwise.  M
+    doubles until two successive values agree within ``spec.tolerance``;
+    exceeding ``max_points`` raises AccuracyError carrying the best value
+    and last delta.
     """
-    m = spec.points
-    prev = _trapezoid(f, spec.radius, m)
-    delta = math.inf
-    while m < max_points:
-        m *= 2
-        cur = _trapezoid(f, spec.radius, m)
-        delta = abs(cur - prev)
-        if delta <= spec.tolerance * max(1.0, abs(cur)):
-            return QuadratureResult(cur, m, delta)
-        prev = cur
-    raise AccuracyError(
-        f"circle quadrature did not converge by M={max_points}",
-        value=prev,
-        error=delta,
-    )
+
+    def F(xis):
+        nodes = xis[0]
+        try:
+            return np.asarray(f(nodes))
+        except Exception:
+            return np.array([f(z) for z in nodes])
+
+    return multi_contour(F, 1, spec, max_evals=max_points)
 
 
 def _poly_trapezoid(F: Callable, radius: float, m: int, n: int) -> complex:
@@ -303,8 +288,10 @@ def multi_contour(
 
     ``F`` receives a list of n mutually broadcastable node arrays, one per
     variable, and must return the integrand values under numpy broadcasting.
-    The adaptive doubling contract matches ``circle_quadrature``; the total
-    evaluation budget M^n is capped by ``max_evals``.
+    M doubles until two successive values agree within ``spec.tolerance``;
+    the total evaluation budget M^n is capped by ``max_evals``, and
+    exhausting it raises AccuracyError carrying the best value and last
+    delta.
     """
     if n < 1:
         raise ValueError("need at least one integration variable")

@@ -45,12 +45,14 @@ the bridge on the same main sum, so that loop runs once per point; its
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
 
 from . import bethe
 from .errors import DegeneratePointError
+from .formulas import _fixed_det
 from .permutations import enumerate_permutations
 
 RationalPoint = tuple[Fraction, ...]
@@ -328,24 +330,23 @@ def vandermonde_cofactor(xi: Sequence[Fraction]) -> bool:
 
 
 def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by exact fraction-pivoted Gaussian elimination."""
-    n = len(matrix)
-    work = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            det = -det
-        pivot = work[c][c]
-        det *= pivot
-        for r in range(c + 1, n):
-            if work[r][c] != 0:
-                factor = work[r][c] / pivot
-                work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
-    return det
+    """Exact determinant of a square rational matrix.
+
+    Each row is cleared of denominators by their lcm, the integer
+    determinant is taken by the package's Bareiss kernel
+    :func:`tasep2c.formulas._fixed_det`, and the result is divided by the
+    product of the row scales.  The empty matrix has determinant 1.
+    """
+    if not matrix:
+        return Fraction(1)
+    rows = []
+    scale = 1
+    for row in matrix:
+        row = [Fraction(v) for v in row]
+        lcm = math.lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (lcm // v.denominator) for v in row])
+        scale *= lcm
+    return Fraction(_fixed_det(rows), scale)
 
 
 def det_collapse(xi: Sequence[Fraction], shift: int, exponents: Sequence[int]) -> Fraction:
@@ -477,6 +478,8 @@ def run_identity_suite(
     flag, and the coarse cleared-denominator degree bound backing the
     random-evaluation certificate.
     """
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
     records = []
     for identity in identities:
         if identity not in SUITE_IDENTITIES:

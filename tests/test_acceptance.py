@@ -123,6 +123,8 @@ def test_criterion_4_evaluator_cross_agreement():
                 worst_grid = max(worst_grid, abs(quad - series) / max(1.0, abs(series)))
     ok_grid = worst_grid <= 1e-10
 
+    # step_det is the shifted-step residue route at shift 0, so it repeats that
+    # value rather than adding an independent route
     worst_methods = 0.0
     for n in (1, 2, 3, 4, 5):
         y = step_configuration(n)

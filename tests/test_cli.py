@@ -121,6 +121,24 @@ def test_exact_commands_reject_bad_time(capsys, argv, time):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "exact leftmost --position 1 --time 1",
+        "exact transition --final 1 --time 1",
+        "simulate --event leftmost --position 1 --runs 10 --time 1",
+        "compare --event leftmost --position 1 --runs 10 --time 1",
+    ],
+    ids=["leftmost", "transition", "simulate", "compare"],
+)
+def test_commands_reject_no_particles(capsys, argv, n):
+    code, out, err = run_cli(capsys, *argv.split(), f"--n={n}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "at least one particle" in err
+
+
 def test_usage_error_on_bad_initial(capsys):
     code, _, err = run_cli(
         capsys, *"exact leftmost --n 2 --initial 5,3 --position 1 --time 1".split()
@@ -177,14 +195,34 @@ def test_compare_time_zero_exact_indicator(capsys):
 
 
 def test_compare_flags_disagreement(capsys):
-    # sigma 0 turns any sampling noise into a flagged disagreement
+    # a band of 1e-9 standard errors turns any sampling noise into a flagged
+    # disagreement (a band of 0 is a usage error)
     argv = (
         "compare --n 2 --step-l 0 --event leftmost --position 1 "
-        "--time 1 --runs 500 --seed 3 --sigma 0"
+        "--time 1 --runs 500 --seed 3 --sigma 1e-9"
     )
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == EXIT_ACCURACY
     assert json.loads(out)["agree"] is False
+
+
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
+def test_compare_rejects_bad_sigma(capsys, sigma):
+    argv = "compare --n 2 --step-l 0 --event leftmost --position 1 --time 1 --runs 50"
+    code, out, err = run_cli(capsys, *argv.split(), f"--sigma={sigma}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "sigma" in err
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_verify_rejects_checking_no_points(capsys, points):
+    code, out, err = run_cli(
+        capsys, *"verify --identity main --n-range 2..3".split(), f"--points={points}"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "points" in err
 
 
 def test_verify_pass_and_output(capsys):

@@ -49,6 +49,13 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             StepInitial(-1)
 
+    @pytest.mark.parametrize("n", (0, -3))
+    def test_step_initial_needs_a_particle(self, n):
+        with pytest.raises(ValueError, match="at least one particle"):
+            StepInitial(0).positions(n)
+        with pytest.raises(ValueError, match="at least one particle"):
+            step_configuration(n)
+
 
 class TestTransition:
     def test_time_zero_atom(self):
@@ -298,6 +305,9 @@ class TestLargeN:
         rel = 1e-15 if math.exp(-n * t) >= sys.float_info.min else 1e-14
         assert leftmost_probability_step_det(n, 1, t) == pytest.approx(math.exp(-t), rel=rel)
 
+    # step_det is the shifted-step residue route at shift 0, not a third
+    # independent route: these compare two determinant formulas, the general
+    # leftmost one and the step one, each through the same kernel
     @pytest.mark.parametrize("n", (7, 8, 9, 10))
     def test_step_routes_agree(self, n):
         y = step_configuration(n)

@@ -116,6 +116,23 @@ def test_det_exact_known_values():
     assert det_exact([[F(0), F(1)], [F(1), F(0)]]) == -1
 
 
+def test_det_exact_matches_leibniz_on_rational_matrices():
+    rng = random.Random(77)
+    assert det_exact([]) == 1
+    for n in range(1, 6):
+        for _ in range(5):
+            mat = [
+                [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)
+            ]
+            expect = F(0)
+            for p in enumerate_permutations(n):
+                term = F(sign(p))
+                for i in range(n):
+                    term *= mat[i][p[i] - 1]
+                expect += term
+            assert det_exact(mat) == expect
+
+
 def test_closed_form_vs_product():
     rng = random.Random(23)
     for n in (2, 3, 4):
@@ -160,6 +177,13 @@ def test_suite_runner_small():
     keys = {(r["identity"], r["n"]) for r in records}
     assert ("main", 2) in keys and ("braid", 3) in keys
     assert all(r["points"] == 5 and r["degree_bound"] > 0 for r in records)
+
+
+@pytest.mark.parametrize("points", (0, -1))
+def test_suite_rejects_checking_no_points(points):
+    # all() over no points would report every identity as passed
+    with pytest.raises(ValueError, match="points"):
+        run_identity_suite(n_values=(2,), points=points)
 
 
 # The four variant forms as (variant, d): d = 1 for equiv, 0 for tasep.
