@@ -24,11 +24,18 @@ evaluators are provided:
   around the circle the rule converges geometrically in M, which makes it a
   sharp independent check on the series at moderate t.  For t much larger
   than ~30 the factor exp(t/xi) reaches exp(2t) on the default radius-0.5
-  circle and the series is the numerically sane route.
+  circle and the series is the numerically sane route.  The rule nests
+  under doubling (Trefethen and Weideman 2014): the 2M-point nodes are the
+  M-point nodes plus their half-step rotations, so each doubling of the
+  n-fold tensor rule evaluates only the 2^n - 1 new cosets of the grid and
+  adds them to a running sum.  Every coset is evaluated in slabs of at most
+  ``_SLAB`` nodes, so the rule's memory does not grow with the grid; the
+  evaluation budget ``max_evals`` is what bounds it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +50,8 @@ from .errors import AccuracyError
 SERIES_EPS = 1e-18
 #: Hard cap on residue-series terms (reached only for absurdly large t).
 MAX_SERIES_TERMS = 2_000_000
+#: Most grid nodes a quadrature integrand is evaluated on in one call.
+_SLAB = 2**15
 
 
 def laurent_coefficient(k: int, e: int) -> int:
@@ -226,8 +235,8 @@ class QuadratureSpec:
             raise ValueError(f"radius must lie in (0, 1), got {self.radius}")
         if self.points < 8 or self.points & (self.points - 1):
             raise ValueError(f"points must be a power of two >= 8, got {self.points}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -267,15 +276,39 @@ def circle_quadrature(
     return multi_contour(F, 1, spec, max_evals=max_points)
 
 
-def _poly_trapezoid(F: Callable, radius: float, m: int, n: int) -> complex:
-    circle = _nodes(radius, m)
-    xis = [circle.reshape((1,) * i + (m,) + (1,) * (n - 1 - i)) for i in range(n)]
-    vals = np.asarray(F(xis))
-    weight = xis[0]
-    for xi in xis[1:]:
-        weight = weight * xi
-    total = np.mean(np.broadcast_to(vals * weight, (m,) * n))
-    return complex(total)
+def _grid_sum(F: Callable, vecs: Sequence[np.ndarray]) -> complex:
+    """Sum of F(xis) * prod_a xi_a over the tensor grid of the equal-length ``vecs``.
+
+    The grid is cut into slabs of at most _SLAB nodes: the leading variables
+    that do not fit are fixed one node at a time, and the next variable is
+    cut into blocks of rows.  Each slab's values are contracted with the node
+    vectors one axis at a time, so the weight prod_a xi_a is never built on
+    the grid.
+    """
+    n = len(vecs)
+    m = len(vecs[0])
+    fixed = 0
+    while m ** (n - fixed - 1) > _SLAB:
+        fixed += 1
+    rows = _SLAB // m ** (n - fixed - 1)
+
+    def axis(vec: np.ndarray, a: int) -> np.ndarray:
+        return vec.reshape((1,) * a + (-1,) + (1,) * (n - 1 - a))
+
+    tail = [axis(vec, a) for a, vec in enumerate(vecs[fixed + 1 :], fixed + 1)]
+    total = 0j
+    for lead in itertools.product(range(m), repeat=fixed):
+        head = [axis(vecs[a][i : i + 1], a) for a, i in enumerate(lead)]
+        for start in range(0, m, rows):
+            xis = head + [axis(vecs[fixed][start : start + rows], fixed)] + tail
+            vals = np.broadcast_to(F(xis), np.broadcast_shapes(*(xi.shape for xi in xis)))
+            # contracting axis by axis keeps numpy's pairwise summation; a
+            # BLAS product would wait on thread wake-ups costing more than
+            # the slab itself
+            for xi in reversed(xis):
+                vals = (vals * xi.ravel()).sum(axis=-1)
+            total += complex(vals)
+    return total
 
 
 def multi_contour(
@@ -289,20 +322,32 @@ def multi_contour(
     ``F`` receives a list of n mutually broadcastable node arrays, one per
     variable, and must return the integrand values under numpy broadcasting.
     M doubles until two successive values agree within ``spec.tolerance``;
-    the total evaluation budget M^n is capped by ``max_evals``, and
-    exhausting it raises AccuracyError carrying the best value and last
-    delta.
+    the (2M)^n grid of a doubling must fit ``max_evals``, and exhausting
+    that budget raises AccuracyError carrying the best value and last delta.
+
+    The rule nests under doubling: the 2M-point grid is the M-point grid
+    plus 2^n - 1 cosets shifted by half a step in some variables, each an
+    M^n tensor grid.  The running sum of F * prod_a xi_a is kept, and a
+    doubling evaluates only the new cosets, so no node is evaluated twice.
+    Each coset is evaluated in slabs of at most _SLAB nodes, so memory does
+    not grow with the grid.
     """
     if n < 1:
         raise ValueError("need at least one integration variable")
     m = spec.points
     if m**n > max_evals:
         raise ValueError(f"starting grid {m}^{n} already exceeds budget {max_evals}")
-    prev = _poly_trapezoid(F, spec.radius, m, n)
+    total = _grid_sum(F, [_nodes(spec.radius, m)] * n)
+    prev = total / m**n
     delta = math.inf
     while (2 * m) ** n <= max_evals:
         m *= 2
-        cur = _poly_trapezoid(F, spec.radius, m, n)
+        circle = _nodes(spec.radius, m)
+        halves = (circle[0::2], circle[1::2])
+        for shifts in itertools.product((0, 1), repeat=n):
+            if any(shifts):
+                total += _grid_sum(F, [halves[s] for s in shifts])
+        cur = total / m**n
         delta = abs(cur - prev)
         if delta <= spec.tolerance * max(1.0, abs(cur)):
             return QuadratureResult(cur, m, delta)

@@ -18,14 +18,20 @@ determinant formula is stated once, as (sign, entry) terms naming the
 :func:`_det_value`: it builds the fixed-point matrices, runs the exact
 kernel :func:`_fixed_det` (fraction-free Bareiss elimination, Bareiss
 1968) on them at any N, sums the integer determinants and converts once.
-Every quadrature route likewise passes only the body of its integrand to
-one engine, :func:`_quadrature`, which owns the common factor
-exp(sum_a (1/xi_a - 1) t), the time cap and the default rule of
-:func:`tasep2c.contour.multi_contour`.  Quadrature is limited to moderate
-times (the integrand reaches exp(2t) on the default radius-0.5 circles)
-and, for transitions between arbitrary species words, to N <= 4: beyond
-that the N-fold grid no longer fits the evaluation budget of
-:func:`tasep2c.contour.multi_contour` with room to double it.
+Every quadrature route likewise passes its integrand to one engine,
+:func:`_quadrature`, as a body and the (k, e) indices of its one-variable
+factors xi^k (1 - xi)^e e^((1/xi - 1) t); the engine owns the time cap,
+the default rule of :func:`tasep2c.contour.multi_contour`, and the
+evaluation of each one-variable factor on its node vector only, so no
+exponential or pole is evaluated on the full grid.  The rule reuses every
+node across doublings and evaluates the grid in bounded slabs, so only
+its evaluation budget (2^22 nodes by default), not memory, limits it.
+Quadrature is limited to moderate times (the integrand reaches exp(2t) on
+the default radius-0.5 circles) and, for transitions between arbitrary
+species words, to N <= 4.  At N = 4 the budget allows a single doubling,
+16^4 to 32^4, which the default rule rarely passes: a smaller radius and a
+looser tolerance, such as QuadratureSpec(radius=0.25, tolerance=1e-9),
+converge there.  Beyond N = 4 the starting grid leaves no room to double.
 
 For transitions between arbitrary species words the amplitude entry has no
 product formula.  Both routes read it from one amplitude column of every
@@ -37,8 +43,8 @@ u_a = 1 - xi_a the scattering entries are -u_beta/u_alpha, 1 - u_beta/u_alpha
 and -1, so every amplitude entry is an integer Laurent polynomial in the u_a
 (at N = 6 a column holds at most about 130k terms), and each term
 prod_a u_a^e_a separates into one-variable residue factors J(k_a, e_a).
-Quadrature runs it once per grid evaluation over numpy node arrays and sums
-each permutation's term as the walk reaches it.
+Quadrature runs it once per grid slab over numpy node arrays and sums each
+permutation's term as the walk reaches it.
 
 Conditioning: the alternating sums cancel catastrophically in double
 precision (at N = 5 the terms outweigh the result by ~8 digits), so every
@@ -163,24 +169,38 @@ def _det_value(n: int, t: float, terms) -> float:
     return _fixed_result(total, n, t, n * _FIXED_BITS)
 
 
-def _quadrature(n: int, t: float, quad: QuadratureSpec | None, integrand) -> float:
-    """Real part of the n-fold circle integral of integrand(xis) * e^(sum_a (1/xi_a - 1) t).
+def _quadrature(
+    t: float, quad: QuadratureSpec | None, body, powers: Sequence[tuple[int, int]]
+) -> float:
+    """Real part of the n-fold circle integral of body(xis) * prod_a j_a(xi_a).
 
-    ``integrand`` is the body of a defining integral without its common
-    exponential factor; it receives the broadcastable node arrays of
-    :func:`tasep2c.contour.multi_contour`.  Beyond MAX_QUADRATURE_TIME the
-    rule is refused.
+    j_a(xi) = xi^k_a (1 - xi)^e_a e^((1/xi - 1) t) is the one-variable
+    integrand of J(k_a, e_a), with (k_a, e_a) taken from the n ``powers``.
+    Each j_a is evaluated on its variable's node vector of
+    :func:`tasep2c.contour.multi_contour`, and the vectors meet the grid
+    only in their outer product, which multiplies ``body`` once.  ``body``
+    is the rest of the defining integrand and receives the broadcastable
+    node arrays.  Beyond MAX_QUADRATURE_TIME the rule is refused.
     """
     if t > MAX_QUADRATURE_TIME:
         raise ValueError(f"t={t} too large for circle quadrature; use the residue route")
 
     def F(xis):
-        eps = 0
-        for z in xis:
-            eps = eps + (1.0 / z - 1.0)
-        return integrand(xis) * np.exp(eps * t)
+        factor = 1
+        for z, (k, e) in zip(xis, powers):
+            factor = factor * (z**k * (1 - z) ** e * np.exp((1 / z - 1) * t))
+        return body(xis) * factor
 
-    return contour.multi_contour(F, n, quad or QuadratureSpec()).value.real
+    return contour.multi_contour(F, len(powers), quad or QuadratureSpec()).value.real
+
+
+def _vandermonde(xis):
+    """prod_(i<j) (xi_j - xi_i), the determinant det[xi_i^j]."""
+    val = 1
+    for i, lo in enumerate(xis):
+        for hi in xis[i + 1 :]:
+            val = val * (hi - lo)
+    return val
 
 
 def head_word(n: int) -> str:
@@ -348,9 +368,13 @@ def transition_probability(
     The residue route (N <= 6) expands each amplitude entry symbolically and
     sums separable residue factors; quadrature evaluates the N-fold integral
     of the amplitude-entry integrand (N <= 4, limited by the grid budget of
-    :func:`tasep2c.contour.multi_contour`, not by the amplitudes).  Both read
-    their entries from one amplitude column per permutation.  At t = 0 the
-    exact indicator is returned bit-exactly.
+    :func:`tasep2c.contour.multi_contour`, not by the amplitudes).  At N = 4
+    that budget allows one doubling (16^4 to 32^4), too few for the default
+    ``QuadratureSpec`` to converge on ordinary transitions; pass a smaller
+    radius and looser tolerance, such as
+    ``QuadratureSpec(radius=0.25, tolerance=1e-9)``.  Both routes read their
+    entries from one amplitude column per permutation.  At t = 0 the exact
+    indicator is returned bit-exactly.
     """
     _check_pair(initial, final)
     _check_time(t)
@@ -369,7 +393,9 @@ def transition_probability(
         if n > 4:
             raise ValueError(
                 "transition quadrature supports N <= 4: beyond that the multi_contour "
-                "grid budget (max_evals) leaves no room to refine the grid"
+                "grid budget (max_evals) leaves no room to refine the grid, and at N = 4 "
+                "it allows one doubling, which needs a smaller radius and looser tolerance "
+                "than the default, e.g. QuadratureSpec(radius=0.25, tolerance=1e-9)"
             )
         value = _transition_quadrature(initial, final, t, quad)
     else:
@@ -419,12 +445,13 @@ def _transition_quadrature(
             phase = column.get(row)
             if phase is None:
                 continue
+            power = 1
             for i in range(n):
-                phase = phase * xis[p[i] - 1] ** (x[i] - y[p[i] - 1] - 1)
-            acc = acc + phase
+                power = power * xis[p[i] - 1] ** (x[i] - y[p[i] - 1] - 1)
+            acc = acc + phase * power
         return acc
 
-    return _quadrature(n, t, quad, body)
+    return _quadrature(t, quad, body, [(0, 0)] * n)
 
 
 def head_transition_probability(initial: Configuration, final: Configuration, t: float) -> float:
@@ -469,8 +496,10 @@ def leftmost_probability(
     ratio Vandermonde over prod_(i<j) (1 - xi_i), and 1/(1 - xi_i) per
     variable.  The residue route expands the Vandermonde into the
     determinant det[J(x - y_i - 1 + j, -(N - i) + [i = 0])] over 0-based
-    i, j, with pole order N - i at 1 (reduced by one for i = 0);
-    quadrature integrates the displayed integrand directly.
+    i, j, with pole order N - i at 1 (reduced by one for i = 0).
+    Quadrature integrates the same integrand written as the plain
+    Vandermonde prod_(i<j) (xi_j - xi_i) times the one-variable factors of
+    the determinant's column j = 0.
     """
     _require_head(initial, "leftmost probability")
     _check_time(t)
@@ -480,10 +509,14 @@ def leftmost_probability(
         return 0.0
     if t == 0:
         return 1.0 if x == y[0] else 0.0
+
+    def entry(i, j):
+        return x - y[i] - 1 + j, -(n - i) + (i == 0)
+
     if method == "residue":
-        value = _det_value(n, t, [(1, lambda i, j: (x - y[i] - 1 + j, -(n - i) + (i == 0)))])
+        value = _det_value(n, t, [(1, entry)])
     elif method == "quadrature":
-        value = _quadrature(n, t, quad, lambda xis: (1 - xis[0]) * _leftmost_body(y, x, xis))
+        value = _quadrature(t, quad, _vandermonde, [entry(i, 0) for i in range(n)])
     else:
         raise ValueError(f"unknown method {method!r}")
     return _as_probability(value, "leftmost probability")
@@ -523,23 +556,14 @@ def tasep_leftmost_probability(
         )
     elif method == "quadrature":
         value = _quadrature(
-            n, t, quad, lambda xis: (1 - math.prod(xis)) * _leftmost_body(y, x, xis)
+            t,
+            quad,
+            lambda xis: (1 - math.prod(xis)) * _vandermonde(xis),
+            [(x - y[i] - 1, -(n - i)) for i in range(n)],
         )
     else:
         raise ValueError(f"unknown method {method!r}")
     return _as_probability(value, "TASEP leftmost probability")
-
-
-def _leftmost_body(y: Sequence[int], x: int, xis):
-    """Leftmost integrand without its prefactor and exponential factor."""
-    n = len(y)
-    val = 1
-    for i in range(n):
-        val = val * xis[i] ** (x - y[i] - 1) / (1 - xis[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = val * (xis[j] - xis[i]) / (1 - xis[i])
-    return val
 
 
 def _homogeneous_monomials(n: int, degree: int):
@@ -581,12 +605,12 @@ def leftmost_probability_shifted_step(
         return 0.0
     if t == 0:
         return 1.0 if x == 1 else 0.0
+    # the integrand's pole factor (xi - 1)^-(N-1) differs from the (1 - xi)
+    # form of J by (-1)^(N-1) per variable, which cancels over the N
+    # variables since (-1)^(N(N-1)) = 1
+    sign = (-1) ** (n * (n - 1) // 2)
+    base = x - n - shift - 1
     if method == "residue":
-        # the integrand's pole factor (xi - 1)^-(N-1) differs from the
-        # (1 - xi) form of J by (-1)^(N-1) per entry, which cancels in the
-        # determinant since (-1)^(N(N-1)) = 1
-        sign = (-1) ** (n * (n - 1) // 2)
-        base = x - n - shift - 1
         value = _det_value(
             n,
             t,
@@ -599,17 +623,11 @@ def leftmost_probability_shifted_step(
         monos = list(_homogeneous_monomials(n, shift))
 
         def body(xis):
-            val = sum(math.prod(xis[i] ** m for i, m in enumerate(mono) if m) for mono in monos)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    diff = xis[j] - xis[i]
-                    val = val * diff * diff
-            for i in range(n):
-                val = val * xis[i] ** (x - n - shift - 1) / (xis[i] - 1) ** (n - 1)
-            return val
+            h = sum(math.prod(xis[i] ** m for i, m in enumerate(mono) if m) for mono in monos)
+            vdm = _vandermonde(xis)
+            return h * vdm * vdm
 
-        pref = (-1) ** (n * (n - 1) // 2)
-        value = pref * _quadrature(n, t, quad, body) / math.factorial(n)
+        value = sign * _quadrature(t, quad, body, [(base, -(n - 1))] * n) / math.factorial(n)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _as_probability(value, "shifted-step leftmost probability")

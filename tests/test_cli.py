@@ -121,6 +121,15 @@ def test_exact_commands_reject_bad_time(capsys, argv, time):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_quadrature_rejects_non_finite_tolerance(capsys, tol):
+    argv = "exact leftmost --n 2 --step-l 0 --position 2 --time 1 --method quadrature"
+    code, out, err = run_cli(capsys, *argv.split(), f"--tol={tol}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:") and "tolerance" in err
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 @pytest.mark.parametrize(
     "argv",

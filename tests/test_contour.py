@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tasep2c import contour
 from tasep2c.contour import (
     QuadratureSpec,
     ResidueIntegrand,
@@ -172,6 +173,68 @@ def test_quadrature_spec_validation():
         QuadratureSpec(points=4)
     with pytest.raises(ValueError):
         QuadratureSpec(tolerance=0.0)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(tolerance=tol)
+
+
+def coupled(xis):
+    """A non-separable integrand whose rule needs several doublings."""
+    weight = np.exp(sum((1 / z - 1) * 0.5 for z in xis)) / math.prod(xis)
+    return weight / ((1 - xis[0]) * (2 - math.prod(xis)))
+
+
+def full_grid_trapezoid(F, n, radius, m):
+    """The M-point tensor rule evaluated on the whole M^n grid at once."""
+    circle = radius * np.exp(2j * np.pi * np.arange(m) / m)
+    xis = [circle.reshape((1,) * i + (m,) + (1,) * (n - 1 - i)) for i in range(n)]
+    vals = np.broadcast_to(F(xis) * math.prod(xis), (m,) * n)
+    return complex(np.mean(vals))
+
+
+@pytest.mark.parametrize("n, top", [(1, 2**17), (2, 512), (3, 64)])
+def test_multi_contour_levels_match_full_grid(n, top):
+    # a budget of exactly m^n stops the rule at level m, and the budget error
+    # carries that level's value
+    spec = QuadratureSpec(points=8, tolerance=1e-300)
+    m = spec.points
+    while m <= top:
+        with pytest.raises(AccuracyError) as info:
+            multi_contour(coupled, n, spec, max_evals=m**n)
+        expect = full_grid_trapezoid(coupled, n, spec.radius, m)
+        assert abs(info.value.value - expect) <= 1e-15 * abs(expect)
+        m *= 2
+
+
+def counting(F, sizes):
+    def G(xis):
+        sizes.append(np.broadcast(*xis).size)
+        return F(xis)
+
+    return G
+
+
+def test_multi_contour_evaluates_each_node_once():
+    sizes = []
+    result = multi_contour(counting(coupled, sizes), 3, QuadratureSpec(points=8, tolerance=1e-13))
+    assert result.points >= 32
+    assert sum(sizes) == result.points**3
+
+
+@pytest.mark.parametrize("n, points", [(1, 2**17), (5, 16)])
+def test_multi_contour_slabs_are_bounded(n, points):
+    # at n = 5 a single row of the first variable (16^4 nodes) exceeds the slab
+    sizes = []
+    with pytest.raises(AccuracyError) as info:
+        multi_contour(
+            counting(lambda xis: 1 / math.prod(xis), sizes),
+            n,
+            QuadratureSpec(points=points),
+            max_evals=points**n,
+        )
+    assert info.value.value == pytest.approx(1.0, abs=1e-13)
+    assert max(sizes) == contour._SLAB
+    assert sum(sizes) == points**n
 
 
 def test_multi_contour_product_of_inverses():

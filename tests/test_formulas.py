@@ -98,6 +98,16 @@ class TestTransition:
         b = transition_probability(initial, final, 0.7, method="quadrature", quad=QUAD)
         assert scaled_close(a, b, 1e-9)
 
+    def test_n4_quadrature_converges_with_smaller_radius(self):
+        # the default rule cannot converge here: the grid budget allows one
+        # doubling at N = 4
+        initial = Configuration((1, 2, 3, 4), "2121")
+        final = Configuration((2, 3, 4, 6), "1221")
+        spec = QuadratureSpec(radius=0.25, tolerance=1e-9)
+        a = transition_probability(initial, final, 0.5)
+        b = transition_probability(initial, final, 0.5, method="quadrature", quad=spec)
+        assert b == pytest.approx(a, rel=1e-9)
+
     def test_head_matches_general_machinery(self):
         y = step_configuration(3)
         for xs in ((1, 2, 3), (1, 3, 5), (2, 3, 4)):
