@@ -2,36 +2,38 @@
 
 The process state is an ordered integer position vector together with a
 species word over {1, 2} (2 = first class, 1 = second class).  Every formula
-here comes with at least two independent evaluation routes:
+is stated once, as the inputs of one evaluator, :func:`_evaluate`, which
+alone dispatches on the method, chooses the fixed-point scale and checks
+that the result is a probability.  Its two routes are:
 
-* a *residue* route that expands the defining multiple contour integral
-  into a permutation sum of products of the one-variable integrals handled
-  by :mod:`tasep2c.contour`, and
-* a *quadrature* route that evaluates the same multiple integral by the
-  adaptive tensor-product circle rule.
+* *residue* (the default, and the numerically stable route): a callable
+  ``residue(t, bits)`` expands the defining multiple contour integral into
+  an integer polynomial in the fixed-point one-variable integrals J(k, e)
+  of :func:`_scaled_residue`, at scale 2^(N * bits), and the evaluator
+  converts it to float once.  Every alternating permutation sum is a
+  determinant of such integrals (Schuetz 1997; Chatterjee and Schuetz
+  2010), stated by :func:`_determinants` as (sign, entry) terms naming the
+  (k, e) indices of the matrix entries and taken by the exact kernel
+  :func:`_fixed_det` (fraction-free Bareiss elimination, Bareiss 1968) at
+  any N.
+* *quadrature*: a body and the (k, e) indices of its one-variable factors
+  xi^k (1 - xi)^e e^((1/xi - 1) t) go to :func:`_quadrature`, which owns
+  the time cap, the default rule of :func:`tasep2c.contour.multi_contour`,
+  and the evaluation of each one-variable factor on its node vector only.
+  Each body carries its formula's constants, so the rule's tolerance
+  applies to the probability itself.  The rule reuses every node across
+  doublings and evaluates the grid in bounded slabs, so only its
+  evaluation budget (2^22 nodes by default), not memory, limits it.
 
-The residue route is the default and the numerically stable one.  Every
-alternating permutation sum it meets is a determinant of one-variable
-integrals J(k, e) (Schuetz 1997; Chatterjee and Schuetz 2010), so each
-determinant formula is stated once, as (sign, entry) terms naming the
-(k, e) indices of its matrix entries, and evaluated by one engine,
-:func:`_det_value`: it builds the fixed-point matrices, runs the exact
-kernel :func:`_fixed_det` (fraction-free Bareiss elimination, Bareiss
-1968) on them at any N, sums the integer determinants and converts once.
-Every quadrature route likewise passes its integrand to one engine,
-:func:`_quadrature`, as a body and the (k, e) indices of its one-variable
-factors xi^k (1 - xi)^e e^((1/xi - 1) t); the engine owns the time cap,
-the default rule of :func:`tasep2c.contour.multi_contour`, and the
-evaluation of each one-variable factor on its node vector only, so no
-exponential or pole is evaluated on the full grid.  The rule reuses every
-node across doublings and evaluates the grid in bounded slabs, so only
-its evaluation budget (2^22 nodes by default), not memory, limits it.
-Quadrature is limited to moderate times (the integrand reaches exp(2t) on
-the default radius-0.5 circles) and, for transitions between arbitrary
-species words, to N <= 4.  At N = 4 the budget allows a single doubling,
-16^4 to 32^4, which the default rule rarely passes: a smaller radius and a
-looser tolerance, such as QuadratureSpec(radius=0.25, tolerance=1e-9),
-converge there.  Beyond N = 4 the starting grid leaves no room to double.
+:func:`head_transition_probability` has the determinant route only
+(:func:`transition_probability` is its second route), and transitions at
+N = 5 and 6 have the residue route only, with the Monte Carlo simulator as
+their check.  Quadrature is limited to moderate times (the integrand
+reaches exp(2t) on the default radius-0.5 circles) and, for transitions,
+to N <= 4.  At N = 4 the budget allows a single doubling, 16^4 to 32^4,
+which the default rule rarely passes: a smaller radius and a looser
+tolerance, such as QuadratureSpec(radius=0.25, tolerance=1e-9), converge
+there.  Beyond N = 4 the starting grid leaves no room to double.
 
 For transitions between arbitrary species words the amplitude entry has no
 product formula.  Both routes read it from one amplitude column of every
@@ -86,7 +88,7 @@ _EXP_CHUNK = 700.0
 
 
 @lru_cache(maxsize=200_000)
-def _scaled_residue(k: int, e: int, t: float, bits: int = _FIXED_BITS) -> int:
+def _scaled_residue(k: int, e: int, t: float, bits: int) -> int:
     """Fixed-point integer for 2^bits * e^t * I(k, e, t) at machine-rational t."""
     return contour.exp_scaled_residue(k, e, Fraction(t), bits)
 
@@ -101,7 +103,7 @@ def _times_exp(mant: float, exp2: int, s: float) -> tuple[float, int]:
     return mant, exp2 + shift
 
 
-def _fixed_result(total: int, nvars: int, t: float, bits: int = _FIXED_BITS) -> float:
+def _fixed_result(total: int, nvars: int, t: float, bits: int) -> float:
     """Convert a fixed-point integer at scale 2^bits to float, restoring e^(-nvars*t).
 
     The integer is divided exactly (int / int rounds correctly) and then
@@ -153,20 +155,23 @@ def _fixed_det(mat: list[list[int]]) -> int:
     return det_sign * a[-1][-1]
 
 
-def _det_value(n: int, t: float, terms) -> float:
-    """Float value of sum(sign * det[J(k, e)]) over ``terms`` of (sign, entry).
+def _determinants(n: int, terms):
+    """Residue callable for sum(sign * det[J(k, e)]) over ``terms`` of (sign, entry).
 
     ``entry(i, j)`` gives the indices (k, e) of the N x N matrix entry in
     0-based row i, column j.  Each matrix is built from
-    :func:`_scaled_residue` integers, its determinant is taken exactly by
-    :func:`_fixed_det`, the determinants are summed as integers at scale
-    2^(N * _FIXED_BITS), and the sum is converted to float once.
+    :func:`_scaled_residue` integers and its determinant taken exactly by
+    :func:`_fixed_det`, so the sum is an integer at scale 2^(N * bits).
     """
-    total = 0
-    for sign, entry in terms:
-        mat = [[_scaled_residue(*entry(i, j), t) for j in range(n)] for i in range(n)]
-        total += sign * _fixed_det(mat)
-    return _fixed_result(total, n, t, n * _FIXED_BITS)
+
+    def residue(t: float, bits: int) -> int:
+        total = 0
+        for sign, entry in terms:
+            mat = [[_scaled_residue(*entry(i, j), t, bits) for j in range(n)] for i in range(n)]
+            total += sign * _fixed_det(mat)
+        return total
+
+    return residue
 
 
 def _quadrature(
@@ -180,7 +185,8 @@ def _quadrature(
     :func:`tasep2c.contour.multi_contour`, and the vectors meet the grid
     only in their outer product, which multiplies ``body`` once.  ``body``
     is the rest of the defining integrand and receives the broadcastable
-    node arrays.  Beyond MAX_QUADRATURE_TIME the rule is refused.
+    node arrays.  Beyond MAX_QUADRATURE_TIME the rule is refused.  An
+    AccuracyError from the rule carries the real part of its best value.
     """
     if t > MAX_QUADRATURE_TIME:
         raise ValueError(f"t={t} too large for circle quadrature; use the residue route")
@@ -191,7 +197,26 @@ def _quadrature(
             factor = factor * (z**k * (1 - z) ** e * np.exp((1 / z - 1) * t))
         return body(xis) * factor
 
-    return contour.multi_contour(F, len(powers), quad or QuadratureSpec()).value.real
+    try:
+        result = contour.multi_contour(F, len(powers), quad or QuadratureSpec())
+    except AccuracyError as exc:
+        raise AccuracyError(str(exc), value=exc.value.real, error=exc.error) from None
+    return result.value.real
+
+
+def _evaluate(what: str, n: int, t: float, method: str, quad, residue, quadrature) -> float:
+    """The probability ``what`` of ``n`` particles at time t > 0 by ``method``.
+
+    ``residue`` and ``quadrature`` are the formula's two routes (see the
+    module docstring); ``quadrature`` is None where the formula has none.
+    """
+    if method == "residue":
+        value = _fixed_result(residue(t, _FIXED_BITS), n, t, n * _FIXED_BITS)
+    elif method == "quadrature" and quadrature is not None:
+        value = _quadrature(t, quad, *quadrature)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _as_probability(value, what)
 
 
 def _vandermonde(xis):
@@ -382,60 +407,42 @@ def transition_probability(
         same = final.positions == initial.positions and final.species == initial.species
         return 1.0 if same else 0.0
     n = initial.n
-    if method == "residue":
-        if n > 6:
-            raise ValueError(
-                "symbolic residue expansion supports N <= 6 (head words at any N: "
-                "head_transition_probability)"
-            )
-        value = _transition_residue(initial, final, t)
-    elif method == "quadrature":
-        if n > 4:
-            raise ValueError(
-                "transition quadrature supports N <= 4: beyond that the multi_contour "
-                "grid budget (max_evals) leaves no room to refine the grid, and at N = 4 "
-                "it allows one doubling, which needs a smaller radius and looser tolerance "
-                "than the default, e.g. QuadratureSpec(radius=0.25, tolerance=1e-9)"
-            )
-        value = _transition_quadrature(initial, final, t, quad)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _as_probability(value, "transition probability")
-
-
-def _transition_residue(initial: Configuration, final: Configuration, t: float) -> float:
-    n = initial.n
-    y = initial.positions
-    x = final.positions
-    row = word_index(final.species)
-    bits = _FIXED_BITS
-    total = 0
-    for p, column in _sym_columns(n, word_index(initial.species)).items():
-        entry = column.get(row)
-        if not entry:
-            continue
-        inv = inverse(p)
-        ks = [x[inv[a0] - 1] - y[a0] - 1 for a0 in range(n)]
-        for e, coef in entry.items():
-            acc = coef << bits
-            for a0 in range(n):
-                v = _scaled_residue(ks[a0], e[a0], t)
-                if v == 0:
-                    acc = 0
-                    break
-                acc = (acc * v) >> bits
-            total += acc
-    return _fixed_result(total, n, t)
-
-
-def _transition_quadrature(
-    initial: Configuration, final: Configuration, t: float, quad: QuadratureSpec | None
-) -> float:
-    n = initial.n
+    if method == "residue" and n > 6:
+        raise ValueError(
+            "symbolic residue expansion supports N <= 6 (head words at any N: "
+            "head_transition_probability)"
+        )
+    if method == "quadrature" and n > 4:
+        raise ValueError(
+            "transition quadrature supports N <= 4: beyond that the multi_contour "
+            "grid budget (max_evals) leaves no room to refine the grid, and at N = 4 "
+            "it allows one doubling, which needs a smaller radius and looser tolerance "
+            "than the default, e.g. QuadratureSpec(radius=0.25, tolerance=1e-9)"
+        )
     y = initial.positions
     x = final.positions
     row = word_index(final.species)
     col = word_index(initial.species)
+
+    def residue(t, bits):
+        # every factor multiplies in at full scale: flooring each partial
+        # product would zero the terms of a tiny probability
+        total = 0
+        for p, column in _sym_columns(n, col).items():
+            entry = column.get(row)
+            if not entry:
+                continue
+            inv = inverse(p)
+            ks = [x[inv[a0] - 1] - y[a0] - 1 for a0 in range(n)]
+            for e, coef in entry.items():
+                for k, ea in zip(ks, e):
+                    v = _scaled_residue(k, ea, t, bits)
+                    if v == 0:
+                        break
+                    coef *= v
+                else:
+                    total += coef
+        return total
 
     def body(xis):
         acc = 0
@@ -451,7 +458,8 @@ def _transition_quadrature(
             acc = acc + phase * power
         return acc
 
-    return _quadrature(t, quad, body, [(0, 0)] * n)
+    quadrature = (body, [(0, 0)] * n)
+    return _evaluate("transition probability", n, t, method, quad, residue, quadrature)
 
 
 def head_transition_probability(initial: Configuration, final: Configuration, t: float) -> float:
@@ -472,10 +480,10 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     n = initial.n
     y = initial.positions
     x = final.positions
-    value = _det_value(
-        n, t, [(1, lambda a, j: (x[j] - y[a] - 1, max(a - 1, 0) - max(j - 1, 0)))]
+    residue = _determinants(
+        n, [(1, lambda a, j: (x[j] - y[a] - 1, max(a - 1, 0) - max(j - 1, 0)))]
     )
-    return _as_probability(value, "head transition probability")
+    return _evaluate("head transition probability", n, t, "residue", None, residue, None)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +521,9 @@ def leftmost_probability(
     def entry(i, j):
         return x - y[i] - 1 + j, -(n - i) + (i == 0)
 
-    if method == "residue":
-        value = _det_value(n, t, [(1, entry)])
-    elif method == "quadrature":
-        value = _quadrature(t, quad, _vandermonde, [entry(i, 0) for i in range(n)])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _as_probability(value, "leftmost probability")
+    residue = _determinants(n, [(1, entry)])
+    quadrature = (_vandermonde, [entry(i, 0) for i in range(n)])
+    return _evaluate("leftmost probability", n, t, method, quad, residue, quadrature)
 
 
 def tasep_leftmost_probability(
@@ -545,25 +549,18 @@ def tasep_leftmost_probability(
         return 0.0
     if t == 0:
         return 1.0 if x == y[0] else 0.0
-    if method == "residue":
-        value = _det_value(
-            n,
-            t,
-            [
-                (1, lambda i, j: (x - y[i] - 1 + j, -(n - i))),
-                (-1, lambda i, j: (x - y[i] + j, -(n - i))),
-            ],
-        )
-    elif method == "quadrature":
-        value = _quadrature(
-            t,
-            quad,
-            lambda xis: (1 - math.prod(xis)) * _vandermonde(xis),
-            [(x - y[i] - 1, -(n - i)) for i in range(n)],
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _as_probability(value, "TASEP leftmost probability")
+    residue = _determinants(
+        n,
+        [
+            (1, lambda i, j: (x - y[i] - 1 + j, -(n - i))),
+            (-1, lambda i, j: (x - y[i] + j, -(n - i))),
+        ],
+    )
+    quadrature = (
+        lambda xis: (1 - math.prod(xis)) * _vandermonde(xis),
+        [(x - y[i] - 1, -(n - i)) for i in range(n)],
+    )
+    return _evaluate("TASEP leftmost probability", n, t, method, quad, residue, quadrature)
 
 
 def _homogeneous_monomials(n: int, degree: int):
@@ -610,27 +607,19 @@ def leftmost_probability_shifted_step(
     # variables since (-1)^(N(N-1)) = 1
     sign = (-1) ** (n * (n - 1) // 2)
     base = x - n - shift - 1
-    if method == "residue":
-        value = _det_value(
-            n,
-            t,
-            [
-                (sign, lambda i, j, m=m: (base + i + j + m[i], -(n - 1)))
-                for m in _homogeneous_monomials(n, shift)
-            ],
-        )
-    elif method == "quadrature":
-        monos = list(_homogeneous_monomials(n, shift))
+    monos = list(_homogeneous_monomials(n, shift))
+    residue = _determinants(
+        n, [(sign, lambda i, j, m=m: (base + i + j + m[i], -(n - 1))) for m in monos]
+    )
+    prefactor = sign / math.factorial(n)
 
-        def body(xis):
-            h = sum(math.prod(xis[i] ** m for i, m in enumerate(mono) if m) for mono in monos)
-            vdm = _vandermonde(xis)
-            return h * vdm * vdm
+    def body(xis):
+        h = sum(math.prod(xis[i] ** m for i, m in enumerate(mono) if m) for mono in monos)
+        vdm = _vandermonde(xis)
+        return prefactor * h * vdm * vdm
 
-        value = sign * _quadrature(t, quad, body, [(base, -(n - 1))] * n) / math.factorial(n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _as_probability(value, "shifted-step leftmost probability")
+    quadrature = (body, [(base, -(n - 1))] * n)
+    return _evaluate("shifted-step leftmost probability", n, t, method, quad, residue, quadrature)
 
 
 def leftmost_probability_step_det(n: int, x: int, t: float) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 from tasep2c import contour, formulas, simulate
 from tasep2c.contour import QuadratureSpec
-from tasep2c.errors import WindowTooSmallWarning
+from tasep2c.errors import AccuracyError, WindowTooSmallWarning
 from tasep2c.formulas import (
     Configuration,
     StepInitial,
@@ -271,6 +271,58 @@ class TestStepFamily:
             a = leftmost_probability_shifted_step(0, 7, x, 1.0)
             b = leftmost_probability(y, x, 1.0)
             assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestEvaluator:
+    # values far below the 2^-256 fixed-point unit: the transition's residue
+    # terms must keep every factor at full scale, not floor each product
+    def test_tiny_head_word_transition_matches_determinant(self):
+        initial = Configuration((1, 2, 3), "211")
+        final = Configuration((15, 16, 17), "211")
+        expect = head_transition_probability(initial, final, 0.1)
+        assert expect == pytest.approx(6.322599699174734e-79, rel=1e-12, abs=0)
+        value = transition_probability(initial, final, 0.1)
+        assert value == pytest.approx(expect, rel=1e-12, abs=0)
+
+    def test_tiny_two_particle_transition(self):
+        value = transition_probability(
+            Configuration((1, 2), "21"), Configuration((30, 31), "21"), 0.1
+        )
+        assert value == pytest.approx(3.490938585115269e-122, rel=1e-12, abs=0)
+
+    def test_tiny_non_head_word_transition_is_positive(self):
+        value = transition_probability(
+            Configuration((1, 2, 3), "211"), Configuration((15, 16, 17), "121"), 0.1
+        )
+        assert value > 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        (
+            lambda m: transition_probability(HEAD2, Configuration((2, 3), "21"), 1.0, method=m),
+            lambda m: leftmost_probability(HEAD2, 2, 1.0, method=m),
+            lambda m: tasep_leftmost_probability(Configuration((1, 2), "11"), 2, 1.0, method=m),
+            lambda m: leftmost_probability_shifted_step(1, 2, 2, 1.0, method=m),
+        ),
+        ids=("transition", "leftmost", "tasep_leftmost", "shifted_step"),
+    )
+    def test_unknown_method(self, call):
+        with pytest.raises(ValueError, match="unknown method"):
+            call("bogus")
+
+    def test_quadrature_error_carries_the_probability(self):
+        # the default rule cannot converge at t = 10; the best value it
+        # carries is the probability, not the raw -3! scaled complex integral
+        with pytest.raises(AccuracyError) as info:
+            leftmost_probability_shifted_step(0, 3, 1, 10.0, method="quadrature")
+        value = info.value.value
+        assert isinstance(value, float)
+        assert value == pytest.approx(leftmost_probability_shifted_step(0, 3, 1, 10.0), abs=1e-8)
+
+    def test_quadrature_tolerance_applies_to_the_probability(self):
+        # x = 1 is the renewal event: the front particle's clock never rang
+        value = leftmost_probability_shifted_step(2, 3, 1, 5.0, method="quadrature")
+        assert value == pytest.approx(math.exp(-5.0), abs=1e-12)
 
 
 def _leibniz(mat):
