@@ -333,12 +333,11 @@ def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix.
 
     Each row is cleared of denominators by their lcm, the integer
-    determinant is taken by the package's Bareiss kernel
-    :func:`tasep2c.formulas._fixed_det`, and the result is divided by the
-    product of the row scales.  The empty matrix has determinant 1.
+    determinant is taken by the package's exact kernel
+    :func:`tasep2c.formulas._fixed_det` (Hankel condensation or Bareiss
+    elimination), and the result is divided by the product of the row
+    scales.  The empty matrix has determinant 1.
     """
-    if not matrix:
-        return Fraction(1)
     rows = []
     scale = 1
     for row in matrix:

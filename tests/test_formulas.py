@@ -358,6 +358,48 @@ class TestDeterminantKernel:
         assert formulas._fixed_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
         assert formulas._fixed_det([[2**256, 0], [2**256, 0]]) == 0
 
+    def test_empty_matrix_has_determinant_one(self):
+        assert formulas._fixed_det([]) == 1
+
+    def test_hankel_matches_leibniz(self):
+        rng = random.Random(20261018)
+        for n in range(1, 7):
+            for magnitude in (1, 3, 2**300):
+                for _ in range(6):
+                    c = [rng.randint(-magnitude, magnitude) for _ in range(2 * n - 1)]
+                    mat = [[c[i + j] for j in range(n)] for i in range(n)]
+                    assert formulas._fixed_det(mat) == _leibniz(mat)
+        # one entry off a Hankel matrix is not Hankel
+        c = [3, 1, 4, 1, 5, 9, 2]
+        for i, j in itertools.product(range(4), repeat=2):
+            mat = [[c[r + s] + ((r, s) == (i, j)) for s in range(4)] for r in range(4)]
+            assert formulas._fixed_det(mat) == _leibniz(mat)
+        # D_1(2) = 0 divides the last condensation step; Bareiss takes over
+        zero_divisor = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+        assert formulas._fixed_det(zero_divisor) == _leibniz(zero_divisor) == -2
+        for c in ([1, 2, 3, 4, 5], [0] * 7, [1, 0, 0, 0, 0, 0, 0], [2**256] * 9):
+            n = (len(c) + 1) // 2
+            mat = [[c[i + j] for j in range(n)] for i in range(n)]
+            assert formulas._fixed_det(mat) == _leibniz(mat) == 0
+
+    # reversing the rows of a Hankel matrix gives a Toeplitz one, which takes
+    # Bareiss elimination, at the sign of the reversal permutation
+    @pytest.mark.parametrize(
+        "n, t",
+        [(n, t) for n in (7, 14, 20, 30) for t in (0.1, 1.0, 5.0, 100.0)]
+        # the last five anti-diagonal values underflow to 0 at 256 bits, so
+        # condensation meets a zero divisor
+        + [(40, 0.1)],
+    )
+    def test_step_condensation_matches_bareiss(self, n, t):
+        # the step matrix of leftmost_probability_step_det at x = 2
+        mat = [
+            [formulas._scaled_residue(1 - n + i + j, -(n - 1), t, 256) for j in range(n)]
+            for i in range(n)
+        ]
+        reversal = (-1) ** (n * (n - 1) // 2)
+        assert formulas._fixed_det(mat) == reversal * formulas._fixed_det(mat[::-1])
+
 
 class TestLargeN:
     @pytest.mark.parametrize("t", (0.1, 1.0, 5.0, 100.0))
@@ -365,7 +407,7 @@ class TestLargeN:
     def test_determinant_renewal_anchor(self, n, t):
         # exp(-n t) underflows from n t ~ 708 on; that path multiplies e^-t in n times
         rel = 1e-15 if math.exp(-n * t) >= sys.float_info.min else 1e-14
-        assert leftmost_probability_step_det(n, 1, t) == pytest.approx(math.exp(-t), rel=rel)
+        assert leftmost_probability_step_det(n, 1, t) == pytest.approx(math.exp(-t), rel=rel, abs=0)
 
     # step_det is the shifted-step residue route at shift 0, not a third
     # independent route: these compare two determinant formulas, the general
@@ -376,15 +418,20 @@ class TestLargeN:
         for x in (1, 3, 6):
             for t in (0.5, 2.0):
                 a = leftmost_probability(y, x, t)
-                assert leftmost_probability_shifted_step(0, n, x, t) == pytest.approx(a, rel=1e-12)
-                assert leftmost_probability_step_det(n, x, t) == pytest.approx(a, rel=1e-12)
+                assert leftmost_probability_shifted_step(0, n, x, t) == pytest.approx(
+                    a, rel=1e-12, abs=0
+                )
+                assert leftmost_probability_step_det(n, x, t) == pytest.approx(a, rel=1e-12, abs=0)
 
     def test_step_routes_agree_on_a_tiny_value(self):
         # a float LU determinant of the same matrix returns 0.0 here
         a = leftmost_probability(step_configuration(14), 6, 0.5)
         assert 4.9e-87 < a < 5.0e-87
-        assert leftmost_probability_shifted_step(0, 14, 6, 0.5) == pytest.approx(a, rel=1e-12)
-        assert leftmost_probability_step_det(14, 6, 0.5) == pytest.approx(a, rel=1e-12)
+        # abs=0: approx's default absolute tolerance of 1e-12 would accept 0.0
+        assert leftmost_probability_shifted_step(0, 14, 6, 0.5) == pytest.approx(
+            a, rel=1e-12, abs=0
+        )
+        assert leftmost_probability_step_det(14, 6, 0.5) == pytest.approx(a, rel=1e-12, abs=0)
 
     def test_single_particle_beyond_exp_underflow(self):
         # e^-800 is below the float range; the Poisson(800) mass at 800 is not
