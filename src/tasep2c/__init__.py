@@ -14,7 +14,6 @@ The package has three layers:
 
 from .bethe import (
     SparseMatrix,
-    SpectralPoint,
     amplitude,
     amplitude_center,
     bethe_residuals,
@@ -25,7 +24,6 @@ from .bethe import (
 )
 from .contour import (
     QuadratureSpec,
-    ResidueIntegrand,
     circle_quadrature,
     multi_contour,
     residue_value,

@@ -39,7 +39,6 @@ word (w_1 ... w_N) over {1, 2} maps to the binary integer with digits
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -164,42 +163,6 @@ class SparseMatrix:
         return [self.get(i, i) for i in range(self.n)]
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Spectral parameters xi_1..xi_N: nonzero, distinct, none equal to 1.
-
-    Components may be Fractions (exact checks), floats or complex numbers.
-    Contour evaluation additionally wants every |xi_i| < 1; that is enforced
-    only where quadrature actually happens.
-    """
-
-    xi: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", tuple(self.xi))
-        for z in self.xi:
-            if z == 0:
-                raise ValueError("spectral parameter 0 hits the essential singularity")
-            if z == 1:
-                raise PoleError("spectral parameter 1 is a scattering pole")
-        if len(set(self.xi)) != len(self.xi):
-            raise ValueError("spectral parameters must be pairwise distinct")
-
-    @property
-    def n(self) -> int:
-        return len(self.xi)
-
-    def contour_ready(self) -> bool:
-        return all(abs(z) < 1 for z in self.xi)
-
-
-def components(point) -> tuple:
-    """Spectral components from a SpectralPoint or any plain sequence."""
-    if isinstance(point, SpectralPoint):
-        return point.xi
-    return tuple(point)
-
-
 def word_index(word) -> int:
     """0-based matrix index of a species word over {1, 2} (e.g. "21")."""
     idx = 0
@@ -282,7 +245,7 @@ def amplitude_from_word(word: Iterable[int], point) -> SparseMatrix:
     partially built permutation, so any word representing the same
     permutation yields the same matrix.
     """
-    xi = components(point)
+    xi = tuple(point)
     n = len(xi)
     mat = SparseMatrix.identity(1 << n)
     current = list(range(1, n + 1))
@@ -381,7 +344,7 @@ def amplitude_center(sigma: Sequence[int], point):
     and is the only amplitude entry with a product formula; for N = 1 it
     is 1.  Poles at xi = 1 raise PoleError.
     """
-    xi = components(point)
+    xi = tuple(point)
     n = len(xi)
     if len(sigma) != n:
         raise ValueError("permutation size does not match the spectral point")
@@ -408,7 +371,7 @@ def braid_relations_hold(point, atol=0) -> bool:
     Exact scalars are compared exactly (atol=0); pass a small atol for
     floating point components.
     """
-    xi = components(point)
+    xi = tuple(point)
     n = len(xi)
     size = 1 << n
 
@@ -456,7 +419,7 @@ def bethe_residuals(point, positions: Sequence[int], t: float = 0.0):
     (the exponential is common to every term), so it is applied as a final
     scalar and t = 0 keeps everything exact.
     """
-    xi = components(point)
+    xi = tuple(point)
     n = len(xi)
     perms = enumerate_permutations(n)
     amps = {p: amplitude(p, point) for p in perms}

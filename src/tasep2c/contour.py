@@ -5,38 +5,46 @@ one-variable integral
 
     I(k, e, t) = (1/2*pi*i) * closed integral of  xi^k (1-xi)^e exp((1/xi - 1) t) dxi
 
-over a counterclockwise circle of radius r in (0, 1).  Two independent
-evaluators are provided:
+over a counterclockwise circle of radius r in (0, 1).  It has one series
+and one independent second evaluator:
 
-* ``residue_value`` -- the exact Laurent series around the essential
-  singularity at 0.  Expanding exp(t/xi) = sum_n t^n / (n! xi^n) and
-  (1-xi)^e = sum_j c_j xi^j and picking the xi^(-1) coefficient gives
+* the series -- the Laurent expansion around the essential singularity at
+  0.  Expanding exp(t/xi) = sum_n t^n / (n! xi^n) and (1-xi)^e = sum_j c_j
+  xi^j and picking the xi^(-1) coefficient gives
 
       I(k, e, t) = exp(-t) * sum_{j >= max(0, -k-1)} c_j t^(k+j+1) / (k+j+1)!
 
   with c_j = (-1)^j binom(e, j) for e >= 0 (a finite sum) and
   c_j = binom(-e-1+j, j) for e < 0 (an infinite series of positive terms,
-  convergent for every t).  At t = 0 the integral is the exact integer
-  Laurent coefficient of xi^(-1-k) in (1-xi)^e.
+  convergent for every t).  ``exp_scaled_residue`` sums it in fixed point:
+  an integer at scale 2^bits for e^t * I, within a stated number of units
+  of exact.  This module owns that format; ``_fixed_result`` is its one
+  conversion to float, and ``residue_value`` is the float I(k, e, t) read
+  from it at a scale chosen to certify the float.  At t = 0 the integral is
+  the exact integer Laurent coefficient of xi^(-1-k) in (1-xi)^e.  With
+  c_j = 1 (e = -1) the series is a Poisson tail: I(m, -1, t) =
+  P(Poisson(t) > m).
 
 * ``circle_quadrature`` / ``multi_contour`` -- the M-point trapezoidal rule
-  on the circle, adaptively doubled.  For integrands analytic in an annulus
-  around the circle the rule converges geometrically in M, which makes it a
-  sharp independent check on the series at moderate t.  For t much larger
-  than ~30 the factor exp(t/xi) reaches exp(2t) on the default radius-0.5
-  circle and the series is the numerically sane route.  The rule nests
-  under doubling (Trefethen and Weideman 2014): the 2M-point nodes are the
-  M-point nodes plus their half-step rotations, so each doubling of the
-  n-fold tensor rule evaluates only the 2^n - 1 new cosets of the grid and
-  adds them to a running sum.  Every coset is evaluated in slabs of at most
-  ``_SLAB`` nodes, so the rule's memory does not grow with the grid; the
-  evaluation budget ``max_evals`` is what bounds it.
+  on the circle, adaptively doubled, which shares no code with the series.
+  For integrands analytic in an annulus around the circle the rule
+  converges geometrically in M, which makes it a sharp independent check
+  on the series at moderate t.  For t much larger than ~30 the factor
+  exp(t/xi) reaches exp(2t) on the default radius-0.5 circle and the
+  series is the numerically sane route.  The rule nests under doubling
+  (Trefethen and Weideman 2014): the 2M-point nodes are the M-point nodes
+  plus their half-step rotations, so each doubling of the n-fold tensor
+  rule evaluates only the 2^n - 1 new cosets of the grid and adds them to
+  a running sum.  Every coset is evaluated in slabs of at most ``_SLAB``
+  nodes, so the rule's memory does not grow with the grid; the evaluation
+  budget ``max_evals`` is what bounds it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,10 +54,10 @@ import numpy as np
 
 from .errors import AccuracyError
 
-#: Relative size at which a decreasing series tail is declared negligible.
-SERIES_EPS = 1e-18
 #: Hard cap on residue-series terms (reached only for absurdly large t).
 MAX_SERIES_TERMS = 2_000_000
+#: e^(-_EXP_CHUNK) is still a normal float; larger decays are applied in chunks.
+_EXP_CHUNK = 700.0
 #: Most grid nodes a quadrature integrand is evaluated on in one call.
 _SLAB = 2**15
 
@@ -74,81 +82,32 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _poisson_weight(n: int, t: float) -> float:
-    """exp(-t) t^n / n! robustly for any n >= 0, t >= 0."""
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if n < 170 and (t <= 1.0 or n * math.log(t) < 709.0):
-        et = math.exp(-t)
-        if et > 0.0:
-            return et * t**n / math.factorial(n)
-    # log-space fallback for arguments the direct route cannot represent
-    return math.exp(-t + n * math.log(t) - math.lgamma(n + 1))
-
-
 @lru_cache(maxsize=1_000_000)
-def residue_value(k: int, e: int, t: float) -> float:
-    """The integral I(k, e, t) by its residue series; exact integer at t = 0.
+def exp_scaled_residue(k: int, e: int, t: float | Fraction, bits: int) -> int:
+    """Fixed-point integer close to 2^bits * e^t * I(k, e, t).
 
-    For e >= 0 the series is the finite alternating sum over j in
-    [max(0, -k-1), e].  For e < 0 all coefficients are positive binomials
-    and the sum is truncated once terms are decreasing and below
-    SERIES_EPS times the partial sum.
-    """
-    _check_time(t)
-    if t == 0:
-        return laurent_coefficient(k, e)
-    j0 = max(0, -k - 1)
-    if e >= 0:
-        if j0 > e:
-            return 0.0
-        return math.fsum(
-            (-1) ** j * math.comb(e, j) * _poisson_weight(k + j + 1, t)
-            for j in range(j0, e + 1)
-        )
-    terms = []
-    total = 0.0
-    prev = math.inf
-    j = j0
-    # terms peak near k + j + 1 ~ t; beyond that they decay monotonically
-    zero_horizon = t + abs(k) + abs(e) + 64
-    while True:
-        term = math.comb(-e - 1 + j, j) * _poisson_weight(k + j + 1, t)
-        terms.append(term)
-        total += term
-        if total > 0.0 and term < prev and term <= SERIES_EPS * total:
-            break
-        if term == 0.0 and j > zero_horizon:
-            break
-        prev = term
-        j += 1
-        if j - j0 > MAX_SERIES_TERMS:
-            raise AccuracyError(
-                f"residue series for (k={k}, e={e}, t={t}) did not settle",
-                value=math.fsum(terms),
-            )
-    return math.fsum(terms)
-
-
-@lru_cache(maxsize=1_000_000)
-def exp_scaled_residue(k: int, e: int, t: Fraction, bits: int) -> int:
-    """Fixed-point integer close to 2^bits * e^t * I(k, e, t), t rational.
+    The time is taken as given, float or Fraction, and made exact by
+    ``Fraction(t)`` only on a cache miss; equal floats and Fractions hash
+    alike, so callers passing either share cache entries.
 
     Scaling out the common e^(-t) makes every series term the rational
     number c_j t^n / n!, so the partial sums are exact integers at scale
     2^bits up to one floor per term.  Alternating permutation sums built
     from these values cancel exactly instead of losing digits; the caller
-    restores one e^(-t) per integration variable at the very end.
+    restores one e^(-t) per integration variable at the very end, by
+    :func:`_fixed_result`.
 
-    The truncation error is certified by the positive decreasing tail (for
-    e < 0) or by finiteness (e >= 0); with the default 256-bit scale the
-    result is accurate to ~1e-75 relative, far below double precision.
+    Error: each term is floored once, a series longer than MAX_SERIES_TERMS
+    raises AccuracyError, and for e < 0 the tail after the last (zero) term
+    adds less than 3 units.  The integer therefore lies within
+    max(e + 1, MAX_SERIES_TERMS) + 4 units of the exact value.
 
     Term j is floor(c_j * (tn^n << bits) / (n! * td^n)) with n = k + j + 1;
     the binomial c_j, the scaled power and the denominator are carried from
     one term to the next as exact running products.
     """
     _check_time(t)
+    t = Fraction(t)
     tn, td = t.numerator, t.denominator
     j0 = max(0, -k - 1)
     n = k + j0 + 1
@@ -168,7 +127,8 @@ def exp_scaled_residue(k: int, e: int, t: Fraction, bits: int) -> int:
     total = 0
     j = j0
     coef = math.comb(-e - 1 + j0, j0)
-    # beyond this power the term ratio t*(j-e) / ((j+1)(n+1)) is safely < 1
+    # beyond this power the term ratio t*(j-e) / ((j+1)(n+1)) is below 3/4,
+    # so the real terms after a zero one sum to less than 3 units
     decay_floor = 2 * (float(t) + abs(e) + abs(k)) + 16
     while True:
         term = coef * power // denom
@@ -184,34 +144,64 @@ def exp_scaled_residue(k: int, e: int, t: Fraction, bits: int) -> int:
             raise AccuracyError(f"fixed-point residue series for (k={k}, e={e}) did not settle")
 
 
-def poisson_upper_tail(t: float, m: int) -> float:
-    """P(Poisson(t) > m), summed directly over the tail."""
-    _check_time(t)
-    if t == 0:
+def _times_exp(mant: float, exp2: int, s: float) -> tuple[float, int]:
+    """mant * 2^exp2 * e^(-s) as a renormalized (mantissa, exponent) pair."""
+    while s > _EXP_CHUNK:
+        mant, shift = math.frexp(mant * math.exp(-_EXP_CHUNK))
+        exp2 += shift
+        s -= _EXP_CHUNK
+    mant, shift = math.frexp(mant * math.exp(-s))
+    return mant, exp2 + shift
+
+
+def _fixed_result(total: int, nvars: int, t: float, bits: int) -> float:
+    """Convert a fixed-point integer at scale 2^bits to float, restoring e^(-nvars*t).
+
+    The integer is divided exactly (int / int rounds correctly) and then
+    multiplied by e^(-nvars*t).  Where that factor underflows, the mantissa
+    and binary exponent are kept apart and e^(-t) is multiplied in nvars
+    times, renormalizing after each factor.
+    """
+    if total == 0:
         return 0.0
-    total = 0.0
-    n = m + 1
+    top = total.bit_length() - 1
+    mant = total / (1 << top)  # 1 <= |mant| <= 2, so mant * decay stays normal
+    decay = math.exp(-nvars * t)
+    if decay >= sys.float_info.min:
+        return math.ldexp(mant * decay, top - bits)
+    exp2 = top - bits
+    for _ in range(nvars):
+        mant, exp2 = _times_exp(mant, exp2, t)
+    return math.ldexp(mant, exp2)
+
+
+@lru_cache(maxsize=1_000_000)
+def residue_value(k: int, e: int, t: float) -> float:
+    """The integral I(k, e, t) as a float; the exact integer at t = 0.
+
+    Reads :func:`exp_scaled_residue`, whose integer lies within
+    C = max(e + 1, MAX_SERIES_TERMS) + 4 units of exact, and converts it
+    by :func:`_fixed_result`.  The scale starts at 2^128 and rises by the
+    missing bits (doubling while the integer is 0) until the integer
+    carries 64 bits more than C, so the float is within about 2 ulp of
+    I(k, e, t).  Where instead the bound (|integer| + C) * 2^-bits * e^-t
+    on |I| falls below 2^-1076 (under half the smallest subnormal, one bit
+    kept for the rounding of the float logarithm), the correctly rounded
+    value is 0.0 and that is returned.
+    """
+    t = _check_time(t)
+    if t == 0:
+        return laurent_coefficient(k, e)
+    slack = max(e + 1, MAX_SERIES_TERMS) + 4
+    bits = 128
     while True:
-        term = _poisson_weight(n, t)
-        total += term
-        if n > t and (term == 0.0 or term <= 1e-20 * total):
-            return total
-        n += 1
-
-
-@dataclass(frozen=True)
-class ResidueIntegrand:
-    """The triple (k, e, t) naming one basic contour integral."""
-
-    k: int
-    e: int
-    t: float
-
-    def __post_init__(self) -> None:
-        _check_time(self.t)
-
-    def value(self) -> float:
-        return residue_value(self.k, self.e, self.t)
+        total = exp_scaled_residue(k, e, t, bits)
+        missing = slack.bit_length() + 64 - abs(total).bit_length()
+        if missing <= 0:
+            return _fixed_result(total, 1, t, bits)
+        if math.log2(abs(total) + slack) - bits - t / math.log(2) < -1076:
+            return 0.0
+        bits += missing if total else bits
 
 
 @dataclass(frozen=True)
@@ -260,20 +250,12 @@ def circle_quadrature(
     """Adaptive trapezoidal rule for (1/2 pi i) * closed integral of f.
 
     The one-variable case of :func:`multi_contour`.  ``f`` is evaluated on
-    numpy arrays of circle nodes when possible and pointwise otherwise.  M
+    numpy arrays of circle nodes, and an exception it raises propagates.  M
     doubles until two successive values agree within ``spec.tolerance``;
     exceeding ``max_points`` raises AccuracyError carrying the best value
     and last delta.
     """
-
-    def F(xis):
-        nodes = xis[0]
-        try:
-            return np.asarray(f(nodes))
-        except Exception:
-            return np.array([f(z) for z in nodes])
-
-    return multi_contour(F, 1, spec, max_evals=max_points)
+    return multi_contour(lambda xis: f(xis[0]), 1, spec, max_evals=max_points)
 
 
 def _grid_sum(F: Callable, vecs: Sequence[np.ndarray]) -> complex:

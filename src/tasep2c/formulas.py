@@ -9,15 +9,16 @@ that the result is a probability.  Its two routes are:
 * *residue* (the default, and the numerically stable route): a callable
   ``residue(t, bits)`` expands the defining multiple contour integral into
   an integer polynomial in the fixed-point one-variable integrals J(k, e)
-  of :func:`_scaled_residue`, at scale 2^(N * bits), and the evaluator
-  converts it to float once.  Every alternating permutation sum is a
-  determinant of such integrals (Schuetz 1997; Chatterjee and Schuetz
-  2010), stated by :func:`_determinants` as (sign, entry) terms naming the
-  (k, e) indices of the matrix entries and taken by the exact kernel
-  :func:`_fixed_det` at any N: Dodgson condensation in O(N^2) big-integer
-  steps when the matrix is Hankel (the step determinant), fraction-free
-  Bareiss elimination (Bareiss 1968) in O(N^3) otherwise and wherever
-  condensation meets a zero divisor.  Both give the same integer.
+  of :func:`tasep2c.contour.exp_scaled_residue`, at scale 2^(N * bits),
+  and the evaluator converts it to float once, by
+  :func:`tasep2c.contour._fixed_result`.  Every alternating permutation
+  sum is a determinant of such integrals (Schuetz 1997; Chatterjee and
+  Schuetz 2010), stated by :func:`_determinants` as (sign, entry) terms
+  naming the (k, e) indices of the matrix entries and taken by the exact
+  kernel :func:`_fixed_det` at any N: Dodgson condensation in O(N^2)
+  big-integer steps when the matrix is Hankel (the step determinant),
+  fraction-free Bareiss elimination (Bareiss 1968) in O(N^3) otherwise and
+  wherever condensation meets a zero divisor.  Both give the same integer.
 * *quadrature*: a body and the (k, e) indices of its one-variable factors
   xi^k (1 - xi)^e e^((1/xi - 1) t) go to :func:`_quadrature`, which owns
   the time cap, the default rule of :func:`tasep2c.contour.multi_contour`,
@@ -63,10 +64,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -74,7 +73,7 @@ import numpy as np
 
 from . import bethe, contour
 from .bethe import SparseMatrix, word_index
-from .contour import QuadratureSpec, _check_time
+from .contour import QuadratureSpec, _check_time, _fixed_result
 from .errors import AccuracyError, WindowTooSmallWarning
 from .permutations import inverse
 
@@ -85,45 +84,6 @@ MAX_QUADRATURE_TIME = 30.0
 _PROBABILITY_SLACK = 1e-9
 #: Fixed-point scale for exact accumulation of alternating sums.
 _FIXED_BITS = 256
-#: e^(-_EXP_CHUNK) is still a normal float; larger decays are applied in chunks.
-_EXP_CHUNK = 700.0
-
-
-@lru_cache(maxsize=200_000)
-def _scaled_residue(k: int, e: int, t: float, bits: int) -> int:
-    """Fixed-point integer for 2^bits * e^t * I(k, e, t) at machine-rational t."""
-    return contour.exp_scaled_residue(k, e, Fraction(t), bits)
-
-
-def _times_exp(mant: float, exp2: int, s: float) -> tuple[float, int]:
-    """mant * 2^exp2 * e^(-s) as a renormalized (mantissa, exponent) pair."""
-    while s > _EXP_CHUNK:
-        mant, shift = math.frexp(mant * math.exp(-_EXP_CHUNK))
-        exp2 += shift
-        s -= _EXP_CHUNK
-    mant, shift = math.frexp(mant * math.exp(-s))
-    return mant, exp2 + shift
-
-
-def _fixed_result(total: int, nvars: int, t: float, bits: int) -> float:
-    """Convert a fixed-point integer at scale 2^bits to float, restoring e^(-nvars*t).
-
-    The integer is divided exactly (int / int rounds correctly) and then
-    multiplied by e^(-nvars*t).  Where that factor underflows, the mantissa
-    and binary exponent are kept apart and e^(-t) is multiplied in nvars
-    times, renormalizing after each factor.
-    """
-    if total == 0:
-        return 0.0
-    top = total.bit_length() - 1
-    mant = total / (1 << top)  # 1 <= |mant| <= 2, so mant * decay stays normal
-    decay = math.exp(-nvars * t)
-    if decay >= sys.float_info.min:
-        return math.ldexp(mant * decay, top - bits)
-    exp2 = top - bits
-    for _ in range(nvars):
-        mant, exp2 = _times_exp(mant, exp2, t)
-    return math.ldexp(mant, exp2)
 
 
 def _hankel_det(c: list[int]) -> int | None:
@@ -191,14 +151,17 @@ def _determinants(n: int, terms):
 
     ``entry(i, j)`` gives the indices (k, e) of the N x N matrix entry in
     0-based row i, column j.  Each matrix is built from
-    :func:`_scaled_residue` integers and its determinant taken exactly by
-    :func:`_fixed_det`, so the sum is an integer at scale 2^(N * bits).
+    :func:`tasep2c.contour.exp_scaled_residue` integers and its determinant
+    taken exactly by :func:`_fixed_det`, so the sum is an integer at scale 2^(N * bits).
     """
 
     def residue(t: float, bits: int) -> int:
         total = 0
         for sign, entry in terms:
-            mat = [[_scaled_residue(*entry(i, j), t, bits) for j in range(n)] for i in range(n)]
+            mat = [
+                [contour.exp_scaled_residue(*entry(i, j), t, bits) for j in range(n)]
+                for i in range(n)
+            ]
             total += sign * _fixed_det(mat)
         return total
 
@@ -467,7 +430,7 @@ def transition_probability(
             ks = [x[inv[a0] - 1] - y[a0] - 1 for a0 in range(n)]
             for e, coef in entry.items():
                 for k, ea in zip(ks, e):
-                    v = _scaled_residue(k, ea, t, bits)
+                    v = contour.exp_scaled_residue(k, ea, t, bits)
                     if v == 0:
                         break
                     coef *= v
@@ -696,9 +659,10 @@ def displacement_tail_bound(n: int, t: float, window: int) -> float:
 
     Each particle attempts at most the rings of a rate-1 Poisson clock, so
     its displacement is stochastically below Poisson(t); a union bound over
-    the N particles certifies the truncation tail.
+    the N particles certifies the truncation tail.  P(Poisson(t) > window)
+    is the one-variable integral I(window, -1, t), whose series has c_j = 1.
     """
-    return n * contour.poisson_upper_tail(t, window)
+    return n * contour.residue_value(window, -1, t)
 
 
 def probability_mass_check(initial: Configuration, t: float, window: int) -> float:

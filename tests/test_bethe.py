@@ -8,7 +8,6 @@ import pytest
 from tasep2c import bethe, formulas
 from tasep2c.bethe import (
     SparseMatrix,
-    SpectralPoint,
     amplitude,
     amplitude_center,
     amplitude_columns,
@@ -170,18 +169,6 @@ def test_bethe_residuals_random_points():
             positions = sorted(rng.sample(range(-4, 9), n))
             free, boundary = bethe_residuals(xi, tuple(positions))
             assert free == 0 and all(b == 0 for b in boundary)
-
-
-def test_spectral_point_validation():
-    with pytest.raises(PoleError):
-        SpectralPoint((F(1, 2), 1))
-    with pytest.raises(ValueError):
-        SpectralPoint((F(1, 2), 0))
-    with pytest.raises(ValueError):
-        SpectralPoint((F(1, 2), F(1, 2)))
-    point = SpectralPoint(XI3)
-    assert point.n == 3 and point.contour_ready()
-    assert not SpectralPoint((F(1, 2), F(3, 2))).contour_ready()
 
 
 def test_sparse_matrix_basics():

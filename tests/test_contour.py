@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,13 +7,12 @@ import pytest
 
 from tasep2c import contour
 from tasep2c.contour import (
+    MAX_SERIES_TERMS,
     QuadratureSpec,
-    ResidueIntegrand,
     circle_quadrature,
     exp_scaled_residue,
     laurent_coefficient,
     multi_contour,
-    poisson_upper_tail,
     residue_value,
 )
 from tasep2c.errors import AccuracyError
@@ -20,6 +20,38 @@ from tasep2c.errors import AccuracyError
 
 def integrand(k, e, t):
     return lambda z: z**k * (1 - z) ** e * np.exp((1 / z - 1) * t)
+
+
+def mp_residue(k, e, t):
+    """I(k, e, t) from its series, to 80 digits, as an mpmath number.
+
+    For e >= 0 the finite sum is taken exactly in rationals, so exact zeros
+    stay zero; for e < 0 the positive terms are summed in mpmath.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        j = max(0, -k - 1)
+        if e >= 0:
+            tq = Fraction(t)
+            s = sum(
+                (
+                    (-1) ** i * math.comb(e, i) * tq ** (k + i + 1) / math.factorial(k + i + 1)
+                    for i in range(j, e + 1)
+                ),
+                Fraction(0),
+            )
+            total = mpmath.mpf(s.numerator) / s.denominator
+        else:
+            tm = mpmath.mpf(t)
+            total = mpmath.mpf(0)
+            while True:
+                n = k + j + 1
+                term = math.comb(-e - 1 + j, j) * tm**n / mpmath.factorial(n)
+                total += term
+                if n > tm and term < mpmath.mpf(10) ** -85 * total:
+                    break
+                j += 1
+        return total * mpmath.exp(-mpmath.mpf(t))
 
 
 def test_single_exponential_term():
@@ -53,8 +85,6 @@ def test_negative_time_rejected():
     with pytest.raises(ValueError):
         residue_value(0, 0, -1.0)
     with pytest.raises(ValueError):
-        ResidueIntegrand(0, 0, -0.5)
-    with pytest.raises(ValueError):
         exp_scaled_residue(0, -1, Fraction(-1, 2), 64)
 
 
@@ -62,31 +92,54 @@ def test_negative_time_rejected():
 def test_non_finite_time_rejected(t):
     with pytest.raises(ValueError, match="finite"):
         residue_value(0, -1, t)
-    with pytest.raises(ValueError, match="finite"):
-        ResidueIntegrand(0, 0, t)
-    with pytest.raises(ValueError, match="finite"):
-        poisson_upper_tail(t, 3)
-
-
-def test_integrand_dataclass_value():
-    spec = ResidueIntegrand(k=-1, e=-1, t=1.0)
-    assert spec.value() == residue_value(-1, -1, 1.0)
 
 
 def test_large_time_series_stays_finite():
-    # exp(-t) underflows at t ~ 745; the log-space path must still work
-    value = residue_value(3, -2, 800.0)
-    assert 0.0 < value < math.inf
+    # exp(-t) underflows at t ~ 745; I(3, -2, t) = t - 3 + O(t^4 e^-t)
+    assert residue_value(3, -2, 800.0) == pytest.approx(797.0, rel=1e-15)
+
+
+def test_exact_zero_is_returned_as_zero():
+    # t^2/2 - 2 t^3/6 + t^4/24 vanishes at t = 2
+    assert mp_residue(1, 2, 2.0) == 0
+    assert residue_value(1, 2, 2.0) == 0.0
+
+
+# (11, 5, 30) loses digits to cancellation in a float series; (50, 0, 0.1)
+# is about 5.8e-118, below 2^-128, so the scale has to climb
+@pytest.mark.parametrize("k, e, t", [(11, 5, 30.0), (50, 0, 0.1)])
+def test_residue_value_within_2_ulp_of_mpmath(k, e, t):
+    expect = float(mp_residue(k, e, t))
+    assert abs(residue_value(k, e, t) - expect) <= 2 * math.ulp(expect)
+
+
+def test_residue_value_grid_within_2_ulp_of_mpmath():
+    grid = itertools.product(
+        range(-12, 13, 4), (-8, -5, -2, -1, 0, 2, 5), (0.1, 0.3, 1.0, 2.0, 5.0, 30.0, 100.0)
+    )
+    for k, e, t in grid:
+        expect = float(mp_residue(k, e, t))
+        got = residue_value(k, e, t)
+        assert abs(got - expect) <= 2 * math.ulp(expect), (k, e, t, got, expect)
 
 
 def test_exp_scaled_residue_matches_float():
+    # the integer lies within the documented number of units of exact
+    mpmath = pytest.importorskip("mpmath")
     bits = 128
     for k in range(-4, 5):
         for e in range(-4, 3):
             for t in (0.3, 1.0, 5.0):
                 scaled = exp_scaled_residue(k, e, Fraction(t), bits)
-                expect = residue_value(k, e, t) * math.exp(t)
-                assert scaled / 2.0**bits == pytest.approx(expect, rel=1e-12, abs=1e-18)
+                with mpmath.workdps(80):
+                    expect = mp_residue(k, e, t) * mpmath.exp(t) * mpmath.mpf(2) ** bits
+                    assert abs(scaled - expect) <= max(e + 1, MAX_SERIES_TERMS) + 4
+
+
+def test_exp_scaled_residue_float_and_fraction_share_entries():
+    exp_scaled_residue.cache_clear()
+    assert exp_scaled_residue(2, -3, 0.5, 64) == exp_scaled_residue(2, -3, Fraction(1, 2), 64)
+    assert exp_scaled_residue.cache_info().misses == 1
 
 
 def _per_term_scaled_residue(k, e, t, bits):
@@ -145,14 +198,15 @@ def test_quadrature_grid_agreement_sample():
                 assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
 
-def test_quadrature_pointwise_fallback():
-    # a callable that rejects array input still integrates correctly
+def test_quadrature_integrand_exception_propagates():
+    # an integrand that rejects array input is an error, not a per-node loop
     def scalar_only(z):
         if isinstance(z, np.ndarray):
             raise TypeError("scalars only")
         return 1 / z
 
-    assert circle_quadrature(scalar_only).value == pytest.approx(1.0, abs=1e-13)
+    with pytest.raises(TypeError, match="scalars only"):
+        circle_quadrature(scalar_only)
 
 
 def test_quadrature_budget_error_carries_best_value():
@@ -259,10 +313,3 @@ def test_multi_contour_separable_equals_product():
 def test_multi_contour_budget_guard():
     with pytest.raises(ValueError):
         multi_contour(lambda xis: 1 / xis[0], 8, QuadratureSpec(points=16), max_evals=2**10)
-
-
-def test_poisson_upper_tail():
-    t = 1.5
-    direct = 1.0 - sum(math.exp(-t) * t**j / math.factorial(j) for j in range(0, 11))
-    assert poisson_upper_tail(t, 10) == pytest.approx(direct, rel=1e-9)
-    assert poisson_upper_tail(0.0, 3) == 0.0

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -155,7 +156,6 @@ class TestTransition:
     def test_cold_n5_within_budget(self):
         # about 0.03 s cold on a 2-core machine
         formulas._sym_columns.cache_clear()
-        formulas._scaled_residue.cache_clear()
         contour.exp_scaled_residue.cache_clear()
         y = step_configuration(5)
         final = Configuration((2, 3, 4, 5, 7), "12111")
@@ -168,7 +168,6 @@ class TestTransition:
     def test_cold_n6_three_twos_within_budget(self):
         # the largest column at N = 6; about 0.4 s cold on a 2-core machine
         formulas._sym_columns.cache_clear()
-        formulas._scaled_residue.cache_clear()
         contour.exp_scaled_residue.cache_clear()
         y = Configuration((1, 2, 3, 4, 5, 6), "222111")
         final = Configuration((2, 3, 4, 5, 7, 8), "122121")
@@ -394,7 +393,7 @@ class TestDeterminantKernel:
     def test_step_condensation_matches_bareiss(self, n, t):
         # the step matrix of leftmost_probability_step_det at x = 2
         mat = [
-            [formulas._scaled_residue(1 - n + i + j, -(n - 1), t, 256) for j in range(n)]
+            [contour.exp_scaled_residue(1 - n + i + j, -(n - 1), t, 256) for j in range(n)]
             for i in range(n)
         ]
         reversal = (-1) ** (n * (n - 1) // 2)
@@ -441,7 +440,6 @@ class TestLargeN:
 
     def test_n30_leftmost_within_budget(self):
         # about 0.3 s cold on a 2-core machine; the budget leaves room for a loaded one
-        formulas._scaled_residue.cache_clear()
         contour.exp_scaled_residue.cache_clear()
         start = time.perf_counter()
         value = leftmost_probability(step_configuration(30), 1, 1.0)
@@ -491,6 +489,17 @@ class TestMassConservation:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             probability_mass_check(step_configuration(4), 1.0, 5)
+
+    # (0.5, 12), (1.0, 16) and (0.25, 8) are the windows of the benchmark's
+    # mass cases
+    @pytest.mark.parametrize("t, m", [(1.5, 10), (0.5, 12), (1.0, 16), (0.25, 8), (30.0, 60)])
+    def test_displacement_tail_bound(self, t, m):
+        # the tail summed exactly in rationals, then scaled by e^-t
+        direct = math.exp(-t) * float(
+            sum(Fraction(t) ** j / math.factorial(j) for j in range(m + 1, m + 400))
+        )
+        assert displacement_tail_bound(3, t, m) == pytest.approx(3 * direct, rel=1e-14)
+        assert displacement_tail_bound(3, 0.0, m) == 0.0
 
 
 BAD_TIMES = [math.nan, math.inf, -1.0]
