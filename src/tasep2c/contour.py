@@ -17,8 +17,13 @@ and one independent second evaluator:
   with c_j = (-1)^j binom(e, j) for e >= 0 (a finite sum) and
   c_j = binom(-e-1+j, j) for e < 0 (an infinite series of positive terms,
   convergent for every t).  ``exp_scaled_residue`` sums it in fixed point:
-  an integer at scale 2^bits for e^t * I, within a stated number of units
-  of exact.  This module owns that format; ``_fixed_result`` is its one
+  an integer at scale 2^bits for e^t * I, within 2 units of exact.  It
+  reads every (k, e) from one table P[n] = floor(t^n / n! * 2^scale) per
+  (t, scale), ``_series_table``: a finite alternating sum of P for e >= 0,
+  and for e < 0, by the contiguity relation J(k, e) = J(k, e+1) +
+  J(k+1, e), the |e|-fold suffix sum of P, shared by every k.  Guard bits
+  chosen from the binomials cover the floors and the dropped tail.  This
+  module owns that format; ``_fixed_result`` is its one
   conversion to float, and ``residue_value`` is the float I(k, e, t) read
   from it at a scale chosen to certify the float.  At t = 0 the integral is
   the exact integer Laurent coefficient of xi^(-1-k) in (1-xi)^e.  With
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,66 +88,146 @@ def _check_time(t: float) -> float:
     return t
 
 
+class _SeriesTable:
+    """P[n] = floor(t^n / n! * 2^scale), filled on demand, and its suffix sums.
+
+    P[n] = 0 for n < 0.  The entries come from the exact running products
+    tn^n << scale and n! * td^n, one long division each.  The table ends at
+    its first zero past n = t: from there t^n / n! only decreases, so every
+    later entry is 0 too.  ``suffix(m)`` is the m-fold suffix sum
+    Q_m[n] = sum_(n' >= n) Q_(m-1)[n'], Q_0 = P, on the complete table.
+    """
+
+    def __init__(self, t: Fraction, scale: int) -> None:
+        self.t = t
+        self.p: list[int] = []
+        self.done = False
+        self._power = 1 << scale
+        self._denom = 1
+        #: only the suffix arrays asked for, by fold m, and every Q_m[0] met
+        self._sums: dict[int, list[int]] = {}
+        self._heads: dict[int, int] = {}
+
+    def fill(self, n: int) -> None:
+        """Compute P through index n, or up to the table's end if that comes first."""
+        p = self.p
+        while len(p) <= n and not self.done:
+            val = self._power // self._denom
+            if val == 0 and len(p) > self.t:
+                self.done = True
+            elif len(p) == MAX_SERIES_TERMS:
+                raise AccuracyError(f"residue series at t={self.t} did not settle")
+            else:
+                p.append(val)
+                self._power *= self.t.numerator
+                self._denom *= len(p) * self.t.denominator
+
+    def suffix(self, m: int) -> list[int]:
+        """Q_m over 0 <= n < len(p) of the complete table; Q_m[n] = 0 past it.
+
+        It is derived from the nearest kept array (P itself as Q_0): upward
+        by suffix sums, downward by the differences Q_(m-1)[n] = Q_m[n] -
+        Q_m[n+1].  Every Q_q[0] met on the way up is kept for :meth:`at`.
+        """
+        sums = self._sums
+        if m not in sums:
+            near = min([0, *sums], key=lambda q: abs(q - m))
+            arr = sums.get(near, self.p)
+            for q in range(near + 1, m + 1):
+                arr = list(itertools.accumulate(reversed(arr)))[::-1]
+                self._heads[q] = arr[0]
+            for _ in range(near - m):
+                arr = list(map(operator.sub, arr, arr[1:] + [0]))
+            sums[m] = arr
+        return sums[m]
+
+    def at(self, m: int, n: int) -> int:
+        """Q_m[n] for any integer n, on the complete table.
+
+        Below 0, where P vanishes, Q_m[n] = sum_(i < m) binom(-n-1+i, i) *
+        Q_(m-i)[0].
+        """
+        arr = self.suffix(m)
+        if n >= 0:
+            return arr[n] if n < len(arr) else 0
+        heads = self._heads
+        return sum(math.comb(-n - 1 + i, i) * heads[m - i] for i in range(m))
+
+
+@lru_cache(maxsize=16)
+def _series_table(t: Fraction, scale: int) -> _SeriesTable:
+    """The one table of P[n] = floor(t^n / n! * 2^scale) for this (t, scale)."""
+    return _SeriesTable(t, scale)
+
+
 @lru_cache(maxsize=1_000_000)
 def exp_scaled_residue(k: int, e: int, t: float | Fraction, bits: int) -> int:
-    """Fixed-point integer close to 2^bits * e^t * I(k, e, t).
+    """Fixed-point integer within 2 units of 2^bits * e^t * I(k, e, t).
 
     The time is taken as given, float or Fraction, and made exact by
     ``Fraction(t)`` only on a cache miss; equal floats and Fractions hash
     alike, so callers passing either share cache entries.
 
     Scaling out the common e^(-t) makes every series term the rational
-    number c_j t^n / n!, so the partial sums are exact integers at scale
-    2^bits up to one floor per term.  Alternating permutation sums built
-    from these values cancel exactly instead of losing digits; the caller
-    restores one e^(-t) per integration variable at the very end, by
-    :func:`_fixed_result`.
+    number c_j t^n / n! with n = k + j + 1, so the value is read from the
+    one table P[n] = floor(t^n / n! * 2^scale) of :func:`_series_table`
+    that serves every (k, e) at this (t, scale).  Alternating permutation
+    sums built from these values cancel exactly instead of losing digits;
+    the caller restores one e^(-t) per integration variable at the very
+    end, by :func:`_fixed_result`.
 
-    Error: each term is floored once, a series longer than MAX_SERIES_TERMS
-    raises AccuracyError, and for e < 0 the tail after the last (zero) term
-    adds less than 3 units.  The integer therefore lies within
-    max(e + 1, MAX_SERIES_TERMS) + 4 units of the exact value.
+    * e >= 0: sum_j (-1)^j binom(e, j) P[k + j + 1], e + 1 multiply-adds.
+      Its floors are off by less than sum_j binom(e, j) <= 2^e units of
+      2^-scale, so g = e guard bits.
+    * e < 0: (1-xi)^(e+1) = (1-xi)^e - xi (1-xi)^e gives the contiguity
+      relation J(k, e) = J(k, e+1) + J(k+1, e), so with m = -e the value
+      is the m-fold suffix sum Q_m[k + 1] of P (``_SeriesTable.suffix``),
+      read by additions alone for every k of one (t, scale, e).  Every c_j
+      is positive, so the value falls short of exact, never over.  Let L be
+      the first index at or past the table's end and k + 1 that also lies
+      past 2t and k + 2m, so that the term ratio falls below 3/4 from L on,
+      and h = L - k - 1.  The floors through L cost less than
+      sum_(j <= h) binom(m-1+j, j) = binom(m + h, m) units (hockey stick),
+      and the tail after L less than 3 binom(m-1+h, m-1), so g is the bit
+      length of their sum.
 
-    Term j is floor(c_j * (tn^n << bits) / (n! * td^n)) with n = k + j + 1;
-    the binomial c_j, the scaled power and the denominator are carried from
-    one term to the next as exact running products.
+    The table's scale is the smallest power of two at least bits + g, so
+    nearby scales (the entries of one matrix, the rungs of
+    :func:`residue_value`) share one table, and the sum is shifted right
+    by scale - bits >= g.  The floors and the tail then leave less than one
+    unit at scale 2^bits, the shift less than one more: the integer is
+    within 2 units of 2^bits * e^t * I(k, e, t).  A table longer than
+    MAX_SERIES_TERMS raises AccuracyError.
     """
     _check_time(t)
     t = Fraction(t)
-    tn, td = t.numerator, t.denominator
-    j0 = max(0, -k - 1)
-    n = k + j0 + 1
-    power = tn**n << bits
-    denom = math.factorial(n) * td**n
-    if e >= 0:
-        total = 0
-        coef = math.comb(e, j0)
-        for j in range(j0, e + 1):
-            term = coef * power // denom
-            total += -term if j % 2 else term
-            coef = coef * (e - j) // (j + 1)
-            n += 1
-            power *= tn
-            denom *= n * td
-        return total
-    total = 0
-    j = j0
-    coef = math.comb(-e - 1 + j0, j0)
-    # beyond this power the term ratio t*(j-e) / ((j+1)(n+1)) is below 3/4,
-    # so the real terms after a zero one sum to less than 3 units
-    decay_floor = 2 * (float(t) + abs(e) + abs(k)) + 16
+    n0 = k + 1
+    scale = 1 << bits.bit_length()
     while True:
-        term = coef * power // denom
-        total += term
-        if term == 0 and n > decay_floor:
-            return total
-        coef = coef * (j - e) // (j + 1)
-        j += 1
-        n += 1
-        power *= tn
-        denom *= n * td
-        if j - j0 > MAX_SERIES_TERMS:
-            raise AccuracyError(f"fixed-point residue series for (k={k}, e={e}) did not settle")
+        table = _series_table(t, scale)
+        if e >= 0:
+            table.fill(n0 + e)
+            guard = e
+        else:
+            m = -e
+            table.fill(MAX_SERIES_TERMS)
+            last = max(len(table.p), math.floor(max(2 * t, k + 2 * m)) + 1, n0)
+            span = last - n0
+            guard = (math.comb(m + span, m) + 3 * math.comb(m - 1 + span, m - 1)).bit_length()
+        if bits + guard <= scale:
+            break
+        scale *= 2
+    if e >= 0:
+        p = table.p
+        total = 0
+        for j in range(max(0, -n0), e + 1):
+            if n0 + j >= len(p):
+                break
+            term = math.comb(e, j) * p[n0 + j]
+            total += -term if j % 2 else term
+    else:
+        total = table.at(m, n0)
+    return total >> (scale - bits)
 
 
 def _times_exp(mant: float, exp2: int, s: float) -> tuple[float, int]:
@@ -179,8 +265,8 @@ def _fixed_result(total: int, nvars: int, t: float, bits: int) -> float:
 def residue_value(k: int, e: int, t: float) -> float:
     """The integral I(k, e, t) as a float; the exact integer at t = 0.
 
-    Reads :func:`exp_scaled_residue`, whose integer lies within
-    C = max(e + 1, MAX_SERIES_TERMS) + 4 units of exact, and converts it
+    Reads :func:`exp_scaled_residue`, whose integer lies within 2 units of
+    exact and so within C = max(e + 1, MAX_SERIES_TERMS) + 4, and converts it
     by :func:`_fixed_result`.  The scale starts at 2^128 and rises by the
     missing bits (doubling while the integer is 0) until the integer
     carries 64 bits more than C, so the float is within about 2 ulp of

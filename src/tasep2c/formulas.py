@@ -19,6 +19,10 @@ that the result is a probability.  Its two routes are:
   big-integer steps when the matrix is Hankel (the step determinant),
   fraction-free Bareiss elimination (Bareiss 1968) in O(N^3) otherwise and
   wherever condensation meets a zero divisor.  Both give the same integer.
+  The entries of all matrices at one (t, scale) come from one shared series
+  table.  An entry J(k, e) with e < 0 is positive, so one that reads 0 has
+  underflowed the 2^-bits scale: :func:`_determinants` then raises
+  AccuracyError naming the scale instead of returning a wrong value.
 * *quadrature*: a body and the (k, e) indices of its one-variable factors
   xi^k (1 - xi)^e e^((1/xi - 1) t) go to :func:`_quadrature`, which owns
   the time cap, the default rule of :func:`tasep2c.contour.multi_contour`,
@@ -153,15 +157,24 @@ def _determinants(n: int, terms):
     0-based row i, column j.  Each matrix is built from
     :func:`tasep2c.contour.exp_scaled_residue` integers and its determinant
     taken exactly by :func:`_fixed_det`, so the sum is an integer at scale 2^(N * bits).
+    Every J(k, e) with e < 0 is positive at t > 0, so such an entry whose
+    integer reads 0 has underflowed the 2^-bits scale, and AccuracyError
+    is raised instead of taking a determinant that has lost it.
     """
+
+    def value(k: int, e: int, t: float, bits: int) -> int:
+        v = contour.exp_scaled_residue(k, e, t, bits)
+        if v == 0 and e < 0:
+            raise AccuracyError(
+                f"J({k}, {e}) at t={t} underflows the 2^-{bits} fixed-point scale; "
+                f"the {n} x {n} determinant cannot be certified there"
+            )
+        return v
 
     def residue(t: float, bits: int) -> int:
         total = 0
         for sign, entry in terms:
-            mat = [
-                [contour.exp_scaled_residue(*entry(i, j), t, bits) for j in range(n)]
-                for i in range(n)
-            ]
+            mat = [[value(*entry(i, j), t, bits) for j in range(n)] for i in range(n)]
             total += sign * _fixed_det(mat)
         return total
 
@@ -625,12 +638,12 @@ def leftmost_probability_step_det(n: int, x: int, t: float) -> float:
     :func:`leftmost_probability_shifted_step` at shift 0, evaluated exactly
     by :func:`_fixed_det` on entries at the fixed 2^-256 scale.  The matrix
     is Hankel, so the kernel takes it by Dodgson condensation, and by
-    Bareiss elimination where a condensation divisor is zero (as at N = 40,
-    x = 2, t = 0.1, where the last anti-diagonal entries underflow the
-    scale).  Values are
+    Bareiss elimination where a condensation divisor is zero.  Values are
     checked against independent references for N <= 20 and the renewal
-    value e^-t at x = 1 up to N = 30; the scale is not certified beyond
-    that, and at x = 2, t = 0.1 the value is already 24% off at N = 36.
+    value e^-t at x = 1 up to N = 30.  Where an entry underflows the scale
+    (from N = 36 at x = 2, t = 0.1, where the last anti-diagonal entries
+    read 0) AccuracyError is raised; the scale is not otherwise certified
+    at large N.
     """
     return leftmost_probability_shifted_step(0, n, x, t)
 

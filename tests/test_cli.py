@@ -27,6 +27,15 @@ def test_exact_leftmost_determinant(capsys):
     assert "runtime" not in record
 
 
+def test_exact_leftmost_refuses_an_underflowed_scale(capsys):
+    code, out, err = run_cli(
+        capsys, *"exact leftmost --n 40 --position 2 --time 0.1 --method determinant".split()
+    )
+    assert code == EXIT_ACCURACY == 2
+    assert out == ""
+    assert "underflows the 2^-256 fixed-point scale" in err
+
+
 def test_exact_leftmost_single_particle(capsys):
     code, out, _ = run_cli(
         capsys, *"exact leftmost --n 1 --initial 0 --position 3 --time 2".split()

@@ -7,7 +7,6 @@ import pytest
 
 from tasep2c import contour
 from tasep2c.contour import (
-    MAX_SERIES_TERMS,
     QuadratureSpec,
     circle_quadrature,
     exp_scaled_residue,
@@ -124,7 +123,7 @@ def test_residue_value_grid_within_2_ulp_of_mpmath():
 
 
 def test_exp_scaled_residue_matches_float():
-    # the integer lies within the documented number of units of exact
+    # the integer lies within the documented 2 units of exact
     mpmath = pytest.importorskip("mpmath")
     bits = 128
     for k in range(-4, 5):
@@ -133,7 +132,7 @@ def test_exp_scaled_residue_matches_float():
                 scaled = exp_scaled_residue(k, e, Fraction(t), bits)
                 with mpmath.workdps(80):
                     expect = mp_residue(k, e, t) * mpmath.exp(t) * mpmath.mpf(2) ** bits
-                    assert abs(scaled - expect) <= max(e + 1, MAX_SERIES_TERMS) + 4
+                    assert abs(scaled - expect) < 2
 
 
 def test_exp_scaled_residue_float_and_fraction_share_entries():
@@ -142,34 +141,73 @@ def test_exp_scaled_residue_float_and_fraction_share_entries():
     assert exp_scaled_residue.cache_info().misses == 1
 
 
-def _per_term_scaled_residue(k, e, t, bits):
-    """exp_scaled_residue with every term's binomial, power and factorial built afresh."""
-    tn, td = t.numerator, t.denominator
-    j0 = max(0, -k - 1)
+def _units_off(got, k, e, t, bits):
+    """got - 2^bits * e^t * I(k, e, t): exact in rationals for e >= 0, else in mpmath.
+
+    For e < 0 the positive series is summed in units of 2^-bits with 80
+    digits past the point, until its terms fall below 10^-80 units with a
+    ratio below 3/4.
+    """
+    j = max(0, -k - 1)
+    n = k + j + 1
     if e >= 0:
-        total = 0
-        for j in range(j0, e + 1):
-            n = k + j + 1
-            term = math.comb(e, j) * (tn**n << bits) // (math.factorial(n) * td**n)
-            total += -term if j % 2 else term
-        return total
-    total = 0
-    j = j0
-    decay_floor = 2 * (float(t) + abs(e) + abs(k)) + 16
-    while True:
-        n = k + j + 1
-        term = math.comb(-e - 1 + j, j) * (tn**n << bits) // (math.factorial(n) * td**n)
-        total += term
-        if term == 0 and n > decay_floor:
-            return total
-        j += 1
+        exact = sum(
+            (
+                (-1) ** i * math.comb(e, i) * t ** (k + i + 1) / math.factorial(k + i + 1)
+                for i in range(j, e + 1)
+            ),
+            Fraction(0),
+        )
+        return got - exact * 2**bits
+    mpmath = pytest.importorskip("mpmath")
+    m = -e
+    with mpmath.workdps(len(str(abs(got))) + 80):
+        tm = mpmath.mpf(t.numerator) / t.denominator
+        term = math.comb(m - 1 + j, j) * tm**n / mpmath.factorial(n) * mpmath.mpf(2) ** bits
+        total = mpmath.mpf(0)
+        while not (n > 2 * t and j > 2 * m and term < mpmath.mpf(10) ** -80):
+            total += term
+            term = term * (j + m) / (j + 1) * tm / (n + 1)
+            j += 1
+            n += 1
+        return float(got - total)
 
 
-def test_exp_scaled_residue_running_products_are_bit_identical():
+def test_exp_scaled_residue_within_2_units_of_exact():
+    # one-sided for e < 0: every term is positive and only floored or dropped
     for t in (Fraction(0.1), Fraction(1), Fraction(5, 2), Fraction(100)):
-        for k in (-15, -4, -1, 0, 3, 12):
-            for e in (-9, -3, -1, 0, 1, 4):
-                assert exp_scaled_residue(k, e, t, 256) == _per_term_scaled_residue(k, e, t, 256)
+        for k in (-200, -15, -1, 0, 12):
+            for e in (-30, -9, -1, 0, 4):
+                off = _units_off(exp_scaled_residue(k, e, t, 256), k, e, t, 256)
+                assert abs(off) < 2, (k, e, t, off)
+                if e < 0:
+                    assert off <= 0, (k, e, t, off)
+
+
+def test_series_table_reads_do_not_depend_on_request_order():
+    # a fold is derived from the nearest one kept, upward by suffix sums and
+    # downward by differences; every order must give the fresh value
+    def fresh(k, e):
+        exp_scaled_residue.cache_clear()
+        contour._series_table.cache_clear()
+        return exp_scaled_residue(k, e, 2.5, 256)
+
+    keys = [(k, e) for e in (-5, -2, -7, -6, -1, -4) for k in (-9, -1, 0, 4)]
+    expect = {key: fresh(*key) for key in keys}
+    exp_scaled_residue.cache_clear()
+    contour._series_table.cache_clear()
+    assert {key: exp_scaled_residue(*key, 2.5, 256) for key in keys} == expect
+    assert contour._series_table.cache_info().misses == 1
+
+
+def test_series_table_is_shared_by_a_step_matrix():
+    # the 39 distinct entries of the N = 20, t = 100 step matrix at x = 2
+    exp_scaled_residue.cache_clear()
+    contour._series_table.cache_clear()
+    for k in range(-19, 20):
+        exp_scaled_residue(k, -19, 100.0, 256)
+    assert exp_scaled_residue.cache_info().misses == 39
+    assert contour._series_table.cache_info().misses == 1
 
 
 def test_quadrature_residue_of_inverse():

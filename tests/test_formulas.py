@@ -157,6 +157,7 @@ class TestTransition:
         # about 0.03 s cold on a 2-core machine
         formulas._sym_columns.cache_clear()
         contour.exp_scaled_residue.cache_clear()
+        contour._series_table.cache_clear()
         y = step_configuration(5)
         final = Configuration((2, 3, 4, 5, 7), "12111")
         start = time.perf_counter()
@@ -169,6 +170,7 @@ class TestTransition:
         # the largest column at N = 6; about 0.4 s cold on a 2-core machine
         formulas._sym_columns.cache_clear()
         contour.exp_scaled_residue.cache_clear()
+        contour._series_table.cache_clear()
         y = Configuration((1, 2, 3, 4, 5, 6), "222111")
         final = Configuration((2, 3, 4, 5, 7, 8), "122121")
         start = time.perf_counter()
@@ -432,6 +434,16 @@ class TestLargeN:
         )
         assert leftmost_probability_step_det(14, 6, 0.5) == pytest.approx(a, rel=1e-12, abs=0)
 
+    # at x = 2, t = 0.1 an entry J(35, e < 0) reads 0 at 256 bits from
+    # N = 36 on; the 200-digit values are 2.2128726369717770e-78 at
+    # N = 36 and 1.0083631064130834e-88 at N = 40
+    @pytest.mark.parametrize("n", (36, 40))
+    def test_step_routes_refuse_an_underflowed_scale(self, n):
+        with pytest.raises(AccuracyError, match="2\\^-256"):
+            leftmost_probability_step_det(n, 2, 0.1)
+        with pytest.raises(AccuracyError, match="2\\^-256"):
+            leftmost_probability(step_configuration(n), 2, 0.1)
+
     def test_single_particle_beyond_exp_underflow(self):
         # e^-800 is below the float range; the Poisson(800) mass at 800 is not
         y = Configuration((0,), "2")
@@ -441,6 +453,7 @@ class TestLargeN:
     def test_n30_leftmost_within_budget(self):
         # about 0.3 s cold on a 2-core machine; the budget leaves room for a loaded one
         contour.exp_scaled_residue.cache_clear()
+        contour._series_table.cache_clear()
         start = time.perf_counter()
         value = leftmost_probability(step_configuration(30), 1, 1.0)
         assert time.perf_counter() - start < 5.0
