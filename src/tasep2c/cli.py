@@ -133,6 +133,8 @@ def _record(command: str, args, extra: dict, stochastic_seed: int | None = None)
 def _cmd_exact_leftmost(args) -> int:
     if (args.position is None) == (args.sweep is None):
         raise _UsageError("give exactly one of --position or --sweep")
+    if args.csv and args.sweep is None:
+        raise _UsageError("--csv writes a sweep; give --sweep, not --position")
     started = time.perf_counter()
     err = None if args.method in ("residue", "determinant") else args.tol
     if args.sweep is not None:

@@ -14,11 +14,14 @@ that the result is a probability.  Its two routes are:
   :func:`tasep2c.contour._fixed_result`.  Every alternating permutation
   sum is a determinant of such integrals (Schuetz 1997; Chatterjee and
   Schuetz 2010), stated by :func:`_determinants` as (sign, entry) terms
-  naming the (k, e) indices of the matrix entries and taken by the exact
-  kernel :func:`_fixed_det` at any N: Dodgson condensation in O(N^2)
-  big-integer steps when the matrix is Hankel (the step determinant),
-  fraction-free Bareiss elimination (Bareiss 1968) in O(N^3) otherwise and
-  wherever condensation meets a zero divisor.  Both give the same integer.
+  naming the (k, e) indices of the matrix entries, and taken exactly at
+  any N.  A Hankel matrix (the step determinant) is read from one shared
+  table of its Dodgson condensation minors per (e, t, scale),
+  :class:`_HankelMinors`, so the next point of an x-sweep condenses only
+  its new anti-diagonal, N minors.  Every other matrix, and a Hankel one
+  whose condensation meets a zero divisor, goes to :func:`_fixed_det`,
+  fraction-free Bareiss elimination (Bareiss 1968) in O(N^3) steps.  Both
+  give the same integer.
   The entries of all matrices at one (t, scale) come from one shared series
   table.  An entry J(k, e) with e < 0 is positive, so one that reads 0 has
   underflowed the 2^-bits scale: :func:`_determinants` then raises
@@ -90,46 +93,59 @@ _PROBABILITY_SLACK = 1e-9
 _FIXED_BITS = 256
 
 
-def _hankel_det(c: list[int]) -> int | None:
-    """det[c_(i+j)] by Dodgson condensation, or None where a divisor vanishes.
+class _HankelMinors:
+    """The Hankel minors D_m(k) = det[c(k + i + j)] over 0 <= i, j < m of one sequence c.
 
-    With D_m(s) = det[c_(s+i+j)] over 0 <= i, j < m, the Desnanot-Jacobi
-    identity gives D_(m+1)(s) * D_(m-1)(s+2) = D_m(s) * D_m(s+2) - D_m(s+1)^2,
-    an exact division of integers, so an N x N determinant from its 2N - 1
-    anti-diagonal values takes about N^2 big-integer steps.
+    They are filled on demand, one level at a time, by the Desnanot-Jacobi
+    identity D_(m+1)(k) * D_(m-1)(k+2) = D_m(k) * D_m(k+2) - D_m(k+1)^2
+    (Dodgson 1866), an exact division of integers with D_0 = 1.  An N x N
+    determinant needs its 2N - 1 anti-diagonal values and about N^2 minors;
+    its neighbour at k +- 1 shares all but N of them.  A minor whose
+    condensation meets a zero divisor is kept as None, and so is every
+    minor built from it.
     """
-    prev, cur = [1] * len(c), c
-    for _ in range(len(c) // 2):
-        nxt = []
-        for s in range(len(cur) - 2):
-            if prev[s + 2] == 0:
-                return None
-            nxt.append((cur[s] * cur[s + 2] - cur[s + 1] * cur[s + 1]) // prev[s + 2])
-        prev, cur = cur, nxt
-    return cur[0]
+
+    def __init__(self) -> None:
+        self.minors: dict[tuple[int, int], int | None] = {}
+
+    def det(self, k: int, m: int, read) -> int | None:
+        """D_m(k), m >= 1, or None where a divisor vanishes.
+
+        ``read(s)`` gives c(s) for the level-1 entries not yet kept.
+        """
+        d = self.minors
+        for level in range(1, m + 1):
+            for s in range(k, k + 2 * (m - level) + 1):
+                if (s, level) in d:
+                    continue
+                if level == 1:
+                    d[s, 1] = read(s)
+                    continue
+                a, b, c = d[s, level - 1], d[s + 1, level - 1], d[s + 2, level - 1]
+                div = d[s + 2, level - 2] if level > 2 else 1
+                d[s, level] = None if None in (a, b, c) or not div else (a * c - b * b) // div
+        return d[k, m]
+
+
+@lru_cache(maxsize=16)
+def _hankel_minors(e: int, t: float, bits: int) -> _HankelMinors:
+    """The one table of minors of k -> J(k, e) at this (t, scale)."""
+    return _HankelMinors()
 
 
 def _fixed_det(mat: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix.
 
-    A Hankel matrix (each entry equal to its up-right neighbour, as in the
-    step determinant) goes first to :func:`_hankel_det`, O(N^2) steps.
-    Every other matrix, and a Hankel one whose condensation meets a zero
-    divisor, is taken by fraction-free Gaussian elimination (Bareiss 1968),
-    O(N^3) steps: every division is exact, so the entries stay integers no
-    larger than minors of ``mat``.  A zero pivot is replaced by a lower row
-    with a nonzero entry in its column.  Both paths return the same
-    integer.  For entries at fixed-point scale 2^b the result is at scale
-    2^(n*b); it is not shifted back, since flooring it would zero every
-    determinant below 2^-b.  The empty matrix has determinant 1.
+    Fraction-free Gaussian elimination (Bareiss 1968), O(N^3) steps: every
+    division is exact, so the entries stay integers no larger than minors
+    of ``mat``.  A zero pivot is replaced by a lower row with a nonzero
+    entry in its column.  For entries at fixed-point scale 2^b the result
+    is at scale 2^(n*b); it is not shifted back, since flooring it would
+    zero every determinant below 2^-b.  The empty matrix has determinant 1.
     """
     n = len(mat)
     if n == 0:
         return 1
-    if all(mat[i][j] == mat[i - 1][j + 1] for i in range(1, n) for j in range(n - 1)):
-        det = _hankel_det(mat[0] + [row[-1] for row in mat[1:]])
-        if det is not None:
-            return det
     a = [list(row) for row in mat]
     det_sign = 1
     prev = 1
@@ -154,9 +170,15 @@ def _determinants(n: int, terms):
     """Residue callable for sum(sign * det[J(k, e)]) over ``terms`` of (sign, entry).
 
     ``entry(i, j)`` gives the indices (k, e) of the N x N matrix entry in
-    0-based row i, column j.  Each matrix is built from
-    :func:`tasep2c.contour.exp_scaled_residue` integers and its determinant
-    taken exactly by :func:`_fixed_det`, so the sum is an integer at scale 2^(N * bits).
+    0-based row i, column j, and every determinant is exact, so the sum is
+    an integer at scale 2^(N * bits).  A Hankel term, one whose entry(i, j)
+    is (k0 + i + j, e) for all i, j (the step determinant), is read as
+    D_N(k0) from the shared :class:`_HankelMinors` table of this
+    (e, t, bits), which condenses only the minors not yet kept there: the
+    next point of an x-sweep adds N of them.  Every other term, and a
+    Hankel one whose condensation meets a zero divisor, is built from
+    :func:`tasep2c.contour.exp_scaled_residue` integers and taken by
+    Bareiss elimination in :func:`_fixed_det`; both give the same integer.
     Every J(k, e) with e < 0 is positive at t > 0, so such an entry whose
     integer reads 0 has underflowed the 2^-bits scale, and AccuracyError
     is raised instead of taking a determinant that has lost it.
@@ -174,6 +196,12 @@ def _determinants(n: int, terms):
     def residue(t: float, bits: int) -> int:
         total = 0
         for sign, entry in terms:
+            k0, e = entry(0, 0)
+            if all(entry(i, j) == (k0 + i + j, e) for i in range(n) for j in range(n)):
+                det = _hankel_minors(e, t, bits).det(k0, n, lambda k: value(k, e, t, bits))
+                if det is not None:
+                    total += sign * det
+                    continue
             mat = [[value(*entry(i, j), t, bits) for j in range(n)] for i in range(n)]
             total += sign * _fixed_det(mat)
         return total
@@ -599,6 +627,9 @@ def leftmost_probability_shifted_step(
     symmetric, that sum is N! times the sum over monomials m of h_l of
     det[J(x - N - l - 1 + i + j + m_i, -(N - 1))] over 0-based i, j, so
     the N! cancels; shift = 0 reproduces the plain step initial condition.
+    Row i depends on m only through the offset i + m_i, so the monomials
+    whose offsets repeat give exact zeros and are skipped before any entry
+    is read (at N = 10, l = 3, 7 of the 220 determinants remain).
     """
     if shift < 0:
         raise ValueError(f"shift must be nonnegative, got {shift}")
@@ -615,8 +646,9 @@ def leftmost_probability_shifted_step(
     sign = (-1) ** (n * (n - 1) // 2)
     base = x - n - shift - 1
     monos = list(_homogeneous_monomials(n, shift))
+    live = [m for m in monos if len({i + mi for i, mi in enumerate(m)}) == n]
     residue = _determinants(
-        n, [(sign, lambda i, j, m=m: (base + i + j + m[i], -(n - 1))) for m in monos]
+        n, [(sign, lambda i, j, m=m: (base + i + j + m[i], -(n - 1))) for m in live]
     )
     prefactor = sign / math.factorial(n)
 
@@ -636,9 +668,11 @@ def leftmost_probability_step_det(n: int, x: int, t: float) -> float:
     x - N - 1 + i + j and pole factor (xi - 1)^-(N-1); the prefactor is
     (-1)^(N(N-1)/2).  This is the residue route of
     :func:`leftmost_probability_shifted_step` at shift 0, evaluated exactly
-    by :func:`_fixed_det` on entries at the fixed 2^-256 scale.  The matrix
-    is Hankel, so the kernel takes it by Dodgson condensation, and by
-    Bareiss elimination where a condensation divisor is zero.  Values are
+    on entries at the fixed 2^-256 scale.  The matrix is Hankel, so
+    :func:`_determinants` reads it from the table of condensation minors
+    shared by every x at this (N, t): a sweep's next point condenses one
+    new anti-diagonal, N minors.  Where a condensation divisor is zero the
+    matrix is taken by Bareiss elimination instead.  Values are
     checked against independent references for N <= 20 and the renewal
     value e^-t at x = 1 up to N = 30.  Where an entry underflows the scale
     (from N = 36 at x = 2, t = 0.1, where the last anti-diagonal entries

@@ -334,9 +334,9 @@ def det_exact(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
     Each row is cleared of denominators by their lcm, the integer
     determinant is taken by the package's exact kernel
-    :func:`tasep2c.formulas._fixed_det` (Hankel condensation or Bareiss
-    elimination), and the result is divided by the product of the row
-    scales.  The empty matrix has determinant 1.
+    :func:`tasep2c.formulas._fixed_det` (Bareiss elimination), and the
+    result is divided by the product of the row scales.  The empty matrix
+    has determinant 1.
     """
     rows = []
     scale = 1

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tasep2c import __version__, identities
+from tasep2c import __version__, formulas, identities
 from tasep2c.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -80,6 +80,31 @@ def test_sweep_csv_file(tmp_path, capsys):
     assert record["rows"] == 3 and record["csv"] == str(path)
     content = path.read_text().strip().splitlines()
     assert content[0] == "x,value,method,t,n" and len(content) == 4
+
+
+def test_csv_without_sweep_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    argv = f"exact leftmost --n 3 --position 2 --time 1 --method determinant --csv {path}"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE == 1
+    assert out == ""
+    assert "--sweep" in err
+    assert not path.exists()
+
+
+def test_step_det_sweep_rows_match_single_points(capsys):
+    # the sweep shares one table of condensation minors; each point is cold
+    base = "exact leftmost --n 20 --step-l 0 --time 1 --method determinant"
+    code, out, _ = run_cli(capsys, *f"{base} --sweep 1..6".split())
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 7))
+    for x, value, *_ in rows:
+        formulas._hankel_minors.cache_clear()
+        code, out, _ = run_cli(capsys, *f"{base} --position {x}".split())
+        assert code == EXIT_OK
+        assert value == repr(json.loads(out)["value"])
+    assert float(rows[0][1]) == pytest.approx(math.exp(-1), rel=1e-15, abs=0)
 
 
 def test_simulate_byte_determinism(capsys):

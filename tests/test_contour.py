@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tasep2c import contour
+from tasep2c import contour, formulas
 from tasep2c.contour import (
     QuadratureSpec,
     circle_quadrature,
@@ -190,12 +190,14 @@ def test_series_table_reads_do_not_depend_on_request_order():
     def fresh(k, e):
         exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
+        formulas._hankel_minors.cache_clear()
         return exp_scaled_residue(k, e, 2.5, 256)
 
     keys = [(k, e) for e in (-5, -2, -7, -6, -1, -4) for k in (-9, -1, 0, 4)]
     expect = {key: fresh(*key) for key in keys}
     exp_scaled_residue.cache_clear()
     contour._series_table.cache_clear()
+    formulas._hankel_minors.cache_clear()
     assert {key: exp_scaled_residue(*key, 2.5, 256) for key in keys} == expect
     assert contour._series_table.cache_info().misses == 1
 
@@ -204,6 +206,7 @@ def test_series_table_is_shared_by_a_step_matrix():
     # the 39 distinct entries of the N = 20, t = 100 step matrix at x = 2
     exp_scaled_residue.cache_clear()
     contour._series_table.cache_clear()
+    formulas._hankel_minors.cache_clear()
     for k in range(-19, 20):
         exp_scaled_residue(k, -19, 100.0, 256)
     assert exp_scaled_residue.cache_info().misses == 39

@@ -158,6 +158,7 @@ class TestTransition:
         formulas._sym_columns.cache_clear()
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
+        formulas._hankel_minors.cache_clear()
         y = step_configuration(5)
         final = Configuration((2, 3, 4, 5, 7), "12111")
         start = time.perf_counter()
@@ -171,6 +172,7 @@ class TestTransition:
         formulas._sym_columns.cache_clear()
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
+        formulas._hankel_minors.cache_clear()
         y = Configuration((1, 2, 3, 4, 5, 6), "222111")
         final = Configuration((2, 3, 4, 5, 7, 8), "122121")
         start = time.perf_counter()
@@ -273,6 +275,33 @@ class TestStepFamily:
             b = leftmost_probability(y, x, 1.0)
             assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, shift, monomials, taken", [(5, 1, 5, 1), (5, 2, 15, 3), (10, 3, 220, 7)]
+    )
+    def test_shifted_step_skips_zero_determinants(self, monkeypatch, n, shift, monomials, taken):
+        # a monomial whose row offsets i + m_i repeat gives two equal rows
+        real = formulas._determinants
+        sizes = []
+
+        def spy(size, terms):
+            sizes.append(len(terms))
+            return real(size, terms)
+
+        monkeypatch.setattr(formulas, "_determinants", spy)
+        sign = (-1) ** (n * (n - 1) // 2)
+        monos = list(formulas._homogeneous_monomials(n, shift))
+        assert len(monos) == monomials
+        bits = formulas._FIXED_BITS
+        for x, t in ((1, 1.0), (4, 0.5), (7, 2.0)):
+            base = x - n - shift - 1
+            every = real(
+                n, [(sign, lambda i, j, m=m: (base + i + j + m[i], -(n - 1))) for m in monos]
+            )
+            expect = contour._fixed_result(every(t, bits), n, t, n * bits)
+            got = leftmost_probability_shifted_step(shift, n, x, t)
+            assert float.hex(got) == float.hex(expect)
+        assert sizes == [taken] * 3
+
 
 class TestEvaluator:
     # values far below the 2^-256 fixed-point unit: the transition's residue
@@ -338,6 +367,14 @@ def _leibniz(mat):
     return total
 
 
+def _table_det(c, n):
+    """D_n(0) of the sequence c as the residue route takes it: condensed, else by Bareiss."""
+    det = formulas._HankelMinors().det(0, n, c.__getitem__)
+    if det is None:
+        det = formulas._fixed_det([[c[i + j] for j in range(n)] for i in range(n)])
+    return det
+
+
 class TestDeterminantKernel:
     def test_matches_leibniz_on_random_matrices(self):
         rng = random.Random(20260118)
@@ -363,25 +400,49 @@ class TestDeterminantKernel:
         assert formulas._fixed_det([]) == 1
 
     def test_hankel_matches_leibniz(self):
+        # every minor of a sequence, asked for in a random order from one table
         rng = random.Random(20261018)
+        condensed = 0
         for n in range(1, 7):
             for magnitude in (1, 3, 2**300):
                 for _ in range(6):
                     c = [rng.randint(-magnitude, magnitude) for _ in range(2 * n - 1)]
-                    mat = [[c[i + j] for j in range(n)] for i in range(n)]
-                    assert formulas._fixed_det(mat) == _leibniz(mat)
-        # one entry off a Hankel matrix is not Hankel
-        c = [3, 1, 4, 1, 5, 9, 2]
-        for i, j in itertools.product(range(4), repeat=2):
-            mat = [[c[r + s] + ((r, s) == (i, j)) for s in range(4)] for r in range(4)]
-            assert formulas._fixed_det(mat) == _leibniz(mat)
+                    table = formulas._HankelMinors()
+                    minors = [(k, m) for m in range(1, n + 1) for k in range(2 * (n - m) + 1)]
+                    rng.shuffle(minors)
+                    for k, m in minors:
+                        got = table.det(k, m, c.__getitem__)
+                        mat = [[c[k + i + j] for j in range(m)] for i in range(m)]
+                        condensed += got is not None
+                        assert (formulas._fixed_det(mat) if got is None else got) == _leibniz(mat)
+        assert condensed > 1000
         # D_1(2) = 0 divides the last condensation step; Bareiss takes over
-        zero_divisor = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
-        assert formulas._fixed_det(zero_divisor) == _leibniz(zero_divisor) == -2
+        zero_divisor = [1, 1, 0, 1, 1]
+        assert formulas._HankelMinors().det(0, 3, zero_divisor.__getitem__) is None
+        assert _table_det(zero_divisor, 3) == -2
         for c in ([1, 2, 3, 4, 5], [0] * 7, [1, 0, 0, 0, 0, 0, 0], [2**256] * 9):
             n = (len(c) + 1) // 2
             mat = [[c[i + j] for j in range(n)] for i in range(n)]
-            assert formulas._fixed_det(mat) == _leibniz(mat) == 0
+            assert _table_det(c, n) == _leibniz(mat) == 0
+
+    def test_only_hankel_index_terms_read_the_table(self):
+        # one index off a Hankel term makes a matrix the table does not hold
+        t, bits, e = 1.0, 64, -3
+        for off in itertools.product(range(4), repeat=2):
+            formulas._hankel_minors.cache_clear()
+
+            def entry(i, j, off=off):
+                return 2 + i + j + ((i, j) == off), e
+
+            mat = [[contour.exp_scaled_residue(*entry(i, j), t, bits) for j in range(4)]
+                   for i in range(4)]
+            assert formulas._determinants(4, [(1, entry)])(t, bits) == _leibniz(mat)
+            assert formulas._hankel_minors.cache_info().misses == 0
+        hankel = formulas._determinants(4, [(1, lambda i, j: (2 + i + j, e))])
+        mat = [[contour.exp_scaled_residue(2 + i + j, e, t, bits) for j in range(4)]
+               for i in range(4)]
+        assert hankel(t, bits) == _leibniz(mat)
+        assert len(formulas._hankel_minors(e, t, bits).minors) == 16
 
     # reversing the rows of a Hankel matrix gives a Toeplitz one, which takes
     # Bareiss elimination, at the sign of the reversal permutation
@@ -394,12 +455,12 @@ class TestDeterminantKernel:
     )
     def test_step_condensation_matches_bareiss(self, n, t):
         # the step matrix of leftmost_probability_step_det at x = 2
-        mat = [
-            [contour.exp_scaled_residue(1 - n + i + j, -(n - 1), t, 256) for j in range(n)]
-            for i in range(n)
-        ]
+        c = [contour.exp_scaled_residue(1 - n + s, -(n - 1), t, 256) for s in range(2 * n - 1)]
+        mat = [[c[i + j] for j in range(n)] for i in range(n)]
         reversal = (-1) ** (n * (n - 1) // 2)
-        assert formulas._fixed_det(mat) == reversal * formulas._fixed_det(mat[::-1])
+        condensed = formulas._HankelMinors().det(0, n, c.__getitem__)
+        assert (condensed is None) == (n == 40)
+        assert _table_det(c, n) == reversal * formulas._fixed_det(mat[::-1])
 
 
 class TestLargeN:
@@ -450,10 +511,43 @@ class TestLargeN:
         expect = math.exp(800 * math.log(800.0) - 800.0 - math.lgamma(801))
         assert leftmost_probability(y, 800, 800.0) == pytest.approx(expect, rel=1e-11)
 
+    def test_n30_step_det_sweep_within_budget(self):
+        # about 0.04 s cold on a 2-core machine; the budget leaves room for a loaded one
+        contour.exp_scaled_residue.cache_clear()
+        contour._series_table.cache_clear()
+        formulas._hankel_minors.cache_clear()
+        start = time.perf_counter()
+        values = [leftmost_probability_step_det(30, x, 0.1) for x in range(1, 5)]
+        assert time.perf_counter() - start < 5.0
+        assert values[0] == pytest.approx(math.exp(-0.1), rel=1e-15, abs=0)
+        assert all(0.0 < v < 1.0 for v in values)
+
+    def test_next_sweep_point_adds_n_minors(self):
+        formulas._hankel_minors.cache_clear()
+        leftmost_probability_step_det(20, 5, 1.0)
+        table = formulas._hankel_minors(-19, 1.0, formulas._FIXED_BITS)
+        assert len(table.minors) == 20 * 20
+        leftmost_probability_step_det(20, 6, 1.0)
+        assert len(table.minors) == 20 * 20 + 20
+        assert formulas._hankel_minors.cache_info().misses == 1
+
+    @pytest.mark.parametrize("t, xs", [(1.0, range(1, 9)), (100.0, range(60, 68))])
+    def test_step_det_sweep_does_not_depend_on_order(self, t, xs):
+        def cold(x):
+            formulas._hankel_minors.cache_clear()
+            return float.hex(leftmost_probability_step_det(20, x, t))
+
+        expect = [cold(x) for x in xs]
+        for order in (list(xs), list(xs)[::-1]):
+            formulas._hankel_minors.cache_clear()
+            got = {x: float.hex(leftmost_probability_step_det(20, x, t)) for x in order}
+            assert [got[x] for x in xs] == expect
+
     def test_n30_leftmost_within_budget(self):
         # about 0.3 s cold on a 2-core machine; the budget leaves room for a loaded one
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
+        formulas._hankel_minors.cache_clear()
         start = time.perf_counter()
         value = leftmost_probability(step_configuration(30), 1, 1.0)
         assert time.perf_counter() - start < 5.0
