@@ -6,8 +6,8 @@ The package has three layers:
   one-variable residue integrals every probability formula factors into;
 * probability formulas -- transition probabilities and the
   leftmost-first-class-particle event, each with independent residue and
-  quadrature evaluation routes, plus exact-rational verification of the
-  algebraic identities behind them;
+  quadrature evaluation routes, plus exact verification of the algebraic
+  identities behind them at random points of GF(2^61 - 1);
 * a seeded continuous-time Monte Carlo simulator serving as the
   statistical oracle, and a CLI tying everything together.
 """

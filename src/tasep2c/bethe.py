@@ -348,16 +348,17 @@ def amplitude_center(sigma: Sequence[int], point):
     n = len(xi)
     if len(sigma) != n:
         raise ValueError("permutation size does not match the spectral point")
-    if n == 1:
-        return 1
-    value = sign(sigma)
+    if n <= 2:
+        return sign(sigma)
+    num = den = 1
     for i in range(1, n - 1):
-        num = 1 - xi[1 + i]
-        den = 1 - xi[sigma[1 + i] - 1]
-        if _is_scalar_zero(den):
+        factor = 1 - xi[sigma[1 + i] - 1]
+        if _is_scalar_zero(factor):
             raise PoleError("closed form hits a pole at xi = 1")
-        value = value * (num / den) ** i
-    return value
+        num = num * (1 - xi[1 + i]) ** i
+        den = den * factor**i
+    # one division per permutation: over a finite field each is an inverse
+    return sign(sigma) * num / den
 
 
 def braid_relations_hold(point, atol=0) -> bool:
@@ -368,7 +369,9 @@ def braid_relations_hold(point, atol=0) -> bool:
           |i - j| = 1 (needs N >= 3);
     (iii) T_i(b,a) T_i(a,b) is the identity.
 
-    Exact scalars are compared exactly (atol=0); pass a small atol for
+    With atol=0 the two sides must be equal: their difference stores no
+    entry, which needs no ordering of the scalars, so exact fractions and
+    elements of a finite field compare alike.  Pass a small atol for
     floating point components.
     """
     xi = tuple(point)
@@ -379,7 +382,8 @@ def braid_relations_hold(point, atol=0) -> bool:
         return t_operator(slot, xi[a - 1], xi[b - 1], n)
 
     def close(mat_a, mat_b):
-        return (mat_a - mat_b).max_abs() <= atol
+        diff = mat_a - mat_b
+        return not diff.rows if atol == 0 else diff.max_abs() <= atol
 
     ident = SparseMatrix.identity(size)
     for slot in range(1, n):

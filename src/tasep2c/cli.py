@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__, formulas, identities, simulate
 from .contour import QuadratureSpec
@@ -392,23 +393,35 @@ def build_parser() -> _Parser:
     compare.set_defaults(func=_cmd_compare)
 
     verify = commands.add_parser(
-        "verify", help="exact identity suites", formatter_class=_HELP_FMT
+        "verify",
+        help="identity suites at random points of GF(2^61 - 1)",
+        description="Check the identities behind the formulas exactly at uniform random "
+        "points of GF(p), p = 2^61 - 1. A false identity passes a point with probability "
+        "at most degree_bound / p; each record carries its degree_bound.",
+        formatter_class=_HELP_FMT,
     )
     verify.add_argument(
         "--identity", choices=sorted(_VERIFY_BUCKETS), required=True, help="identity bucket"
     )
     verify.add_argument("--n-range", default="2..5", help="range of sizes, like 2..5")
-    verify.add_argument("--points", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=2024)
+    verify.add_argument(
+        "--points", type=int, default=100, help="random points of GF(2^61 - 1) per size"
+    )
+    verify.add_argument("--seed", type=int, default=2024, help="seed of the random points")
     verify.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser, built once per process; parsing a command leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,10 +15,10 @@ that the result is a probability.  Its two routes are:
   sum is a determinant of such integrals (Schuetz 1997; Chatterjee and
   Schuetz 2010), stated by :func:`_determinants` as (sign, entry) terms
   naming the (k, e) indices of the matrix entries, and taken exactly at
-  any N.  A Hankel matrix (the step determinant) is read from one shared
-  table of its Dodgson condensation minors per (e, t, scale),
-  :class:`_HankelMinors`, so the next point of an x-sweep condenses only
-  its new anti-diagonal, N minors.  Every other matrix, and a Hankel one
+  any N.  A Hankel matrix (the step determinant), stated as such by its
+  formula, is read from one shared table of its Dodgson condensation
+  minors per (e, t, scale), :class:`_HankelMinors`, so the next point of an
+  x-sweep condenses only its new anti-diagonal, N minors.  Every other matrix, and a Hankel one
   whose condensation meets a zero divisor, goes to :func:`_fixed_det`,
   fraction-free Bareiss elimination (Bareiss 1968) in O(N^3) steps.  Both
   give the same integer.
@@ -127,6 +127,24 @@ class _HankelMinors:
         return d[k, m]
 
 
+class _Hankel:
+    """The entry (i, j) -> (k0 + i + j, e) of a Hankel matrix of integrals J(k, e).
+
+    A formula states its Hankel terms with it where it builds them, so
+    :func:`_determinants` reads them from the table of condensation minors
+    without inspecting their entries.
+    """
+
+    __slots__ = ("k0", "e")
+
+    def __init__(self, k0: int, e: int):
+        self.k0 = k0
+        self.e = e
+
+    def __call__(self, i: int, j: int) -> tuple[int, int]:
+        return self.k0 + i + j, self.e
+
+
 @lru_cache(maxsize=16)
 def _hankel_minors(e: int, t: float, bits: int) -> _HankelMinors:
     """The one table of minors of k -> J(k, e) at this (t, scale)."""
@@ -142,6 +160,8 @@ def _fixed_det(mat: list[list[int]]) -> int:
     entry in its column.  For entries at fixed-point scale 2^b the result
     is at scale 2^(n*b); it is not shifted back, since flooring it would
     zero every determinant below 2^-b.  The empty matrix has determinant 1.
+    The same steps run over a finite field, whose ``//`` is its exact
+    division (:class:`tasep2c.identities.GFp`).
     """
     n = len(mat)
     if n == 0:
@@ -171,8 +191,8 @@ def _determinants(n: int, terms):
 
     ``entry(i, j)`` gives the indices (k, e) of the N x N matrix entry in
     0-based row i, column j, and every determinant is exact, so the sum is
-    an integer at scale 2^(N * bits).  A Hankel term, one whose entry(i, j)
-    is (k0 + i + j, e) for all i, j (the step determinant), is read as
+    an integer at scale 2^(N * bits).  A Hankel term, one whose entry is a
+    :class:`_Hankel` (the step determinant), is read as
     D_N(k0) from the shared :class:`_HankelMinors` table of this
     (e, t, bits), which condenses only the minors not yet kept there: the
     next point of an x-sweep adds N of them.  Every other term, and a
@@ -196,9 +216,9 @@ def _determinants(n: int, terms):
     def residue(t: float, bits: int) -> int:
         total = 0
         for sign, entry in terms:
-            k0, e = entry(0, 0)
-            if all(entry(i, j) == (k0 + i + j, e) for i in range(n) for j in range(n)):
-                det = _hankel_minors(e, t, bits).det(k0, n, lambda k: value(k, e, t, bits))
+            if isinstance(entry, _Hankel):
+                e = entry.e
+                det = _hankel_minors(e, t, bits).det(entry.k0, n, lambda k: value(k, e, t, bits))
                 if det is not None:
                     total += sign * det
                     continue
@@ -647,9 +667,14 @@ def leftmost_probability_shifted_step(
     base = x - n - shift - 1
     monos = list(_homogeneous_monomials(n, shift))
     live = [m for m in monos if len({i + mi for i, mi in enumerate(m)}) == n]
-    residue = _determinants(
-        n, [(sign, lambda i, j, m=m: (base + i + j + m[i], -(n - 1))) for m in live]
-    )
+
+    def entry(m):
+        # row i is shifted by m_i, so a monomial with equal m_i gives a Hankel matrix
+        if len(set(m)) == 1:
+            return _Hankel(base + m[0], -(n - 1))
+        return lambda i, j: (base + i + j + m[i], -(n - 1))
+
+    residue = _determinants(n, [(sign, entry(m)) for m in live])
     prefactor = sign / math.factorial(n)
 
     def body(xis):

@@ -22,7 +22,7 @@ from tasep2c.bethe import (
     word_index,
 )
 from tasep2c.errors import PoleError
-from tasep2c.identities import random_rational_point
+from tasep2c.identities import GFp, random_rational_point
 from tasep2c.permutations import adjacent_decomposition, enumerate_permutations
 
 XI3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -140,6 +140,26 @@ def test_braid_relations():
     assert braid_relations_hold((F(1, 2), F(1, 3)))
     assert braid_relations_hold(XI3)
     assert braid_relations_hold((F(1, 2), F(1, 3), F(1, 5), F(2, 7), F(3, 11)))
+
+
+def test_braid_relations_over_a_finite_field():
+    assert braid_relations_hold(tuple(GFp(z) for z in XI3))
+    assert braid_relations_hold((GFp(3), GFp(10**15), GFp(-7), GFp(2**40)))
+
+
+@pytest.mark.parametrize("field", [F, GFp])
+def test_braid_relations_report_a_planted_error(monkeypatch, field):
+    # a wrong q entry breaks T(b,a) T(a,b) = 1; over GF(p) the check must
+    # return False, not fail to order the entries of the difference
+    original = bethe.scattering_matrix
+
+    def skewed(xi_alpha, xi_beta):
+        m = original(xi_alpha, xi_beta)
+        m.set(1, 2, m.get(1, 2) + 1)
+        return m
+
+    monkeypatch.setattr(bethe, "scattering_matrix", skewed)
+    assert braid_relations_hold(tuple(field(z) for z in XI3)) is False
 
 
 def test_braid_relations_float_tolerance():

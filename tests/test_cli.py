@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tasep2c import __version__, formulas, identities
+from tasep2c import __version__, cli, formulas, identities
 from tasep2c.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -307,3 +307,23 @@ def test_records_are_json_roundtrip_stable(capsys):
     assert out1 == out2
     record = json.loads(out1)
     assert json.loads(json.dumps(record)) == record
+
+
+def test_cached_parser_gives_the_records_of_a_fresh_one(capsys):
+    commands = [
+        "exact leftmost --n 2 --step-l 0 --position 1 --time 1 --method determinant",
+        "verify --identity vandermonde --n-range 2..3 --points 2",
+        "compare --n 2 --step-l 0 --event leftmost --position 2 --time 1 --runs 500 --seed 3",
+        "exact leftmost --n 2 --step-l 0 --time 1",  # neither --position nor --sweep
+        "simulate --n 2 --time 1 --event leftmost --position 1 --runs 0",
+        "exact transition --n 2 --time 1",  # argparse: --final is required
+        "exact leftmost --n 3 --step-l 0 --sweep 1..3 --time 0.5",
+    ]
+    cached = [run_cli(capsys, *command.split()) for command in commands]
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for command in commands:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *command.split()))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [EXIT_OK] * 3 + [EXIT_USAGE] * 3 + [EXIT_OK]

@@ -426,9 +426,10 @@ class TestDeterminantKernel:
             assert _table_det(c, n) == _leibniz(mat) == 0
 
     def test_only_hankel_index_terms_read_the_table(self):
-        # one index off a Hankel term makes a matrix the table does not hold
+        # only a term stated as _Hankel reads the table; an entry function
+        # takes Bareiss, with Hankel indices (off = None) or one index off
         t, bits, e = 1.0, 64, -3
-        for off in itertools.product(range(4), repeat=2):
+        for off in [None, *itertools.product(range(4), repeat=2)]:
             formulas._hankel_minors.cache_clear()
 
             def entry(i, j, off=off):
@@ -438,11 +439,21 @@ class TestDeterminantKernel:
                    for i in range(4)]
             assert formulas._determinants(4, [(1, entry)])(t, bits) == _leibniz(mat)
             assert formulas._hankel_minors.cache_info().misses == 0
-        hankel = formulas._determinants(4, [(1, lambda i, j: (2 + i + j, e))])
+        hankel = formulas._determinants(4, [(1, formulas._Hankel(2, e))])
         mat = [[contour.exp_scaled_residue(2 + i + j, e, t, bits) for j in range(4)]
                for i in range(4)]
         assert hankel(t, bits) == _leibniz(mat)
         assert len(formulas._hankel_minors(e, t, bits).minors) == 16
+
+    def test_shifted_step_states_its_equal_offset_monomial_as_hankel(self):
+        # at shift = N = 3 the monomial (1, 1, 1) of h_3 shifts every row by 1:
+        # a Hankel matrix, read from a table; shift 2 has no such monomial
+        formulas._hankel_minors.cache_clear()
+        assert formulas.leftmost_probability_shifted_step(3, 3, 2, 1.0) > 0
+        assert formulas._hankel_minors.cache_info().currsize == 1
+        formulas._hankel_minors.cache_clear()
+        assert formulas.leftmost_probability_shifted_step(2, 3, 2, 1.0) > 0
+        assert formulas._hankel_minors.cache_info().currsize == 0
 
     # reversing the rows of a Hankel matrix gives a Toeplitz one, which takes
     # Bareiss elimination, at the sign of the reversal permutation

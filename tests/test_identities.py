@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from tasep2c import identities
+from tasep2c import bethe, identities
 from tasep2c.errors import DegeneratePointError
 from tasep2c.identities import (
+    PRIME,
+    GFp,
     _variant_sides,
     complete_homogeneous,
     closed_form_vs_product,
@@ -15,6 +17,7 @@ from tasep2c.identities import (
     equivalent_identities,
     main_identity,
     main_variant_bridge,
+    random_field_point,
     random_rational_point,
     run_identity_suite,
     substitution_transport,
@@ -294,3 +297,113 @@ def test_main_entry_checks_the_bridge(monkeypatch):
     assert main_identity(XI3)[2]
     records = run_identity_suite(n_values=(3,), points=2, identities=("main",))
     assert [r["passed"] for r in records] == [False]
+
+
+# ---------------------------------------------------------------------------
+# GF(p): the field the suite samples its points from
+# ---------------------------------------------------------------------------
+
+
+def test_field_arithmetic():
+    a, b = GFp(3), GFp(F(1, 2))
+    assert b * 2 == 1 and 2 * b == GFp(1)
+    assert a + 1 == 4 and 1 + a == 4 and a - 5 == -2 and 5 - a == 2
+    assert -a == PRIME - 3 and a / a == 1 and 1 / b == 2 and a // b == a / b == 6
+    assert a**-1 * 3 == 1 and b**0 == 1 and a**2 == 9
+    assert GFp(PRIME + 3) == a and hash(GFp(PRIME + 3)) == hash(a)
+    assert GFp(-1) == PRIME - 1 and not GFp(PRIME) and a
+    assert len({GFp(2), GFp(2 + PRIME), GFp(3)}) == 2
+
+
+def test_field_refuses_zero_division_and_other_number_types():
+    for divide in (lambda: GFp(3) / 0, lambda: 1 / GFp(0), lambda: GFp(PRIME) ** -1,
+                   lambda: GFp(F(1, PRIME))):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+    with pytest.raises(TypeError):
+        GFp(3) + F(1, 2)
+    with pytest.raises(TypeError):
+        GFp(0.5)
+
+
+def test_main_identity_hand_value_mod_p():
+    lhs, rhs, ok = main_identity(tuple(GFp(z) for z in XI2))
+    assert ok
+    assert lhs == rhs == -GFp(2) ** -1
+
+
+def test_validate_point_rejects_a_subset_product_of_one_mod_p():
+    # 2^31 * 2^30 = 2^61 = p + 1, so the pair multiplies to 1 in GF(p) but not in Q
+    assert validate_point((F(2**31), F(2**30), F(3)))
+    with pytest.raises(DegeneratePointError, match="subset product"):
+        validate_point((GFp(2**31), GFp(2**30), GFp(3)))
+    with pytest.raises(DegeneratePointError):
+        validate_point((GFp(5), GFp(5 + PRIME)))
+    with pytest.raises(DegeneratePointError):
+        validate_point((GFp(PRIME + 1), GFp(2)))
+
+
+def test_random_field_points_are_seeded_elements():
+    first = random_field_point(5, random.Random("pin"))
+    assert first == random_field_point(5, random.Random("pin"))
+    assert all(type(z) is GFp for z in first)
+    assert validate_point(first) == first
+
+
+def test_det_exact_over_the_field_matches_the_rational_determinant():
+    rng = random.Random(78)
+    assert det_exact([[GFp(0), GFp(1)], [GFp(1), GFp(0)]]) == -1  # a zero pivot
+    for n in range(1, 6):
+        mat = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+        value = det_exact([[GFp(v) for v in row] for row in mat])
+        assert type(value) is GFp and value == GFp(det_exact(mat))
+
+
+def test_suite_records_repeat_for_a_seed():
+    def run():
+        return run_identity_suite(n_values=(2, 3, 4), points=3, seed=99)
+
+    first = run()
+    assert first == run()
+    assert all(r["passed"] for r in first)
+    assert set(first[0]) == {"identity", "n", "points", "passed", "degree_bound"}
+
+
+def _plant(owner, name, change):
+    """A plant: owner.name replaced by change(original, *args)."""
+    original = getattr(owner, name)
+    return owner, name, lambda *args: change(original, *args)
+
+
+def _skew_q(original, xi_alpha, xi_beta):
+    m = original(xi_alpha, xi_beta)
+    m.set(1, 2, m.get(1, 2) + 1)
+    return m
+
+
+def _skew_variant_b(original, xi, variant, d):
+    lhs, rhs = original(xi, variant, d)
+    return (lhs + 1 if variant == "b" else lhs), rhs
+
+
+#: One planted error per suite identity, each breaking only what that entry checks.
+PLANTS = {
+    "main": lambda: _plant(identities, "_tail_numerator", lambda f, xi, p: 2 * f(xi, p)),
+    "equiv_a": lambda: _plant(identities, "vandermonde", lambda f, xi: 2 * f(xi)),
+    "equiv_b": lambda: _plant(identities, "vandermonde", lambda f, xi: 2 * f(xi)),
+    "substitution": lambda: _plant(identities, "_variant_sides", _skew_variant_b),
+    "tasep_a": lambda: _plant(identities, "_alternating_sum", lambda f, *a: f(*a) + 1),
+    "tasep_b": lambda: _plant(identities, "_alternating_sum", lambda f, *a: f(*a) + 1),
+    "vandermonde": lambda: _plant(identities, "vandermonde", lambda f, xi: f(xi) + 1),
+    "det_collapse": lambda: _plant(identities, "_fixed_det", lambda f, m: f(m) + 1),
+    "closed_form": lambda: _plant(bethe, "amplitude_center", lambda f, *a: 2 * f(*a)),
+    "braid": lambda: _plant(bethe, "scattering_matrix", _skew_q),
+}
+
+
+@pytest.mark.parametrize("identity", identities.SUITE_IDENTITIES)
+def test_a_planted_error_fails_over_the_field(monkeypatch, identity):
+    assert run_identity_suite(n_values=(3,), points=2, identities=(identity,))[0]["passed"]
+    monkeypatch.setattr(*PLANTS[identity]())
+    records = run_identity_suite(n_values=(3, 4), points=2, identities=(identity,))
+    assert [r["passed"] for r in records] == [False, False]
