@@ -42,18 +42,15 @@ import cmath
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
+from numpy import ndarray
+
 from .errors import PoleError
 from .permutations import adjacent_decomposition, enumerate_permutations, sign
 
 
 def _is_scalar_zero(value) -> bool:
-    """True for exact scalar zeros; never prunes array-valued entries."""
-    if getattr(value, "shape", None) is not None:
-        return False
-    try:
-        return not value
-    except TypeError:
-        return False
+    """True for a zero scalar entry; a numpy array entry is never pruned."""
+    return type(value) is not ndarray and not value
 
 
 class SparseMatrix:
@@ -147,13 +144,15 @@ class SparseMatrix:
         )
 
     def max_abs(self):
-        """Largest absolute entry; 0 for the zero matrix."""
+        """Largest absolute entry; 0 for the zero matrix, NaN if any entry is NaN."""
         best = 0
         for row in self.rows.values():
             for v in row.values():
                 a = abs(v)
                 if a > best:
                     best = a
+                elif a != a:
+                    return a
         return best
 
     def is_upper_triangular(self) -> bool:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,24 +88,23 @@ def _check_time(t: float) -> float:
 
 
 class _SeriesTable:
-    """P[n] = floor(t^n / n! * 2^scale), filled on demand, and its suffix sums.
+    """P[n] = floor(t^n / n! * 2^scale), filled on demand, and its suffix folds.
 
     P[n] = 0 for n < 0.  The entries come from the exact running products
     tn^n << scale and n! * td^n, one long division each.  The table ends at
     its first zero past n = t: from there t^n / n! only decreases, so every
-    later entry is 0 too.  ``suffix(m)`` is the m-fold suffix sum
-    Q_m[n] = sum_(n' >= n) Q_(m-1)[n'], Q_0 = P, on the complete table.
+    later entry is 0 too.  ``folds`` is one list that grows upward on
+    demand: folds[0] is P itself and folds[m] is the m-fold suffix sum
+    Q_m[n] = sum_(n' >= n) Q_(m-1)[n'] on the complete table.
     """
 
     def __init__(self, t: Fraction, scale: int) -> None:
         self.t = t
         self.p: list[int] = []
+        self.folds: list[list[int]] = [self.p]
         self.done = False
         self._power = 1 << scale
         self._denom = 1
-        #: only the suffix arrays asked for, by fold m, and every Q_m[0] met
-        self._sums: dict[int, list[int]] = {}
-        self._heads: dict[int, int] = {}
 
     def fill(self, n: int) -> None:
         """Compute P through index n, or up to the table's end if that comes first."""
@@ -122,36 +120,20 @@ class _SeriesTable:
                 self._power *= self.t.numerator
                 self._denom *= len(p) * self.t.denominator
 
-    def suffix(self, m: int) -> list[int]:
-        """Q_m over 0 <= n < len(p) of the complete table; Q_m[n] = 0 past it.
-
-        It is derived from the nearest kept array (P itself as Q_0): upward
-        by suffix sums, downward by the differences Q_(m-1)[n] = Q_m[n] -
-        Q_m[n+1].  Every Q_q[0] met on the way up is kept for :meth:`at`.
-        """
-        sums = self._sums
-        if m not in sums:
-            near = min([0, *sums], key=lambda q: abs(q - m))
-            arr = sums.get(near, self.p)
-            for q in range(near + 1, m + 1):
-                arr = list(itertools.accumulate(reversed(arr)))[::-1]
-                self._heads[q] = arr[0]
-            for _ in range(near - m):
-                arr = list(map(operator.sub, arr, arr[1:] + [0]))
-            sums[m] = arr
-        return sums[m]
-
     def at(self, m: int, n: int) -> int:
-        """Q_m[n] for any integer n, on the complete table.
+        """Q_m[n] for any integer n, on the complete table; Q_m[n] = 0 past its end.
 
+        The folds through m are added by suffix sums of the last one kept.
         Below 0, where P vanishes, Q_m[n] = sum_(i < m) binom(-n-1+i, i) *
         Q_(m-i)[0].
         """
-        arr = self.suffix(m)
+        folds = self.folds
+        while len(folds) <= m:
+            folds.append(list(itertools.accumulate(reversed(folds[-1])))[::-1])
         if n >= 0:
+            arr = folds[m]
             return arr[n] if n < len(arr) else 0
-        heads = self._heads
-        return sum(math.comb(-n - 1 + i, i) * heads[m - i] for i in range(m))
+        return sum(math.comb(-n - 1 + i, i) * folds[m - i][0] for i in range(m))
 
 
 @lru_cache(maxsize=16)
@@ -181,7 +163,7 @@ def exp_scaled_residue(k: int, e: int, t: float | Fraction, bits: int) -> int:
       2^-scale, so g = e guard bits.
     * e < 0: (1-xi)^(e+1) = (1-xi)^e - xi (1-xi)^e gives the contiguity
       relation J(k, e) = J(k, e+1) + J(k+1, e), so with m = -e the value
-      is the m-fold suffix sum Q_m[k + 1] of P (``_SeriesTable.suffix``),
+      is the m-fold suffix sum Q_m[k + 1] of P (``_SeriesTable.at``),
       read by additions alone for every k of one (t, scale, e).  Every c_j
       is positive, so the value falls short of exact, never over.  Let L be
       the first index at or past the table's end and k + 1 that also lies
@@ -265,20 +247,19 @@ def _fixed_result(total: int, nvars: int, t: float, bits: int) -> float:
 def residue_value(k: int, e: int, t: float) -> float:
     """The integral I(k, e, t) as a float; the exact integer at t = 0.
 
-    Reads :func:`exp_scaled_residue`, whose integer lies within 2 units of
-    exact and so within C = max(e + 1, MAX_SERIES_TERMS) + 4, and converts it
-    by :func:`_fixed_result`.  The scale starts at 2^128 and rises by the
-    missing bits (doubling while the integer is 0) until the integer
-    carries 64 bits more than C, so the float is within about 2 ulp of
-    I(k, e, t).  Where instead the bound (|integer| + C) * 2^-bits * e^-t
-    on |I| falls below 2^-1076 (under half the smallest subnormal, one bit
-    kept for the rounding of the float logarithm), the correctly rounded
-    value is 0.0 and that is returned.
+    Reads :func:`exp_scaled_residue`, whose integer lies within C = 2 units
+    of exact, and converts it by :func:`_fixed_result`.  The scale starts
+    at 2^128 and rises by the missing bits (doubling while the integer is
+    0) until the integer carries 64 bits more than C, so the float is
+    within about 2 ulp of I(k, e, t).  Where instead the bound
+    (|integer| + C) * 2^-bits * e^-t on |I| falls below 2^-1076 (under half
+    the smallest subnormal, one bit kept for the rounding of the float
+    logarithm), the correctly rounded value is 0.0 and that is returned.
     """
     t = _check_time(t)
     if t == 0:
         return laurent_coefficient(k, e)
-    slack = max(e + 1, MAX_SERIES_TERMS) + 4
+    slack = 2
     bits = 128
     while True:
         total = exp_scaled_residue(k, e, t, bits)

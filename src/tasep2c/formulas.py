@@ -23,9 +23,12 @@ that the result is a probability.  Its two routes are:
   fraction-free Bareiss elimination (Bareiss 1968) in O(N^3) steps.  Both
   give the same integer.
   The entries of all matrices at one (t, scale) come from one shared series
-  table.  An entry J(k, e) with e < 0 is positive, so one that reads 0 has
-  underflowed the 2^-bits scale: :func:`_determinants` then raises
-  AccuracyError naming the scale instead of returning a wrong value.
+  table.  An integral known to be positive that reads 0 has underflowed
+  the 2^-bits scale, and every residue route (the determinant entries, the
+  Hankel table's anti-diagonal and the transition route's factors) then
+  raises AccuracyError naming the scale, by :func:`_refuse_underflow`,
+  instead of returning a wrong value.  A factor with e > 0 can be exactly
+  0, so one that reads 0 is not refused: its underflow goes undetected.
 * *quadrature*: a body and the (k, e) indices of its one-variable factors
   xi^k (1 - xi)^e e^((1/xi - 1) t) go to :func:`_quadrature`, which owns
   the time cap, the default rule of :func:`tasep2c.contour.multi_contour`,
@@ -73,7 +76,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -186,6 +189,28 @@ def _fixed_det(mat: list[list[int]]) -> int:
     return det_sign * a[-1][-1]
 
 
+def _refuse_underflow(k: int, e: int, t: float, bits: int) -> None:
+    """Raise AccuracyError for a J(k, e) that reads 0 at scale 2^bits but is positive.
+
+    At t > 0 every J(k, e) with e < 0 is a series of positive terms, and
+    J(k, 0) = e^-t t^(k+1) / (k+1)! for k >= -1, so such an integral has
+    underflowed the scale.  One with e > 0 can be exactly 0 and is let pass.
+    """
+    if t > 0 and (e < 0 or (e == 0 and k >= -1)):
+        raise AccuracyError(
+            f"J({k}, {e}) at t={t} underflows the 2^-{bits} fixed-point scale; "
+            "the probability cannot be certified there"
+        )
+
+
+def _fixed_integral(k: int, e: int, t: float, bits: int) -> int:
+    """J(k, e) at scale 2^bits, by :func:`tasep2c.contour.exp_scaled_residue`."""
+    v = contour.exp_scaled_residue(k, e, t, bits)
+    if v == 0:
+        _refuse_underflow(k, e, t, bits)
+    return v
+
+
 def _determinants(n: int, terms):
     """Residue callable for sum(sign * det[J(k, e)]) over ``terms`` of (sign, entry).
 
@@ -199,30 +224,21 @@ def _determinants(n: int, terms):
     Hankel one whose condensation meets a zero divisor, is built from
     :func:`tasep2c.contour.exp_scaled_residue` integers and taken by
     Bareiss elimination in :func:`_fixed_det`; both give the same integer.
-    Every J(k, e) with e < 0 is positive at t > 0, so such an entry whose
-    integer reads 0 has underflowed the 2^-bits scale, and AccuracyError
-    is raised instead of taking a determinant that has lost it.
+    Every entry is read by :func:`_fixed_integral`, so an integral known to
+    be positive that has underflowed the 2^-bits scale raises AccuracyError
+    instead of entering a determinant that has lost it.
     """
-
-    def value(k: int, e: int, t: float, bits: int) -> int:
-        v = contour.exp_scaled_residue(k, e, t, bits)
-        if v == 0 and e < 0:
-            raise AccuracyError(
-                f"J({k}, {e}) at t={t} underflows the 2^-{bits} fixed-point scale; "
-                f"the {n} x {n} determinant cannot be certified there"
-            )
-        return v
 
     def residue(t: float, bits: int) -> int:
         total = 0
         for sign, entry in terms:
             if isinstance(entry, _Hankel):
-                e = entry.e
-                det = _hankel_minors(e, t, bits).det(entry.k0, n, lambda k: value(k, e, t, bits))
+                read = partial(_fixed_integral, e=entry.e, t=t, bits=bits)
+                det = _hankel_minors(entry.e, t, bits).det(entry.k0, n, read)
                 if det is not None:
                     total += sign * det
                     continue
-            mat = [[value(*entry(i, j), t, bits) for j in range(n)] for i in range(n)]
+            mat = [[_fixed_integral(*entry(i, j), t, bits) for j in range(n)] for i in range(n)]
             total += sign * _fixed_det(mat)
         return total
 
@@ -493,6 +509,7 @@ def transition_probability(
                 for k, ea in zip(ks, e):
                     v = contour.exp_scaled_residue(k, ea, t, bits)
                     if v == 0:
+                        _refuse_underflow(k, ea, t, bits)
                         break
                     coef *= v
                 else:
@@ -699,10 +716,10 @@ def leftmost_probability_step_det(n: int, x: int, t: float) -> float:
     new anti-diagonal, N minors.  Where a condensation divisor is zero the
     matrix is taken by Bareiss elimination instead.  Values are
     checked against independent references for N <= 20 and the renewal
-    value e^-t at x = 1 up to N = 30.  Where an entry underflows the scale
-    (from N = 36 at x = 2, t = 0.1, where the last anti-diagonal entries
-    read 0) AccuracyError is raised; the scale is not otherwise certified
-    at large N.
+    value e^-t at x = 1 up to N = 30.  Every entry is positive, so where
+    one underflows the scale (from N = 36 at x = 2, t = 0.1, where the last
+    anti-diagonal entries read 0) AccuracyError is raised, as on every
+    residue route; the scale is not otherwise certified at large N.
     """
     return leftmost_probability_shifted_step(0, n, x, t)
 

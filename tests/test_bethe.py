@@ -166,6 +166,26 @@ def test_braid_relations_float_tolerance():
     assert braid_relations_hold((0.31, 0.47, 0.83), atol=1e-12)
 
 
+def test_braid_relations_report_a_planted_nan(monkeypatch):
+    # NaN compares False with everything, so a NaN entry must not read as a
+    # zero difference under a tolerance
+    original = bethe.scattering_matrix
+
+    def poisoned(xi_alpha, xi_beta):
+        m = original(xi_alpha, xi_beta)
+        m.set(1, 2, float("nan"))
+        return m
+
+    monkeypatch.setattr(bethe, "scattering_matrix", poisoned)
+    assert braid_relations_hold((0.31, 0.47, 0.83), atol=1e-12) is False
+
+
+def test_bethe_residuals_report_nan():
+    free, boundary = bethe_residuals((0.31, float("nan")), (0, 1))
+    assert np.isnan(free)
+    assert all(np.isnan(b) for b in boundary)
+
+
 @pytest.mark.parametrize(
     "xi,positions",
     [
@@ -203,6 +223,30 @@ def test_sparse_matrix_basics():
     assert (m.scaled(2)).get(1, 2) == 1
     vec = m.matvec({2: 4})
     assert vec == {1: 2}
+
+
+def test_sparse_matrix_max_abs_reads_nan():
+    assert np.isnan(SparseMatrix(2, {0: {0: float("nan")}}).max_abs())
+    assert np.isnan(SparseMatrix(2, {0: {0: 3.0, 1: float("nan")}, 1: {1: 5.0}}).max_abs())
+    assert SparseMatrix(2, {0: {0: -3.0}, 1: {0: 2.0}}).max_abs() == 3.0
+    assert SparseMatrix(2).max_abs() == 0
+
+
+@pytest.mark.parametrize("zero", [0, F(0), GFp(0), GFp(2**61 - 1), formulas._ULaurent()])
+def test_sparse_matrix_prunes_exact_zeros(zero):
+    m = SparseMatrix(2)
+    m.set(0, 1, 7)
+    m.set(0, 1, zero)
+    m.set(1, 1, zero)
+    assert m.rows == {}
+
+
+def test_sparse_matrix_keeps_numpy_array_entries():
+    m = SparseMatrix(2)
+    m.set(0, 1, np.zeros(3))
+    m.set(1, 0, np.zeros(1))
+    assert set(m.rows) == {0, 1}
+    assert (m @ SparseMatrix.identity(2)).rows.keys() == {0, 1}
 
 
 def test_embed_rejects_bad_block():

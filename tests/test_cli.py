@@ -36,6 +36,16 @@ def test_exact_leftmost_refuses_an_underflowed_scale(capsys):
     assert "underflows the 2^-256 fixed-point scale" in err
 
 
+def test_exact_transition_refuses_an_underflowed_scale(capsys):
+    # J(38, 0) at t = 0.1 reads 0 at 256 bits; the value is 4.92e-173
+    code, out, err = run_cli(
+        capsys, *"exact transition --n 2 --initial 1,2 --final 40,41 --time 0.1".split()
+    )
+    assert code == EXIT_ACCURACY == 2
+    assert out == ""
+    assert "underflows the 2^-256 fixed-point scale" in err
+
+
 def test_exact_leftmost_single_particle(capsys):
     code, out, _ = run_cli(
         capsys, *"exact leftmost --n 1 --initial 0 --position 3 --time 2".split()

@@ -516,6 +516,33 @@ class TestLargeN:
         with pytest.raises(AccuracyError, match="2\\^-256"):
             leftmost_probability(step_configuration(n), 2, 0.1)
 
+    # every entry of the 2 x 2 determinant is J(k, 0) = e^-t t^(k+1) / (k+1)!,
+    # so the probability is e^-2t (t^m / m!)^2 / (m + 1) with m = x_1 - 1; at
+    # x_1 = 40, J(38, 0) ~ 4e-86 reads 0 at 256 bits while the value is
+    # 4.92e-173, so both routes must refuse it rather than return 0.0
+    @staticmethod
+    def _pair_value(m, t):
+        power = Fraction(t) ** m / math.factorial(m)
+        return math.exp(-2 * t) * float(power * power / (m + 1))
+
+    def test_transition_routes_refuse_an_underflowed_scale(self):
+        assert self._pair_value(39, 0.1) == pytest.approx(4.92e-173, rel=1e-3)
+        initial = Configuration((1, 2), "21")
+        final = Configuration((40, 41), "21")
+        for route in (transition_probability, head_transition_probability):
+            with pytest.raises(AccuracyError, match="2\\^-256"):
+                route(initial, final, 0.1)
+
+    def test_transition_routes_agree_short_of_underflow(self):
+        initial = Configuration((1, 2), "21")
+        final = Configuration((30, 31), "21")
+        value = transition_probability(initial, final, 0.1)
+        assert value == pytest.approx(self._pair_value(29, 0.1), rel=1e-12, abs=0)
+        assert value == pytest.approx(3.4909e-122, rel=1e-4, abs=0)
+        assert head_transition_probability(initial, final, 0.1) == pytest.approx(
+            value, rel=1e-12, abs=0
+        )
+
     def test_single_particle_beyond_exp_underflow(self):
         # e^-800 is below the float range; the Poisson(800) mass at 800 is not
         y = Configuration((0,), "2")
