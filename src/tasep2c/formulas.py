@@ -13,19 +13,21 @@ that the result is a probability.  Its two routes are:
   and the evaluator converts it to float once, by
   :func:`tasep2c.contour._fixed_result`.  Every alternating permutation
   sum is a determinant of such integrals (Schuetz 1997; Chatterjee and
-  Schuetz 2010), stated by :func:`_determinants` as (sign, entry) terms
-  naming the (k, e) indices of the matrix entries, and taken exactly at
-  any N.  A Hankel matrix (the step determinant), stated as such by its
-  formula, is read from one shared table of its Dodgson condensation
-  minors per (e, t, scale), :class:`_HankelMinors`, so the next point of an
-  x-sweep condenses only its new anti-diagonal, N minors.  Every other matrix, and a Hankel one
-  whose condensation meets a zero divisor, goes to :func:`_fixed_det`,
-  fraction-free Bareiss elimination (Bareiss 1968) in O(N^3) steps.  Both
-  give the same integer.
+  Schuetz 2010), taken exactly at any N.  In every leftmost formula row i
+  of the matrix reads one sequence s -> J(s, e_i) over N consecutive
+  columns, so :func:`_determinants` states each term as (sign, rows), the
+  N pairs (k_i, e_i) of column 0, and reads it from one shared table of
+  Dodgson condensation minors per (row shape, t, scale), :class:`_Minors`.
+  The next point of an x-sweep moves column 0 by one and condenses only
+  the new minors: N for a Hankel shape (the step determinant), at most
+  N(N+1)/2 for any other.  A matrix whose condensation meets a zero
+  divisor, and the head transition's matrix, whose exponents change along
+  a row, go to :func:`_fixed_det`, fraction-free Bareiss elimination
+  (Bareiss 1968) in O(N^3) steps.  Both give the same integer.
   The entries of all matrices at one (t, scale) come from one shared series
   table.  An integral known to be positive that reads 0 has underflowed
-  the 2^-bits scale, and every residue route (the determinant entries, the
-  Hankel table's anti-diagonal and the transition route's factors) then
+  the 2^-bits scale, and every residue route (the tables' and the Bareiss
+  matrices' entries and the transition route's factors) then
   raises AccuracyError naming the scale, by :func:`_refuse_underflow`,
   instead of returning a wrong value.  A factor with e > 0 can be exactly
   0, so one that reads 0 is not refused: its underflow goes undetected.
@@ -76,7 +78,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -96,62 +98,64 @@ _PROBABILITY_SLACK = 1e-9
 _FIXED_BITS = 256
 
 
-class _HankelMinors:
-    """The Hankel minors D_m(k) = det[c(k + i + j)] over 0 <= i, j < m of one sequence c.
+class _Minors:
+    """The contiguous minors of one row shape of integrals J(k, e) at one (t, scale).
 
-    They are filled on demand, one level at a time, by the Desnanot-Jacobi
-    identity D_(m+1)(k) * D_(m-1)(k+2) = D_m(k) * D_m(k+2) - D_m(k+1)^2
-    (Dodgson 1866), an exact division of integers with D_0 = 1.  An N x N
-    determinant needs its 2N - 1 anti-diagonal values and about N^2 minors;
-    its neighbour at k +- 1 shares all but N of them.  A minor whose
+    Row i of the shape ((d_i, e_i)), d_0 = 0, reads s -> J(d_i + s, e_i)
+    at every column s, and D(r, c, m) is the determinant of rows r..r+m-1
+    over columns c..c+m-1.  A formula's N x N matrix with column-0 entries
+    (k_i, e_i) is D(0, k_0, N) of the shape ((k_i - k_0, e_i)).  Minors are
+    filled on demand by the Desnanot-Jacobi identity (Dodgson 1866)
+    D(r, c, m) D(r+1, c+1, m-2) = D(r, c, m-1) D(r+1, c+1, m-1)
+    - D(r, c+1, m-1) D(r+1, c, m-1), an exact division of integers with
+    D = 1 at m = 0, from level-1 entries read by :func:`_fixed_integral`.
+    Each minor is kept under a content key: where rows r..r+m-1 are rows
+    r0..r0+m-1 moved by s columns, D(r, c, m) is kept as D(r0, c + s, m).
+    So a Hankel shape (d_i = i, one e: the step matrix) keeps only its
+    D_m(k), N^2 of them cold and N more for the next column offset, and any
+    other shape about N^3/3 cold and N(N+1)/2 more.  A minor whose
     condensation meets a zero divisor is kept as None, and so is every
     minor built from it.
     """
 
-    def __init__(self) -> None:
-        self.minors: dict[tuple[int, int], int | None] = {}
+    def __init__(self, shape: tuple[tuple[int, int], ...], t: float, bits: int):
+        self.shape, self.t, self.bits = shape, t, bits
+        self.minors: dict[int, int | None] = {}
+        first: dict[tuple, int] = {}
+        #: root[m][r] = r0: rows r..r+m-1 are rows r0..r0+m-1 moved by d_r - d_r0 columns
+        self.root = [
+            [first.setdefault(tuple((k - shape[r][0], e) for k, e in shape[r : r + m]), r)
+             for r in range(len(shape) - m + 1)]
+            for m in range(len(shape) + 1)
+        ]
 
-    def det(self, k: int, m: int, read) -> int | None:
-        """D_m(k), m >= 1, or None where a divisor vanishes.
-
-        ``read(s)`` gives c(s) for the level-1 entries not yet kept.
-        """
-        d = self.minors
-        for level in range(1, m + 1):
-            for s in range(k, k + 2 * (m - level) + 1):
-                if (s, level) in d:
-                    continue
-                if level == 1:
-                    d[s, 1] = read(s)
-                    continue
-                a, b, c = d[s, level - 1], d[s + 1, level - 1], d[s + 2, level - 1]
-                div = d[s + 2, level - 2] if level > 2 else 1
-                d[s, level] = None if None in (a, b, c) or not div else (a * c - b * b) // div
-        return d[k, m]
-
-
-class _Hankel:
-    """The entry (i, j) -> (k0 + i + j, e) of a Hankel matrix of integrals J(k, e).
-
-    A formula states its Hankel terms with it where it builds them, so
-    :func:`_determinants` reads them from the table of condensation minors
-    without inspecting their entries.
-    """
-
-    __slots__ = ("k0", "e")
-
-    def __init__(self, k0: int, e: int):
-        self.k0 = k0
-        self.e = e
-
-    def __call__(self, i: int, j: int) -> tuple[int, int]:
-        return self.k0 + i + j, self.e
+    def det(self, r: int, c: int, m: int) -> int | None:
+        """D(r, c, m), m >= 1, or None where a divisor vanishes."""
+        shape = self.shape
+        r0 = self.root[m][r]
+        r, c, n = r0, c + shape[r][0] - shape[r0][0], len(shape)
+        key = (c * (n + 1) + m) * n + r  # (r, c, m) as one int: 0 <= r < n, 1 <= m <= n
+        minors = self.minors
+        if key in minors:
+            return minors[key]
+        if m == 1:
+            k, e = shape[r]
+            value = _fixed_integral(k + c, e, self.t, self.bits)
+        else:
+            div = self.det(r + 1, c + 1, m - 2) if m > 2 else 1
+            a, b = self.det(r, c, m - 1), self.det(r + 1, c + 1, m - 1)
+            p, q = self.det(r, c + 1, m - 1), self.det(r + 1, c, m - 1)
+            value = None if not div or None in (a, b, p, q) else (a * b - p * q) // div
+        minors[key] = value
+        return value
 
 
-@lru_cache(maxsize=16)
-def _hankel_minors(e: int, t: float, bits: int) -> _HankelMinors:
-    """The one table of minors of k -> J(k, e) at this (t, scale)."""
-    return _HankelMinors()
+# 128 tables hold every row shape of a pass of the benchmark's exact sweeps
+# (148 shapes, none asked for again once dropped); one at N = 30 is about 3 MB
+@lru_cache(maxsize=128)
+def _minor_table(shape: tuple[tuple[int, int], ...], t: float, bits: int) -> _Minors:
+    """The one table of minors of this row shape at this (t, scale)."""
+    return _Minors(shape, t, bits)
 
 
 def _fixed_det(mat: list[list[int]]) -> int:
@@ -211,19 +215,18 @@ def _fixed_integral(k: int, e: int, t: float, bits: int) -> int:
     return v
 
 
-def _determinants(n: int, terms):
-    """Residue callable for sum(sign * det[J(k, e)]) over ``terms`` of (sign, entry).
+def _determinants(terms):
+    """Residue callable for sum(sign * det[J(k_i + j, e_i)]) over ``terms`` of (sign, rows).
 
-    ``entry(i, j)`` gives the indices (k, e) of the N x N matrix entry in
-    0-based row i, column j, and every determinant is exact, so the sum is
-    an integer at scale 2^(N * bits).  A Hankel term, one whose entry is a
-    :class:`_Hankel` (the step determinant), is read as
-    D_N(k0) from the shared :class:`_HankelMinors` table of this
-    (e, t, bits), which condenses only the minors not yet kept there: the
-    next point of an x-sweep adds N of them.  Every other term, and a
-    Hankel one whose condensation meets a zero divisor, is built from
-    :func:`tasep2c.contour.exp_scaled_residue` integers and taken by
-    Bareiss elimination in :func:`_fixed_det`; both give the same integer.
+    ``rows`` holds the N pairs (k_i, e_i) of column 0: row i of the N x N
+    matrix reads one sequence s -> J(s, e_i) over the N columns from k_i
+    on, as in every row-shifted formula.  Each determinant is D(0, k_0, N)
+    of the shared :class:`_Minors` table of its row shape ((k_i - k_0, e_i))
+    at this (t, bits), which condenses only the minors not yet kept there:
+    the next point of an x-sweep adds N of them for a Hankel shape and at
+    most N(N+1)/2 for any other.  Where a condensation divisor is 0 the
+    matrix is taken by Bareiss elimination in :func:`_fixed_det` instead;
+    both give the same exact integer, so the sum is at scale 2^(N * bits).
     Every entry is read by :func:`_fixed_integral`, so an integral known to
     be positive that has underflowed the 2^-bits scale raises AccuracyError
     instead of entering a determinant that has lost it.
@@ -231,15 +234,15 @@ def _determinants(n: int, terms):
 
     def residue(t: float, bits: int) -> int:
         total = 0
-        for sign, entry in terms:
-            if isinstance(entry, _Hankel):
-                read = partial(_fixed_integral, e=entry.e, t=t, bits=bits)
-                det = _hankel_minors(entry.e, t, bits).det(entry.k0, n, read)
-                if det is not None:
-                    total += sign * det
-                    continue
-            mat = [[_fixed_integral(*entry(i, j), t, bits) for j in range(n)] for i in range(n)]
-            total += sign * _fixed_det(mat)
+        for sign, rows in terms:
+            n = len(rows)
+            k0 = rows[0][0]
+            shape = tuple((k - k0, e) for k, e in rows)
+            det = _minor_table(shape, t, bits).det(0, k0, n)
+            if det is None:
+                mat = [[_fixed_integral(k + j, e, t, bits) for j in range(n)] for k, e in rows]
+                det = _fixed_det(mat)
+            total += sign * det
         return total
 
     return residue
@@ -540,8 +543,9 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     The amplitude center entry factorizes, so each permutation term is a
     product of one-variable residue integrals and the alternating sum is the
     determinant det[J(x_j - y_a - 1, (a - 1)_+ - (j - 1)_+)] over 0-based
-    a, j, where J(k, e) is the integral of xi^k (1 - xi)^e.  It is evaluated
-    exactly by :func:`_fixed_det` at any N.
+    a, j, where J(k, e) is the integral of xi^k (1 - xi)^e.  Its exponent
+    changes along a row, so no table of minors serves it: it is taken
+    exactly by Bareiss elimination, :func:`_fixed_det`, at any N.
     """
     _check_pair(initial, final)
     _require_head(initial, "head transition")
@@ -552,9 +556,12 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     n = initial.n
     y = initial.positions
     x = final.positions
-    residue = _determinants(
-        n, [(1, lambda a, j: (x[j] - y[a] - 1, max(a - 1, 0) - max(j - 1, 0)))]
-    )
+
+    def residue(t, bits):
+        mat = [[_fixed_integral(x[j] - y[a] - 1, max(a - 1, 0) - max(j - 1, 0), t, bits)
+                for j in range(n)] for a in range(n)]
+        return _fixed_det(mat)
+
     return _evaluate("head transition probability", n, t, "residue", None, residue, None)
 
 
@@ -576,10 +583,12 @@ def leftmost_probability(
     ratio Vandermonde over prod_(i<j) (1 - xi_i), and 1/(1 - xi_i) per
     variable.  The residue route expands the Vandermonde into the
     determinant det[J(x - y_i - 1 + j, -(N - i) + [i = 0])] over 0-based
-    i, j, with pole order N - i at 1 (reduced by one for i = 0).
-    Quadrature integrates the same integrand written as the plain
-    Vandermonde prod_(i<j) (xi_j - xi_i) times the one-variable factors of
-    the determinant's column j = 0.
+    i, j, with pole order N - i at 1 (reduced by one for i = 0).  Its rows
+    have one shape for every x, so :func:`_determinants` reads all the
+    points of a sweep from one table of condensation minors, and each new
+    x adds at most N(N+1)/2 of them.  Quadrature integrates the same
+    integrand written as the plain Vandermonde prod_(i<j) (xi_j - xi_i)
+    times the one-variable factors of the determinant's column j = 0.
     """
     _require_head(initial, "leftmost probability")
     _check_time(t)
@@ -590,11 +599,9 @@ def leftmost_probability(
     if t == 0:
         return 1.0 if x == y[0] else 0.0
 
-    def entry(i, j):
-        return x - y[i] - 1 + j, -(n - i) + (i == 0)
-
-    residue = _determinants(n, [(1, entry)])
-    quadrature = (_vandermonde, [entry(i, 0) for i in range(n)])
+    rows = [(x - y[i] - 1, -(n - i) + (i == 0)) for i in range(n)]
+    residue = _determinants([(1, rows)])
+    quadrature = (_vandermonde, rows)
     return _evaluate("leftmost probability", n, t, method, quad, residue, quadrature)
 
 
@@ -610,7 +617,9 @@ def tasep_leftmost_probability(
     Identical integrand except the prefactor (1 - xi_1 ... xi_N) replaces
     (1 - xi_1); kept as a cross-check companion sharing all machinery.  The
     residue route is det A - det B with A = [J(x - y_i - 1 + j, -(N - i))]
-    and B the same with the power raised by one.
+    and B the same with the power raised by one.  Both have one row shape,
+    so they read one table of condensation minors, in which det B at x is
+    det A at x + 1: each new point of a sweep adds one determinant.
     """
     if len(set(initial.species)) != 1:
         raise ValueError("single-species formula needs all particles of one species")
@@ -621,17 +630,9 @@ def tasep_leftmost_probability(
         return 0.0
     if t == 0:
         return 1.0 if x == y[0] else 0.0
-    residue = _determinants(
-        n,
-        [
-            (1, lambda i, j: (x - y[i] - 1 + j, -(n - i))),
-            (-1, lambda i, j: (x - y[i] + j, -(n - i))),
-        ],
-    )
-    quadrature = (
-        lambda xis: (1 - math.prod(xis)) * _vandermonde(xis),
-        [(x - y[i] - 1, -(n - i)) for i in range(n)],
-    )
+    rows = [(x - y[i] - 1, -(n - i)) for i in range(n)]
+    residue = _determinants([(1, rows), (-1, [(k + 1, e) for k, e in rows])])
+    quadrature = (lambda xis: (1 - math.prod(xis)) * _vandermonde(xis), rows)
     return _evaluate("TASEP leftmost probability", n, t, method, quad, residue, quadrature)
 
 
@@ -685,13 +686,10 @@ def leftmost_probability_shifted_step(
     monos = list(_homogeneous_monomials(n, shift))
     live = [m for m in monos if len({i + mi for i, mi in enumerate(m)}) == n]
 
-    def entry(m):
-        # row i is shifted by m_i, so a monomial with equal m_i gives a Hankel matrix
-        if len(set(m)) == 1:
-            return _Hankel(base + m[0], -(n - 1))
-        return lambda i, j: (base + i + j + m[i], -(n - 1))
-
-    residue = _determinants(n, [(sign, entry(m)) for m in live])
+    # row i of monomial m is shifted by m_i
+    residue = _determinants(
+        [(sign, [(base + i + mi, -(n - 1)) for i, mi in enumerate(m)]) for m in live]
+    )
     prefactor = sign / math.factorial(n)
 
     def body(xis):
@@ -711,11 +709,11 @@ def leftmost_probability_step_det(n: int, x: int, t: float) -> float:
     (-1)^(N(N-1)/2).  This is the residue route of
     :func:`leftmost_probability_shifted_step` at shift 0, evaluated exactly
     on entries at the fixed 2^-256 scale.  The matrix is Hankel, so
-    :func:`_determinants` reads it from the table of condensation minors
-    shared by every x at this (N, t): a sweep's next point condenses one
-    new anti-diagonal, N minors.  Where a condensation divisor is zero the
-    matrix is taken by Bareiss elimination instead.  Values are
-    checked against independent references for N <= 20 and the renewal
+    :func:`_determinants` keeps only its minors D_m(k) in the table of
+    condensation minors shared by every x at this (N, t): a sweep's next
+    point condenses one new anti-diagonal, N minors.  Where a condensation
+    divisor is zero the matrix is taken by Bareiss elimination instead.
+    Values are checked against independent references for N <= 20 and the renewal
     value e^-t at x = 1 up to N = 30.  Every entry is positive, so where
     one underflows the scale (from N = 36 at x = 2, t = 0.1, where the last
     anti-diagonal entries read 0) AccuracyError is raised, as on every

@@ -110,7 +110,22 @@ def test_step_det_sweep_rows_match_single_points(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [int(row[0]) for row in rows] == list(range(1, 7))
     for x, value, *_ in rows:
-        formulas._hankel_minors.cache_clear()
+        formulas._minor_table.cache_clear()
+        code, out, _ = run_cli(capsys, *f"{base} --position {x}".split())
+        assert code == EXIT_OK
+        assert value == repr(json.loads(out)["value"])
+    assert float(rows[0][1]) == pytest.approx(math.exp(-1), rel=1e-15, abs=0)
+
+
+def test_leftmost_sweep_from_a_nonstep_initial_matches_single_points(capsys):
+    # a non-Hankel row shape: the sweep shares its table of minors; each point is cold
+    base = "exact leftmost --n 4 --initial 1,3,4,7 --time 1"
+    code, out, _ = run_cli(capsys, *f"{base} --sweep 1..8".split())
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 9))
+    for x, value, *_ in rows:
+        formulas._minor_table.cache_clear()
         code, out, _ = run_cli(capsys, *f"{base} --position {x}".split())
         assert code == EXIT_OK
         assert value == repr(json.loads(out)["value"])

@@ -185,19 +185,19 @@ def test_exp_scaled_residue_within_2_units_of_exact():
 
 
 def test_series_table_reads_do_not_depend_on_request_order():
-    # a fold is derived from the nearest one kept, upward by suffix sums and
-    # downward by differences; every order must give the fresh value
+    # the folds of a table grow upward by suffix sums, as far as the deepest
+    # one asked for so far; every order must give the fresh value
     def fresh(k, e):
         exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
-        formulas._hankel_minors.cache_clear()
+        formulas._minor_table.cache_clear()
         return exp_scaled_residue(k, e, 2.5, 256)
 
     keys = [(k, e) for e in (-5, -2, -7, -6, -1, -4) for k in (-9, -1, 0, 4)]
     expect = {key: fresh(*key) for key in keys}
     exp_scaled_residue.cache_clear()
     contour._series_table.cache_clear()
-    formulas._hankel_minors.cache_clear()
+    formulas._minor_table.cache_clear()
     assert {key: exp_scaled_residue(*key, 2.5, 256) for key in keys} == expect
     assert contour._series_table.cache_info().misses == 1
 
@@ -206,7 +206,7 @@ def test_series_table_is_shared_by_a_step_matrix():
     # the 39 distinct entries of the N = 20, t = 100 step matrix at x = 2
     exp_scaled_residue.cache_clear()
     contour._series_table.cache_clear()
-    formulas._hankel_minors.cache_clear()
+    formulas._minor_table.cache_clear()
     for k in range(-19, 20):
         exp_scaled_residue(k, -19, 100.0, 256)
     assert exp_scaled_residue.cache_info().misses == 39

@@ -154,11 +154,11 @@ class TestTransition:
             )
 
     def test_cold_n5_within_budget(self):
-        # about 0.03 s cold on a 2-core machine
+        # about 0.01 s cold on a 2-core machine (measured 2026-10-19)
         formulas._sym_columns.cache_clear()
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
-        formulas._hankel_minors.cache_clear()
+        formulas._minor_table.cache_clear()
         y = step_configuration(5)
         final = Configuration((2, 3, 4, 5, 7), "12111")
         start = time.perf_counter()
@@ -168,11 +168,12 @@ class TestTransition:
         assert 0.0 < value < 1.0
 
     def test_cold_n6_three_twos_within_budget(self):
-        # the largest column at N = 6; about 0.4 s cold on a 2-core machine
+        # the largest column at N = 6; about 0.45 s cold on a 2-core machine
+        # (measured 2026-10-19)
         formulas._sym_columns.cache_clear()
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
-        formulas._hankel_minors.cache_clear()
+        formulas._minor_table.cache_clear()
         y = Configuration((1, 2, 3, 4, 5, 6), "222111")
         final = Configuration((2, 3, 4, 5, 7, 8), "122121")
         start = time.perf_counter()
@@ -221,6 +222,25 @@ class TestLeftmost:
     def test_requires_head_species(self):
         with pytest.raises(ValueError):
             leftmost_probability(Configuration((1, 2), "12"), 1, 1.0)
+
+    @pytest.mark.parametrize("positions", [(0, 3, 7), (1, 4, 5, 9)])
+    def test_nonstep_sweep_points_match_cold_values(self, positions):
+        # a sweep reads one table of minors per row shape; each point is cold
+        n = len(positions)
+        xs = range(positions[0], positions[0] + 10)
+        for route, word in ((leftmost_probability, head_word(n)),
+                            (tasep_leftmost_probability, "1" * n)):
+            y = Configuration(positions, word)
+            for t in (0.3, 2.0):
+                def cold(x):
+                    formulas._minor_table.cache_clear()
+                    return float.hex(route(y, x, t))
+
+                expect = [cold(x) for x in xs]
+                for order in (list(xs), list(xs)[::-1]):
+                    formulas._minor_table.cache_clear()
+                    got = {x: float.hex(route(y, x, t)) for x in order}
+                    assert [got[x] for x in xs] == expect
 
 
 class TestStepFamily:
@@ -283,9 +303,9 @@ class TestStepFamily:
         real = formulas._determinants
         sizes = []
 
-        def spy(size, terms):
+        def spy(terms):
             sizes.append(len(terms))
-            return real(size, terms)
+            return real(terms)
 
         monkeypatch.setattr(formulas, "_determinants", spy)
         sign = (-1) ** (n * (n - 1) // 2)
@@ -294,9 +314,7 @@ class TestStepFamily:
         bits = formulas._FIXED_BITS
         for x, t in ((1, 1.0), (4, 0.5), (7, 2.0)):
             base = x - n - shift - 1
-            every = real(
-                n, [(sign, lambda i, j, m=m: (base + i + j + m[i], -(n - 1))) for m in monos]
-            )
+            every = real([(sign, [(base + i + m[i], -(n - 1)) for i in range(n)]) for m in monos])
             expect = contour._fixed_result(every(t, bits), n, t, n * bits)
             got = leftmost_probability_shifted_step(shift, n, x, t)
             assert float.hex(got) == float.hex(expect)
@@ -367,12 +385,25 @@ def _leibniz(mat):
     return total
 
 
-def _table_det(c, n):
+@pytest.fixture
+def fresh_tables():
+    """No table of minors kept before the test, nor left behind by it."""
+    formulas._minor_table.cache_clear()
+    yield
+    formulas._minor_table.cache_clear()
+
+
+def _serve(monkeypatch, values):
+    """Read every J(k, e) as values[k, e]; at t = 0 no entry read is refused."""
+    monkeypatch.setattr(contour, "exp_scaled_residue", lambda k, e, t, bits: values[k, e])
+
+
+def _table_det(monkeypatch, c):
     """D_n(0) of the sequence c as the residue route takes it: condensed, else by Bareiss."""
-    det = formulas._HankelMinors().det(0, n, c.__getitem__)
-    if det is None:
-        det = formulas._fixed_det([[c[i + j] for j in range(n)] for i in range(n)])
-    return det
+    n = (len(c) + 1) // 2
+    _serve(monkeypatch, {(s, 0): v for s, v in enumerate(c)})
+    formulas._minor_table.cache_clear()
+    return formulas._determinants([(1, [(i, 0) for i in range(n)])])(0.0, 64)
 
 
 class TestDeterminantKernel:
@@ -399,61 +430,121 @@ class TestDeterminantKernel:
     def test_empty_matrix_has_determinant_one(self):
         assert formulas._fixed_det([]) == 1
 
-    def test_hankel_matches_leibniz(self):
-        # every minor of a sequence, asked for in a random order from one table
+    def test_hankel_matches_leibniz(self, monkeypatch, fresh_tables):
+        # every minor of a sequence, asked for in a random order from the one
+        # table of the Hankel shape, which keeps D(r, c, m) as D(0, r + c, m)
         rng = random.Random(20261018)
         condensed = 0
         for n in range(1, 7):
             for magnitude in (1, 3, 2**300):
                 for _ in range(6):
                     c = [rng.randint(-magnitude, magnitude) for _ in range(2 * n - 1)]
-                    table = formulas._HankelMinors()
-                    minors = [(k, m) for m in range(1, n + 1) for k in range(2 * (n - m) + 1)]
+                    _serve(monkeypatch, {(s, 0): v for s, v in enumerate(c)})
+                    table = formulas._Minors(tuple((i, 0) for i in range(n)), 0.0, 64)
+                    minors = [(r, col, m) for m in range(1, n + 1) for r in range(n - m + 1)
+                              for col in range(2 * (n - m) + 1 - r)]
                     rng.shuffle(minors)
-                    for k, m in minors:
-                        got = table.det(k, m, c.__getitem__)
-                        mat = [[c[k + i + j] for j in range(m)] for i in range(m)]
+                    for r, col, m in minors:
+                        got = table.det(r, col, m)
+                        mat = [[c[r + col + i + j] for j in range(m)] for i in range(m)]
                         condensed += got is not None
                         assert (formulas._fixed_det(mat) if got is None else got) == _leibniz(mat)
+                    # each D_m(k), k <= 2(n - m), once: n^2 in all
+                    assert len(table.minors) == n * n
         assert condensed > 1000
         # D_1(2) = 0 divides the last condensation step; Bareiss takes over
         zero_divisor = [1, 1, 0, 1, 1]
-        assert formulas._HankelMinors().det(0, 3, zero_divisor.__getitem__) is None
-        assert _table_det(zero_divisor, 3) == -2
+        _serve(monkeypatch, {(s, 0): v for s, v in enumerate(zero_divisor)})
+        assert formulas._Minors(((0, 0), (1, 0), (2, 0)), 0.0, 64).det(0, 0, 3) is None
+        assert _table_det(monkeypatch, zero_divisor) == -2
         for c in ([1, 2, 3, 4, 5], [0] * 7, [1, 0, 0, 0, 0, 0, 0], [2**256] * 9):
             n = (len(c) + 1) // 2
             mat = [[c[i + j] for j in range(n)] for i in range(n)]
-            assert _table_det(c, n) == _leibniz(mat) == 0
+            assert _table_det(monkeypatch, c) == _leibniz(mat) == 0
 
-    def test_only_hankel_index_terms_read_the_table(self):
-        # only a term stated as _Hankel reads the table; an entry function
-        # takes Bareiss, with Hankel indices (off = None) or one index off
+    def test_random_row_shapes_match_leibniz(self, monkeypatch, fresh_tables):
+        # every contiguous minor of a random row shape, asked for in a random
+        # order from one table; windows of rows that repeat share their minors
+        rng = random.Random(20261019)
+        condensed = 0
+        for n in range(1, 7):
+            for magnitude in (1, 3, 2**300):
+                for _ in range(6):
+                    shape = [(0, rng.choice((-1, -2)))]
+                    for _ in range(n - 1):
+                        step = rng.choice((-1, 1, 1, 2))
+                        shape.append((shape[-1][0] + step, rng.choice((-1, -2))))
+                    values = {(k, e): rng.randint(-magnitude, magnitude)
+                              for k in range(-3 * n, 6 * n) for e in (-1, -2)}
+                    _serve(monkeypatch, values)
+                    table = formulas._Minors(tuple(shape), 0.0, 64)
+                    minors = [(r, col, m) for m in range(1, n + 1) for r in range(n - m + 1)
+                              for col in range(-2, 3)]
+                    rng.shuffle(minors)
+                    for r, col, m in minors:
+                        got = table.det(r, col, m)
+                        mat = [[values[shape[r + i][0] + col + j, shape[r + i][1]]
+                                for j in range(m)] for i in range(m)]
+                        condensed += got is not None
+                        assert (formulas._fixed_det(mat) if got is None else got) == _leibniz(mat)
+        assert condensed > 1000
+
+    def test_zero_divisor_of_a_non_hankel_shape_takes_bareiss(self, monkeypatch, fresh_tables):
+        # D(1, 1, 1) = 0 divides the last condensation step
+        rows = [(0, -1), (5, -2), (2, -3)]
+        mat = [[1, 1, 1], [1, 0, 1], [1, 1, 2]]
+        values = {(k + j, e): v for (k, e), row in zip(rows, mat) for j, v in enumerate(row)}
+        _serve(monkeypatch, values)
+        assert formulas._determinants([(1, rows)])(0.0, 64) == _leibniz(mat) == -1
+        assert formulas._minor_table(tuple(rows), 0.0, 64).det(0, 0, 3) is None
+
+    def test_each_row_shape_reads_one_table(self, fresh_tables):
+        # rows moved by one more column each (off = 1, 1, 1, 1) have the shape
+        # of off = 0, 0, 0, 0, the Hankel one; every other off is its own shape
         t, bits, e = 1.0, 64, -3
-        for off in [None, *itertools.product(range(4), repeat=2)]:
-            formulas._hankel_minors.cache_clear()
+        shapes = set()
+        for off in itertools.product(range(2), repeat=4):
+            rows = [(2 + i + o, e) for i, o in enumerate(off)]
+            mat = [[contour.exp_scaled_residue(k + j, e, t, bits) for j in range(4)]
+                   for k, _ in rows]
+            assert formulas._determinants([(1, rows)])(t, bits) == _leibniz(mat)
+            shapes.add(tuple((k - rows[0][0], e) for k, _ in rows))
+            assert formulas._minor_table.cache_info().misses == len(shapes)
+        assert len(shapes) == 15
+        # N^2 minors for the first Hankel determinant and N more for the next offset
+        hankel = formulas._minor_table(((0, e), (1, e), (2, e), (3, e)), t, bits)
+        assert len(hankel.minors) == 16 + 4
 
-            def entry(i, j, off=off):
-                return 2 + i + j + ((i, j) == off), e
-
-            mat = [[contour.exp_scaled_residue(*entry(i, j), t, bits) for j in range(4)]
-                   for i in range(4)]
-            assert formulas._determinants(4, [(1, entry)])(t, bits) == _leibniz(mat)
-            assert formulas._hankel_minors.cache_info().misses == 0
-        hankel = formulas._determinants(4, [(1, formulas._Hankel(2, e))])
-        mat = [[contour.exp_scaled_residue(2 + i + j, e, t, bits) for j in range(4)]
-               for i in range(4)]
-        assert hankel(t, bits) == _leibniz(mat)
-        assert len(formulas._hankel_minors(e, t, bits).minors) == 16
-
-    def test_shifted_step_states_its_equal_offset_monomial_as_hankel(self):
+    def test_shifted_step_states_its_equal_offset_monomial_as_hankel(self, fresh_tables):
         # at shift = N = 3 the monomial (1, 1, 1) of h_3 shifts every row by 1:
-        # a Hankel matrix, read from a table; shift 2 has no such monomial
-        formulas._hankel_minors.cache_clear()
+        # its rows have the step matrix's Hankel shape and read that table;
+        # shift 2 has no such monomial
+        hankel = ((0, -2), (1, -2), (2, -2))
+        bits = formulas._FIXED_BITS
         assert formulas.leftmost_probability_shifted_step(3, 3, 2, 1.0) > 0
-        assert formulas._hankel_minors.cache_info().currsize == 1
-        formulas._hankel_minors.cache_clear()
+        misses = formulas._minor_table.cache_info().misses
+        table = formulas._minor_table(hankel, 1.0, bits)
+        assert formulas._minor_table.cache_info().misses == misses
+        # rows (-4 + i, -2): column 0 at k_0 = x - N - shift - 1 + 1 = -4, a table hit
+        before = len(table.minors)
+        table.det(0, -4, 3)
+        assert len(table.minors) == before == 9
+        formulas._minor_table.cache_clear()
         assert formulas.leftmost_probability_shifted_step(2, 3, 2, 1.0) > 0
-        assert formulas._hankel_minors.cache_info().currsize == 0
+        misses = formulas._minor_table.cache_info().misses
+        formulas._minor_table(hankel, 1.0, bits)
+        assert formulas._minor_table.cache_info().misses == misses + 1
+
+    def test_table_cache_is_bounded(self, fresh_tables):
+        # past the bound the least recently used table is dropped
+        size = formulas._minor_table.cache_info().maxsize
+        assert size is not None
+        for e in range(-size - 1, 0):
+            formulas._determinants([(1, [(0, e)])])(1.0, 64)
+        info = formulas._minor_table.cache_info()
+        assert (info.currsize, info.misses) == (size, size + 1)
+        formulas._minor_table(((0, -size - 1),), 1.0, 64)
+        assert formulas._minor_table.cache_info().misses == size + 2
 
     # reversing the rows of a Hankel matrix gives a Toeplitz one, which takes
     # Bareiss elimination, at the sign of the reversal permutation
@@ -464,14 +555,17 @@ class TestDeterminantKernel:
         # condensation meets a zero divisor
         + [(40, 0.1)],
     )
-    def test_step_condensation_matches_bareiss(self, n, t):
-        # the step matrix of leftmost_probability_step_det at x = 2
-        c = [contour.exp_scaled_residue(1 - n + s, -(n - 1), t, 256) for s in range(2 * n - 1)]
-        mat = [[c[i + j] for j in range(n)] for i in range(n)]
+    def test_step_condensation_matches_bareiss(self, monkeypatch, fresh_tables, n, t):
+        # the step matrix of leftmost_probability_step_det at x = 2, read with
+        # the underflow refusal off, so that N = 40 condenses its zeros
+        monkeypatch.setattr(formulas, "_refuse_underflow", lambda k, e, t, bits: None)
+        rows = [(1 - n + i, -(n - 1)) for i in range(n)]
+        mat = [[contour.exp_scaled_residue(k + j, e, t, 256) for j in range(n)] for k, e in rows]
         reversal = (-1) ** (n * (n - 1) // 2)
-        condensed = formulas._HankelMinors().det(0, n, c.__getitem__)
-        assert (condensed is None) == (n == 40)
-        assert _table_det(c, n) == reversal * formulas._fixed_det(mat[::-1])
+        det = formulas._determinants([(1, rows)])(t, 256)
+        assert det == reversal * formulas._fixed_det(mat[::-1])
+        table = formulas._minor_table(tuple((i, -(n - 1)) for i in range(n)), t, 256)
+        assert (table.det(0, 1 - n, n) is None) == (n == 40)
 
 
 class TestLargeN:
@@ -550,10 +644,11 @@ class TestLargeN:
         assert leftmost_probability(y, 800, 800.0) == pytest.approx(expect, rel=1e-11)
 
     def test_n30_step_det_sweep_within_budget(self):
-        # about 0.04 s cold on a 2-core machine; the budget leaves room for a loaded one
+        # about 0.05 s cold on a 2-core machine (measured 2026-10-19); the budget
+        # leaves room for a loaded one
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
-        formulas._hankel_minors.cache_clear()
+        formulas._minor_table.cache_clear()
         start = time.perf_counter()
         values = [leftmost_probability_step_det(30, x, 0.1) for x in range(1, 5)]
         assert time.perf_counter() - start < 5.0
@@ -561,31 +656,64 @@ class TestLargeN:
         assert all(0.0 < v < 1.0 for v in values)
 
     def test_next_sweep_point_adds_n_minors(self):
-        formulas._hankel_minors.cache_clear()
+        formulas._minor_table.cache_clear()
         leftmost_probability_step_det(20, 5, 1.0)
-        table = formulas._hankel_minors(-19, 1.0, formulas._FIXED_BITS)
+        hankel = tuple((i, -19) for i in range(20))
+        table = formulas._minor_table(hankel, 1.0, formulas._FIXED_BITS)
         assert len(table.minors) == 20 * 20
         leftmost_probability_step_det(20, 6, 1.0)
         assert len(table.minors) == 20 * 20 + 20
-        assert formulas._hankel_minors.cache_info().misses == 1
+        assert formulas._minor_table.cache_info().misses == 1
+
+    def test_leftmost_sweep_adds_at_most_a_triangle_of_minors(self):
+        # each new x moves column 0 by one: at each size m, N - m + 1 new minors
+        n, t = 20, 1.0
+        y = step_configuration(n)
+        formulas._minor_table.cache_clear()
+        leftmost_probability(y, 2, t)
+        shape = tuple((-i, -(n - i) + (i == 0)) for i in range(n))
+        table = formulas._minor_table(shape, t, formulas._FIXED_BITS)
+        counts = [len(table.minors)]
+        for x in range(3, 8):
+            leftmost_probability(y, x, t)
+            counts.append(len(table.minors))
+        assert counts[0] <= n * (n + 1) * (2 * n + 1) // 6
+        assert all(0 < b - a <= n * (n + 1) // 2 for a, b in zip(counts, counts[1:]))
+        assert formulas._minor_table.cache_info().misses == 1
+
+    def test_tasep_sweep_reads_det_a_from_det_b(self):
+        # det B at x is det A at x + 1, so each new x adds one determinant
+        n, t = 16, 5.0
+        y = Configuration(tuple(range(1, n + 1)), "1" * n)
+        formulas._minor_table.cache_clear()
+        tasep_leftmost_probability(y, 3, t)
+        table = formulas._minor_table(tuple((-i, -(n - i)) for i in range(n)), t, 256)
+        # det A at x = 4 has column 0 at k_0 = 4 - y_0 - 1 = 2: a table hit
+        before = len(table.minors)
+        table.det(0, 2, n)
+        assert len(table.minors) == before
+        tasep_leftmost_probability(y, 4, t)
+        assert 0 < len(table.minors) - before <= n * (n + 1) // 2
+        assert formulas._minor_table.cache_info().misses == 1
 
     @pytest.mark.parametrize("t, xs", [(1.0, range(1, 9)), (100.0, range(60, 68))])
     def test_step_det_sweep_does_not_depend_on_order(self, t, xs):
         def cold(x):
-            formulas._hankel_minors.cache_clear()
+            formulas._minor_table.cache_clear()
             return float.hex(leftmost_probability_step_det(20, x, t))
 
         expect = [cold(x) for x in xs]
         for order in (list(xs), list(xs)[::-1]):
-            formulas._hankel_minors.cache_clear()
+            formulas._minor_table.cache_clear()
             got = {x: float.hex(leftmost_probability_step_det(20, x, t)) for x in order}
             assert [got[x] for x in xs] == expect
 
     def test_n30_leftmost_within_budget(self):
-        # about 0.3 s cold on a 2-core machine; the budget leaves room for a loaded one
+        # about 0.37 s cold on a 2-core machine (measured 2026-10-19); the budget
+        # leaves room for a loaded one
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
-        formulas._hankel_minors.cache_clear()
+        formulas._minor_table.cache_clear()
         start = time.perf_counter()
         value = leftmost_probability(step_configuration(30), 1, 1.0)
         assert time.perf_counter() - start < 5.0
