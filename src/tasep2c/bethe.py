@@ -106,19 +106,6 @@ class SparseMatrix:
                 out[i] = acc
         return SparseMatrix(self.n, out)
 
-    def matvec(self, vec: dict) -> dict:
-        """Apply to a sparse column vector {index: value}."""
-        out: dict = {}
-        for i, row in self.rows.items():
-            total = None
-            for k, a in row.items():
-                if k in vec:
-                    term = a * vec[k]
-                    total = term if total is None else total + term
-            if total is not None and not _is_scalar_zero(total):
-                out[i] = total
-        return out
-
     def _merge(self, other: "SparseMatrix", flip: bool) -> "SparseMatrix":
         out = {i: dict(row) for i, row in self.rows.items()}
         for i, row in other.rows.items():
@@ -178,12 +165,6 @@ def center_index(n: int) -> int:
 def _check_not_pole(xi_alpha) -> None:
     if getattr(xi_alpha, "shape", None) is None and xi_alpha == 1:
         raise PoleError("scattering matrix has a pole at xi_alpha = 1")
-
-
-def scattering_scalar(xi_alpha, xi_beta):
-    """The repeated diagonal entry -(1 - xi_beta)/(1 - xi_alpha)."""
-    _check_not_pole(xi_alpha)
-    return -(1 - xi_beta) / (1 - xi_alpha)
 
 
 def scattering_matrix(xi_alpha, xi_beta) -> SparseMatrix:

@@ -18,6 +18,8 @@ that the result is a probability.  Its two routes are:
   columns, so :func:`_determinants` states each term as (sign, rows), the
   N pairs (k_i, e_i) of column 0, and reads it from one shared table of
   Dodgson condensation minors per (row shape, t, scale), :class:`_Minors`.
+  The shifted-step formula's symmetric factor h_l enters its one matrix
+  as the last row moved l columns on (h_l a_delta = a_(delta + (l))).
   The next point of an x-sweep moves column 0 by one and condenses only
   the new minors: N for a Hankel shape (the step determinant), at most
   N(N+1)/2 for any other.  A matrix whose condensation meets a zero
@@ -151,7 +153,7 @@ class _Minors:
 
 
 # 128 tables hold every row shape of a pass of the benchmark's exact sweeps
-# (148 shapes, none asked for again once dropped); one at N = 30 is about 3 MB
+# (480 asks for 132 keys, none built twice); one at N = 30 is about 3 MB
 @lru_cache(maxsize=128)
 def _minor_table(shape: tuple[tuple[int, int], ...], t: float, bits: int) -> _Minors:
     """The one table of minors of this row shape at this (t, scale)."""
@@ -636,18 +638,6 @@ def tasep_leftmost_probability(
     return _evaluate("TASEP leftmost probability", n, t, method, quad, residue, quadrature)
 
 
-def _homogeneous_monomials(n: int, degree: int):
-    """Exponent vectors of the complete homogeneous polynomial h_degree."""
-    if degree == 0:
-        yield (0,) * n
-        return
-    for combo in itertools.combinations_with_replacement(range(n), degree):
-        counts = [0] * n
-        for i in combo:
-            counts[i] += 1
-        yield tuple(counts)
-
-
 def leftmost_probability_shifted_step(
     shift: int,
     n: int,
@@ -659,15 +649,16 @@ def leftmost_probability_shifted_step(
     """Leftmost probability for step-like initial positions (1, 2+l, .., N+l).
 
     The specialized integrand carries h_l times the squared Vandermonde over
-    prod (xi_i - 1)^(N-1), with prefactor (-1)^(N(N-1)/2) / N!.  The residue
-    route expands both Vandermonde factors and the h_l monomials into a
-    double permutation sum of separable residue factors.  Because h_l is
-    symmetric, that sum is N! times the sum over monomials m of h_l of
-    det[J(x - N - l - 1 + i + j + m_i, -(N - 1))] over 0-based i, j, so
-    the N! cancels; shift = 0 reproduces the plain step initial condition.
-    Row i depends on m only through the offset i + m_i, so the monomials
-    whose offsets repeat give exact zeros and are skipped before any entry
-    is read (at N = 10, l = 3, 7 of the 220 determinants remain).
+    prod (xi_i - 1)^(N-1), with prefactor (-1)^(N(N-1)/2) / N!.  Because
+    h_l and the pole factors are symmetric, one Vandermonde factor may be
+    replaced by N! prod_i xi_i^i, and expanding h_l into monomials m gives
+    N! times the sum over m of det[J(x - N - l - 1 + i + j + m_i, -(N - 1))]
+    over 0-based i, j, so the N! cancels.  By the bialternant form of
+    Jacobi-Trudi (Macdonald 1995, I.3), h_l a_delta = a_(delta + (l)), that
+    sum is the single determinant of m = (0, .., 0, l): the step matrix
+    with its last row moved l columns on.
+    :func:`tasep2c.identities.det_collapse` checks the identity, and
+    shift = 0 reproduces the plain step initial condition.
     """
     if shift < 0:
         raise ValueError(f"shift must be nonnegative, got {shift}")
@@ -683,19 +674,18 @@ def leftmost_probability_shifted_step(
     # variables since (-1)^(N(N-1)) = 1
     sign = (-1) ** (n * (n - 1) // 2)
     base = x - n - shift - 1
-    monos = list(_homogeneous_monomials(n, shift))
-    live = [m for m in monos if len({i + mi for i, mi in enumerate(m)}) == n]
-
-    # row i of monomial m is shifted by m_i
-    residue = _determinants(
-        [(sign, [(base + i + mi, -(n - 1)) for i, mi in enumerate(m)]) for m in live]
-    )
+    rows = [(base + i + shift * (i == n - 1), -(n - 1)) for i in range(n)]
+    residue = _determinants([(sign, rows)])
     prefactor = sign / math.factorial(n)
 
     def body(xis):
-        h = sum(math.prod(xis[i] ** m for i, m in enumerate(mono) if m) for mono in monos)
+        # h_d of the variables so far, one variable at a time
+        h = [1] + [0] * shift
+        for xi in xis:
+            for d in range(1, shift + 1):
+                h[d] = h[d] + xi * h[d - 1]
         vdm = _vandermonde(xis)
-        return prefactor * h * vdm * vdm
+        return prefactor * h[shift] * vdm * vdm
 
     quadrature = (body, [(base, -(n - 1))] * n)
     return _evaluate("shifted-step leftmost probability", n, t, method, quad, residue, quadrature)

@@ -31,7 +31,9 @@ Checked identities, with LHS always an alternating sum over permutations:
                  the plain Vandermonde determinant;
 * det_collapse-- the power-matrix determinant that vanishes for off-pattern
                  exponents and equals h_l times the descending Vandermonde
-                 otherwise;
+                 otherwise: h_l a_delta = a_(delta + (l)), by which
+                 :func:`tasep2c.formulas.leftmost_probability_shifted_step`
+                 takes one determinant, its last row moved l columns on;
 * closed_form -- the center amplitude product formula against the full
                  sparse matrix product.
 

@@ -215,6 +215,7 @@ def _histogram(
     t = _check_time(t)
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
+    processes = min(processes, runs)  # one worker per span, never an idle one
     if processes > 1:
         worker = partial(_sample_span, initial, t, seed)
         with multiprocessing.Pool(processes) as pool:

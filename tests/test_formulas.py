@@ -243,6 +243,17 @@ class TestLeftmost:
                     assert [got[x] for x in xs] == expect
 
 
+def _monomials(n, degree):
+    """Exponent vectors of every monomial of h_degree in n variables."""
+    monos = []
+    for combo in itertools.combinations_with_replacement(range(n), degree):
+        m = [0] * n
+        for i in combo:
+            m[i] += 1
+        monos.append(m)
+    return monos
+
+
 class TestStepFamily:
     def test_step_family_agreement_small(self):
         for n in (1, 2, 3, 4):
@@ -265,10 +276,12 @@ class TestStepFamily:
                     assert scaled_close(a, b, 1e-12)
 
     def test_shifted_quadrature_agreement(self):
-        for shift in (0, 1):
-            a = leftmost_probability_shifted_step(shift, 2, 2, 1.0)
+        # the quadrature body builds h_l by its recurrence, the residue route
+        # raises the last row by l
+        for n, shift in ((2, 0), (2, 1), (3, 2), (2, 3)):
+            a = leftmost_probability_shifted_step(shift, n, 2, 1.0)
             b = leftmost_probability_shifted_step(
-                shift, 2, 2, 1.0, method="quadrature", quad=QUAD
+                shift, n, 2, 1.0, method="quadrature", quad=QUAD
             )
             assert scaled_close(a, b, 1e-9)
 
@@ -296,10 +309,12 @@ class TestStepFamily:
             assert a == pytest.approx(b, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "n, shift, monomials, taken", [(5, 1, 5, 1), (5, 2, 15, 3), (10, 3, 220, 7)]
+        "n, shift, monomials, nonzero", [(5, 1, 5, 1), (5, 2, 15, 3), (10, 3, 220, 7)]
     )
-    def test_shifted_step_skips_zero_determinants(self, monkeypatch, n, shift, monomials, taken):
-        # a monomial whose row offsets i + m_i repeat gives two equal rows
+    def test_shifted_step_skips_zero_determinants(self, monkeypatch, n, shift, monomials, nonzero):
+        # the sum over every monomial m of h_l of the determinants with row i
+        # moved m_i columns on, of which those whose offsets i + m_i repeat
+        # are 0, is the one determinant of m = (0, .., 0, l)
         real = formulas._determinants
         sizes = []
 
@@ -309,8 +324,9 @@ class TestStepFamily:
 
         monkeypatch.setattr(formulas, "_determinants", spy)
         sign = (-1) ** (n * (n - 1) // 2)
-        monos = list(formulas._homogeneous_monomials(n, shift))
+        monos = _monomials(n, shift)
         assert len(monos) == monomials
+        assert sum(len({i + m[i] for i in range(n)}) == n for m in monos) == nonzero
         bits = formulas._FIXED_BITS
         for x, t in ((1, 1.0), (4, 0.5), (7, 2.0)):
             base = x - n - shift - 1
@@ -318,7 +334,21 @@ class TestStepFamily:
             expect = contour._fixed_result(every(t, bits), n, t, n * bits)
             got = leftmost_probability_shifted_step(shift, n, x, t)
             assert float.hex(got) == float.hex(expect)
-        assert sizes == [taken] * 3
+        assert sizes == [1] * 3
+
+    def test_large_shift_is_one_determinant(self):
+        # C(27, 8) = 2,220,075 monomials of h_8 at N = 20 collapse to one
+        # determinant per point: about 0.03 s cold on a 2-core machine
+        # (measured 2026-10-19); the budget leaves room for a loaded one
+        contour.exp_scaled_residue.cache_clear()
+        contour._series_table.cache_clear()
+        formulas._minor_table.cache_clear()
+        start = time.perf_counter()
+        values = [leftmost_probability_shifted_step(8, 20, x, 1.0) for x in range(1, 5)]
+        assert time.perf_counter() - start < 5.0
+        y = step_configuration(20, 8)
+        for x, value in zip(range(1, 5), values):
+            assert value == pytest.approx(leftmost_probability(y, x, 1.0), rel=1e-12, abs=0)
 
 
 class TestEvaluator:
@@ -515,25 +545,39 @@ class TestDeterminantKernel:
         hankel = formulas._minor_table(((0, e), (1, e), (2, e), (3, e)), t, bits)
         assert len(hankel.minors) == 16 + 4
 
-    def test_shifted_step_states_its_equal_offset_monomial_as_hankel(self, fresh_tables):
-        # at shift = N = 3 the monomial (1, 1, 1) of h_3 shifts every row by 1:
-        # its rows have the step matrix's Hankel shape and read that table;
-        # shift 2 has no such monomial
-        hankel = ((0, -2), (1, -2), (2, -2))
+    def test_shifted_step_reads_one_table_with_a_raised_last_row(self, fresh_tables):
+        # l > 0 reads the one shape ((0, e), .., (N - 2, e), (N - 1 + l, e));
+        # l = 0 reads the step matrix's Hankel table
+        n, x, t, e = 3, 2, 1.0, -2
         bits = formulas._FIXED_BITS
-        assert formulas.leftmost_probability_shifted_step(3, 3, 2, 1.0) > 0
-        misses = formulas._minor_table.cache_info().misses
-        table = formulas._minor_table(hankel, 1.0, bits)
-        assert formulas._minor_table.cache_info().misses == misses
-        # rows (-4 + i, -2): column 0 at k_0 = x - N - shift - 1 + 1 = -4, a table hit
-        before = len(table.minors)
-        table.det(0, -4, 3)
-        assert len(table.minors) == before == 9
-        formulas._minor_table.cache_clear()
-        assert formulas.leftmost_probability_shifted_step(2, 3, 2, 1.0) > 0
-        misses = formulas._minor_table.cache_info().misses
-        formulas._minor_table(hankel, 1.0, bits)
-        assert formulas._minor_table.cache_info().misses == misses + 1
+        for shift in (0, 2, 3):
+            formulas._minor_table.cache_clear()
+            assert leftmost_probability_shifted_step(shift, n, x, t) > 0
+            assert formulas._minor_table.cache_info().misses == 1
+            shape = ((0, e), (1, e), (n - 1 + shift, e))
+            table = formulas._minor_table(shape, t, bits)
+            assert formulas._minor_table.cache_info().misses == 1
+            # column 0 at k_0 = x - N - l - 1: a table hit
+            before = len(table.minors)
+            table.det(0, x - n - shift - 1, n)
+            assert len(table.minors) == before > 0
+
+    def test_shifted_step_collapse_on_random_rows(self, monkeypatch, fresh_tables):
+        # sum over m of h_l of det(rows delta + m) = det(rows delta + (0, .., 0, l))
+        # for any served sequence s -> J(s, e)
+        rng = random.Random(20261019)
+        e = -1
+        for n in range(1, 7):
+            for shift in range(5):
+                for magnitude in (3, 2**300):
+                    values = {(s, e): rng.randint(-magnitude, magnitude)
+                              for s in range(2 * n + shift)}
+                    _serve(monkeypatch, values)
+                    formulas._minor_table.cache_clear()
+                    every = [(1, [(i + m[i], e) for i in range(n)]) for m in _monomials(n, shift)]
+                    raised = [(i + shift * (i == n - 1), e) for i in range(n)]
+                    total = formulas._determinants(every)(0.0, 64)
+                    assert total == formulas._determinants([(1, raised)])(0.0, 64)
 
     def test_table_cache_is_bounded(self, fresh_tables):
         # past the bound the least recently used table is dropped

@@ -139,6 +139,32 @@ def test_parallel_estimates_match_sequential():
     assert seq_counts == par_counts
 
 
+def test_no_more_workers_than_runs(monkeypatch):
+    # a recording stand-in for the pool maps in this process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    monkeypatch.setattr(simulate.multiprocessing, "Pool", FakePool)
+    y = step_configuration(3)
+    for runs, processes, expect in ((2, 8, [2]), (5, 3, [3]), (1, 8, [])):
+        sizes.clear()
+        got = final_state_sample(y, 1.0, runs, seed=11, processes=processes)
+        assert sizes == expect
+        assert got == final_state_sample(y, 1.0, runs, seed=11)
+
+
 def test_substreams_differ():
     a = substream(1, 0).random()
     b = substream(1, 1).random()
