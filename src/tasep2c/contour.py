@@ -40,9 +40,15 @@ and one independent second evaluator:
   (Trefethen and Weideman 2014): the 2M-point nodes are the M-point nodes
   plus their half-step rotations, so each doubling of the n-fold tensor
   rule evaluates only the 2^n - 1 new cosets of the grid and adds them to
-  a running sum.  Every coset is evaluated in slabs of at most ``_SLAB``
-  nodes, so the rule's memory does not grow with the grid; the evaluation
-  budget ``max_evals`` is what bounds it.
+  a running sum.  The integrand must be real on the real axis
+  (F(conj(xi)) = conj(F(xi)), as every integrand of this package is), and
+  the value is the real integral: each node set is closed under
+  conjugation, so only the first variable's nodes with Im xi >= 0 are
+  evaluated, (M/2 + 1) M^(n-1) of the M^n grid, and their real parts are
+  summed with the weights of their conjugate pairs.  Every coset is
+  evaluated in slabs of at most ``_SLAB`` nodes, so the rule's memory does
+  not grow with the grid; the budget ``max_evals`` on the grid M^n is what
+  bounds it.
 """
 
 from __future__ import annotations
@@ -298,9 +304,9 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Converged value with the final point count and last doubling delta."""
+    """Converged real value with the final point count and last doubling delta."""
 
-    value: complex
+    value: float
     points: int
     error: float
 
@@ -314,49 +320,64 @@ def circle_quadrature(
     spec: QuadratureSpec = QuadratureSpec(),
     max_points: int = 2**20,
 ) -> QuadratureResult:
-    """Adaptive trapezoidal rule for (1/2 pi i) * closed integral of f.
+    """Adaptive trapezoidal rule for the real (1/2 pi i) * closed integral of f.
 
-    The one-variable case of :func:`multi_contour`.  ``f`` is evaluated on
-    numpy arrays of circle nodes, and an exception it raises propagates.  M
-    doubles until two successive values agree within ``spec.tolerance``;
-    exceeding ``max_points`` raises AccuracyError carrying the best value
-    and last delta.
+    The one-variable case of :func:`multi_contour`, with its contract: f is
+    real on the real axis, f(conj(xi)) = conj(f(xi)), and the value is the
+    real integral.  ``f`` is evaluated on numpy arrays of circle nodes, and
+    an exception it raises propagates.  M doubles until two successive
+    values agree within ``spec.tolerance``; exceeding ``max_points`` raises
+    AccuracyError carrying the best value and last delta.
     """
     return multi_contour(lambda xis: f(xis[0]), 1, spec, max_evals=max_points)
 
 
-def _grid_sum(F: Callable, vecs: Sequence[np.ndarray]) -> complex:
-    """Sum of F(xis) * prod_a xi_a over the tensor grid of the equal-length ``vecs``.
+def _grid_sum(F: Callable, vecs: Sequence[np.ndarray], shifted: bool) -> float:
+    """Real sum of F(xis) * prod_a xi_a over the tensor grid of the node sets ``vecs``.
+
+    Each node set is an L-point circle or, for the first variable where
+    ``shifted``, its half-step coset; both are closed under conjugation,
+    and F has real coefficients, so the terms of conjugate nodes are
+    conjugate.  Only the first variable's nodes with Im xi >= 0 are
+    evaluated, and their real parts are summed with the weights of their
+    pairs: on the circle nodes 0..L/2 with weights 1, 2, .., 2, 1 (nodes 0
+    and L/2 are real), on the coset nodes 0..L/2-1 with weight 2.
 
     The grid is cut into slabs of at most _SLAB nodes: the leading variables
     that do not fit are fixed one node at a time, and the next variable is
-    cut into blocks of rows.  Each slab's values are contracted with the node
-    vectors one axis at a time, so the weight prod_a xi_a is never built on
-    the grid.
+    cut into blocks of rows.  Each slab's values are contracted with the
+    node vectors one axis at a time, the first as weight * xi, so neither
+    the weights nor prod_a xi_a are ever built on the grid.
     """
+    weights = np.full(len(vecs[0]) // 2 + (not shifted), 2.0)
+    if not shifted:
+        weights[[0, -1]] = 1.0
+    vecs = [vecs[0][: len(weights)], *vecs[1:]]
+    contract = [weights * vecs[0], *vecs[1:]]
     n = len(vecs)
-    m = len(vecs[0])
+    sizes = [len(vec) for vec in vecs]
     fixed = 0
-    while m ** (n - fixed - 1) > _SLAB:
+    while math.prod(sizes[fixed + 1 :]) > _SLAB:
         fixed += 1
-    rows = _SLAB // m ** (n - fixed - 1)
+    rows = _SLAB // math.prod(sizes[fixed + 1 :])
 
     def axis(vec: np.ndarray, a: int) -> np.ndarray:
         return vec.reshape((1,) * a + (-1,) + (1,) * (n - 1 - a))
 
     tail = [axis(vec, a) for a, vec in enumerate(vecs[fixed + 1 :], fixed + 1)]
-    total = 0j
-    for lead in itertools.product(range(m), repeat=fixed):
-        head = [axis(vecs[a][i : i + 1], a) for a, i in enumerate(lead)]
-        for start in range(0, m, rows):
-            xis = head + [axis(vecs[fixed][start : start + rows], fixed)] + tail
+    total = 0.0
+    for lead in itertools.product(*map(range, sizes[:fixed])):
+        for start in range(0, sizes[fixed], rows):
+            cut = [slice(i, i + 1) for i in lead] + [slice(start, start + rows)]
+            xis = [axis(vec[s], a) for a, (vec, s) in enumerate(zip(vecs, cut))] + tail
+            ws = [vec[s] for vec, s in zip(contract, cut)] + contract[fixed + 1 :]
             vals = np.broadcast_to(F(xis), np.broadcast_shapes(*(xi.shape for xi in xis)))
             # contracting axis by axis keeps numpy's pairwise summation; a
             # BLAS product would wait on thread wake-ups costing more than
             # the slab itself
-            for xi in reversed(xis):
-                vals = (vals * xi.ravel()).sum(axis=-1)
-            total += complex(vals)
+            for w in reversed(ws):
+                vals = (vals * w).sum(axis=-1)
+            total += float(vals.real)
     return total
 
 
@@ -366,27 +387,33 @@ def multi_contour(
     spec: QuadratureSpec = QuadratureSpec(),
     max_evals: int = 2**22,
 ) -> QuadratureResult:
-    """n-fold tensor-product circle quadrature of a vectorized integrand.
+    """n-fold tensor-product circle quadrature of an integrand real on the real axis.
 
     ``F`` receives a list of n mutually broadcastable node arrays, one per
     variable, and must return the integrand values under numpy broadcasting.
-    M doubles until two successive values agree within ``spec.tolerance``;
-    the (2M)^n grid of a doubling must fit ``max_evals``, and exhausting
-    that budget raises AccuracyError carrying the best value and last delta.
+    F must have real coefficients, F(conj(xis)) = conj(F(xis)), and the
+    value returned is the real integral.  M doubles until two successive
+    values agree within ``spec.tolerance``; the (2M)^n grid of a doubling
+    must fit ``max_evals``, and exhausting that budget raises AccuracyError
+    carrying the best value and last delta.  ``max_evals`` bounds the grid
+    M^n, not the evaluations, which are (M/2 + 1) M^(n-1).
 
     The rule nests under doubling: the 2M-point grid is the M-point grid
     plus 2^n - 1 cosets shifted by half a step in some variables, each an
     M^n tensor grid.  The running sum of F * prod_a xi_a is kept, and a
     doubling evaluates only the new cosets, so no node is evaluated twice.
-    Each coset is evaluated in slabs of at most _SLAB nodes, so memory does
-    not grow with the grid.
+    Every node set is closed under conjugation, and the conjugate node's
+    term is the conjugate of the node's, so only the first variable's nodes
+    with Im xi >= 0 are evaluated, and the real parts are summed with pair
+    weights.  Each coset is evaluated in slabs of at most _SLAB nodes, so
+    memory does not grow with the grid.
     """
     if n < 1:
         raise ValueError("need at least one integration variable")
     m = spec.points
     if m**n > max_evals:
         raise ValueError(f"starting grid {m}^{n} already exceeds budget {max_evals}")
-    total = _grid_sum(F, [_nodes(spec.radius, m)] * n)
+    total = _grid_sum(F, [_nodes(spec.radius, m)] * n, False)
     prev = total / m**n
     delta = math.inf
     while (2 * m) ** n <= max_evals:
@@ -395,14 +422,14 @@ def multi_contour(
         halves = (circle[0::2], circle[1::2])
         for shifts in itertools.product((0, 1), repeat=n):
             if any(shifts):
-                total += _grid_sum(F, [halves[s] for s in shifts])
+                total += _grid_sum(F, [halves[s] for s in shifts], shifts[0])
         cur = total / m**n
         delta = abs(cur - prev)
         if delta <= spec.tolerance * max(1.0, abs(cur)):
             return QuadratureResult(cur, m, delta)
         prev = cur
     raise AccuracyError(
-        f"{n}-fold quadrature exhausted its {max_evals}-evaluation budget",
+        f"{n}-fold quadrature exhausted its grid budget of {max_evals} nodes",
         value=prev,
         error=delta,
     )

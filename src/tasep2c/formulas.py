@@ -38,9 +38,11 @@ that the result is a probability.  Its two routes are:
   the time cap, the default rule of :func:`tasep2c.contour.multi_contour`,
   and the evaluation of each one-variable factor on its node vector only.
   Each body carries its formula's constants, so the rule's tolerance
-  applies to the probability itself.  The rule reuses every node across
-  doublings and evaluates the grid in bounded slabs, so only its
-  evaluation budget (2^22 nodes by default), not memory, limits it.
+  applies to the probability itself.  Every body and factor has real
+  coefficients, so the integrand is real on the real axis and the rule
+  evaluates one node of each conjugate pair.  The rule reuses every node
+  across doublings and evaluates the grid in bounded slabs, so only its
+  grid budget (M^n <= 2^22 by default), not memory, limits it.
 
 :func:`head_transition_probability` has the determinant route only
 (:func:`transition_probability` is its second route), and transitions at
@@ -253,7 +255,7 @@ def _determinants(terms):
 def _quadrature(
     t: float, quad: QuadratureSpec | None, body, powers: Sequence[tuple[int, int]]
 ) -> float:
-    """Real part of the n-fold circle integral of body(xis) * prod_a j_a(xi_a).
+    """The n-fold circle integral of body(xis) * prod_a j_a(xi_a).
 
     j_a(xi) = xi^k_a (1 - xi)^e_a e^((1/xi - 1) t) is the one-variable
     integrand of J(k_a, e_a), with (k_a, e_a) taken from the n ``powers``.
@@ -261,8 +263,10 @@ def _quadrature(
     :func:`tasep2c.contour.multi_contour`, and the vectors meet the grid
     only in their outer product, which multiplies ``body`` once.  ``body``
     is the rest of the defining integrand and receives the broadcastable
-    node arrays.  Beyond MAX_QUADRATURE_TIME the rule is refused.  An
-    AccuracyError from the rule carries the real part of its best value.
+    node arrays.  Every body and every j_a has real coefficients, so the
+    integrand is real on the real axis, as the rule requires, and its value
+    and the best value of an AccuracyError it raises are the real integral.
+    Beyond MAX_QUADRATURE_TIME the rule is refused.
     """
     if t > MAX_QUADRATURE_TIME:
         raise ValueError(f"t={t} too large for circle quadrature; use the residue route")
@@ -273,11 +277,7 @@ def _quadrature(
             factor = factor * (z**k * (1 - z) ** e * np.exp((1 / z - 1) * t))
         return body(xis) * factor
 
-    try:
-        result = contour.multi_contour(F, len(powers), quad or QuadratureSpec())
-    except AccuracyError as exc:
-        raise AccuracyError(str(exc), value=exc.value.real, error=exc.error) from None
-    return result.value.real
+    return contour.multi_contour(F, len(powers), quad or QuadratureSpec()).value
 
 
 def _evaluate(what: str, n: int, t: float, method: str, quad, residue, quadrature) -> float:

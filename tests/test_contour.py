@@ -287,18 +287,87 @@ def full_grid_trapezoid(F, n, radius, m):
     return complex(np.mean(vals))
 
 
+def level_value(F, n, spec, m):
+    """The rule's value and level with a budget of exactly m^n.
+
+    The budget stops the rule at level m, and its error carries that level's
+    value; a doubling delta of exactly 0 returns an earlier level.
+    """
+    try:
+        result = multi_contour(F, n, spec, max_evals=m**n)
+    except AccuracyError as exc:
+        return exc.value, m
+    return result.value, result.points
+
+
 @pytest.mark.parametrize("n, top", [(1, 2**17), (2, 512), (3, 64)])
 def test_multi_contour_levels_match_full_grid(n, top):
-    # a budget of exactly m^n stops the rule at level m, and the budget error
-    # carries that level's value
     spec = QuadratureSpec(points=8, tolerance=1e-300)
     m = spec.points
     while m <= top:
-        with pytest.raises(AccuracyError) as info:
-            multi_contour(coupled, n, spec, max_evals=m**n)
-        expect = full_grid_trapezoid(coupled, n, spec.radius, m)
-        assert abs(info.value.value - expect) <= 1e-15 * abs(expect)
+        value, level = level_value(coupled, n, spec, m)
+        assert isinstance(value, float)
+        expect = full_grid_trapezoid(coupled, n, spec.radius, level).real
+        assert abs(value - expect) <= 1e-15 * abs(expect)
         m *= 2
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_integrand(monkeypatch, call):
+    """The integrand F and variable count n a formula hands to multi_contour."""
+    seen = []
+
+    def capture(F, n, *args, **kwargs):
+        seen.append((F, n))
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(contour, "multi_contour", capture)
+        with pytest.raises(_Captured):
+            call()
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: formulas.transition_probability(
+            formulas.Configuration((1, 2), "21"), formulas.Configuration((2, 4), "12"), 0.5,
+            method="quadrature",
+        ),
+        lambda: formulas.transition_probability(
+            formulas.Configuration((1, 2, 3), "211"), formulas.Configuration((2, 3, 4), "121"),
+            0.5, method="quadrature",
+        ),
+        lambda: formulas.transition_probability(
+            formulas.Configuration((0, 2, 3), "121"), formulas.Configuration((1, 2, 4), "112"),
+            0.7, method="quadrature",
+        ),
+        lambda: formulas.leftmost_probability(
+            formulas.step_configuration(3), 2, 1.0, method="quadrature"
+        ),
+        lambda: formulas.tasep_leftmost_probability(
+            formulas.Configuration((1, 2, 3), "111"), 2, 1.0, method="quadrature"
+        ),
+        lambda: formulas.leftmost_probability_shifted_step(2, 3, 2, 1.0, method="quadrature"),
+    ),
+    ids=("transition2", "transition3", "transition3_nonhead", "leftmost", "tasep_leftmost",
+         "shifted_step"),
+)
+@pytest.mark.parametrize("m", (16, 32))
+def test_package_integrands_are_real_on_the_real_axis(monkeypatch, call, m):
+    # the rule sums half of each conjugation-closed grid; the formulas'
+    # integrands have real coefficients, so at a forced level its value is
+    # the real part of the whole grid's trapezoid sum
+    F, n = captured_integrand(monkeypatch, call)
+    with pytest.raises(AccuracyError) as info:
+        multi_contour(F, n, QuadratureSpec(points=m), max_evals=m**n)
+    value = info.value.value
+    expect = full_grid_trapezoid(F, n, 0.5, m).real
+    assert abs(value - expect) <= 1e-14 * max(1.0, abs(value))
 
 
 def counting(F, sizes):
@@ -310,15 +379,19 @@ def counting(F, sizes):
 
 
 def test_multi_contour_evaluates_each_node_once():
+    # of each conjugate pair only the node with Im xi >= 0 in the first
+    # variable is evaluated: (M/2 + 1) M^(n-1) nodes of the M^n grid
     sizes = []
     result = multi_contour(counting(coupled, sizes), 3, QuadratureSpec(points=8, tolerance=1e-13))
-    assert result.points >= 32
-    assert sum(sizes) == result.points**3
+    m = result.points
+    assert m >= 32
+    assert sum(sizes) == (m // 2 + 1) * m**2
 
 
 @pytest.mark.parametrize("n, points", [(1, 2**17), (5, 16)])
 def test_multi_contour_slabs_are_bounded(n, points):
-    # at n = 5 a single row of the first variable (16^4 nodes) exceeds the slab
+    # at n = 5 a single row of the first variable (16^4 nodes) exceeds the
+    # slab; the first variable runs over its 9 nodes with Im xi >= 0
     sizes = []
     with pytest.raises(AccuracyError) as info:
         multi_contour(
@@ -329,7 +402,7 @@ def test_multi_contour_slabs_are_bounded(n, points):
         )
     assert info.value.value == pytest.approx(1.0, abs=1e-13)
     assert max(sizes) == contour._SLAB
-    assert sum(sizes) == points**n
+    assert sum(sizes) == {1: 2**16 + 1, 5: 9 * 16**4}[n]
 
 
 def test_multi_contour_product_of_inverses():
