@@ -353,13 +353,21 @@ def braid_relations_hold(point, atol=0) -> bool:
     entry, which needs no ordering of the scalars, so exact fractions and
     elements of a finite field compare alike.  Pass a small atol for
     floating point components.
+
+    Each distinct slot operator T_slot(a, b) is built once per call and
+    shared by every relation that uses it: 8, 13 and 18 operators at
+    N = 3, 4 and 5.
     """
     xi = tuple(point)
     n = len(xi)
     size = 1 << n
+    operators: dict = {}
 
     def T(slot, a, b):
-        return t_operator(slot, xi[a - 1], xi[b - 1], n)
+        op = operators.get((slot, a, b))
+        if op is None:
+            op = operators[(slot, a, b)] = t_operator(slot, xi[a - 1], xi[b - 1], n)
+        return op
 
     def close(mat_a, mat_b):
         diff = mat_a - mat_b

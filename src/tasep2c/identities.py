@@ -43,10 +43,15 @@ substitution and main-to-variant bridge checks) run through one kernel,
 or prefix of the permutation, so the partial sums depend only on the set of
 values still to place and are memoised on a bitmask: N 2^(N-1) exact terms
 instead of N N!; one form at N = 10 takes about 0.1 s.
-:func:`main_identity` keeps its permutation loop through
-:func:`tasep2c.bethe.amplitude_center` as the independent N! reference that
-the bridge compares the kernel against.  The suite's ``main`` entry checks
-the bridge on the same main sum, so that loop runs once per point; its
+:func:`main_identity` keeps one term per permutation as the independent
+N! reference that the bridge compares the kernel against: a depth-first
+walk, :func:`_main_lhs`, fills positions N, N-1, .., 1 and carries the
+partial products that permutations sharing a suffix have in common, with no
+memo on subsets.  Its terms are the center amplitude of
+:func:`tasep2c.bethe.amplitude_center` times the geometric tail; the walk
+builds them from one table of per-(position, value) powers and sums them
+with one field division per point.  The suite's ``main`` entry checks the
+bridge on the same main sum, so the walk runs once per point; its
 ``substitution`` entry checks only :func:`substitution_transport`.
 """
 
@@ -61,7 +66,7 @@ from typing import Sequence
 from . import bethe
 from .errors import DegeneratePointError
 from .formulas import _fixed_det
-from .permutations import enumerate_permutations
+from .permutations import check_enumeration_size, sign
 
 #: The field of the suite's points is GF(PRIME), PRIME = 2^61 - 1 (a Mersenne prime).
 PRIME = (1 << 61) - 1
@@ -284,26 +289,63 @@ def _identity_point(xi: Sequence[Scalar]) -> Point:
     return point
 
 
-def _suffix_tail_denominator(xi: Sequence[Scalar], p: Sequence[int]) -> Scalar:
-    """prod over k = 2..N of (1 - xi_p(k) xi_p(k+1) ... xi_p(N))."""
-    n = len(p)
-    den = 1
-    suffix = 1
-    for k in range(n, 1, -1):
-        suffix *= xi[p[k - 1] - 1]
-        factor = 1 - suffix
-        if factor == 0:
-            raise DegeneratePointError("geometric-tail denominator vanished")
-        den *= factor
-    return den
+def _main_factors(xi: Point) -> list[list[tuple[Scalar, Scalar]]]:
+    """The main summand's factors per 0-based (position k, value v).
+
+    Entry [k][v] is (xi_v^k, (1 - xi_v)^max(k - 1, 0)): the tail numerator's
+    power and the center amplitude's denominator power of value v placed at
+    1-based position k + 1.
+    """
+    return [[(z**k, (1 - z) ** max(k - 1, 0)) for z in xi] for k in range(len(xi))]
 
 
-def _tail_numerator(xi: Sequence[Scalar], p: Sequence[int]) -> Scalar:
-    """xi_p(2) xi_p(3)^2 ... xi_p(N)^(N-1)."""
-    num = 1
-    for k in range(2, len(p) + 1):
-        num *= xi[p[k - 1] - 1] ** (k - 1)
-    return num
+def _main_lhs(xi: Point) -> Scalar:
+    """The main identity's left side, one term per permutation sigma:
+
+        amplitude_center(sigma) * prod_(k=2..N) xi_sigma(k)^(k-1)
+                                / prod_(k=2..N) (1 - xi_sigma(k) ... xi_sigma(N)).
+
+    A depth-first walk fills positions N, N-1, .., 1, so permutations that
+    share a suffix share its partial products: the suffix product, the tail
+    denominator, the tail numerator and the center amplitude's denominator
+    prod (1 - xi_sigma(k))^(k-2).  Each of the N! leaves takes its sign from
+    :func:`tasep2c.permutations.sign` and adds its term to a running
+    fraction, so the sum pays one field division; the center amplitude's
+    sigma-free numerator prod_(k=3..N) (1 - xi_k)^(k-2) multiplies it once.
+    Nothing is memoised on subsets, which keeps the walk independent of
+    :func:`_alternating_sum`.
+    """
+    n = len(xi)
+    check_enumeration_size(n)
+    factors = _main_factors(xi)
+    sigma = [0] * n
+    total_num, total_den = 0, 1
+
+    # k: the 0-based position to fill; rest: the 0-based values not yet placed
+    def walk(k: int, rest: tuple[int, ...], suffix: Scalar, num: Scalar, den: Scalar):
+        nonlocal total_num, total_den
+        row = factors[k]
+        for i, v in enumerate(rest):
+            suffix_v = suffix * xi[v]
+            tail = 1 - suffix_v
+            if tail == 0:
+                raise DegeneratePointError("geometric-tail denominator vanished")
+            power, center = row[v]
+            num_v, den_v = num * power, den * center * tail
+            sigma[k] = v + 1
+            others = rest[:i] + rest[i + 1 :]
+            if k > 1:
+                walk(k - 1, others, suffix_v, num_v, den_v)
+            else:
+                sigma[0] = others[0] + 1
+                total_num = total_num * den_v + sign(sigma) * num_v * total_den
+                total_den *= den_v
+
+    walk(n - 1, tuple(range(n)), 1, 1, 1)
+    lhs = total_num / total_den
+    for k in range(2, n):
+        lhs *= (1 - xi[k]) ** (k - 1)
+    return lhs
 
 
 def _alternating_sum(
@@ -389,16 +431,14 @@ def main_identity(xi: Sequence[Scalar]) -> tuple[Scalar, Scalar, bool]:
     """Center-amplitude permutation sum against its closed product form.
 
     Returns (lhs, rhs, lhs == rhs).  For N = 2 at (1/2, 1/3) both sides are
-    -1/2, which is the hand-checkable anchor.  The left side is summed one
-    permutation at a time through :func:`tasep2c.bethe.amplitude_center`,
-    independently of :func:`_alternating_sum`.
+    -1/2, which is the hand-checkable anchor.  The left side has one term
+    per permutation, summed by the suffix walk :func:`_main_lhs`
+    independently of :func:`_alternating_sum`; N > 10 raises ValueError,
+    as :func:`tasep2c.permutations.enumerate_permutations` does.
     """
     xi = _identity_point(xi)
     n = len(xi)
-    lhs = 0
-    for p in enumerate_permutations(n):
-        center = bethe.amplitude_center(p, xi)
-        lhs += center * _tail_numerator(xi, p) / _suffix_tail_denominator(xi, p)
+    lhs = _main_lhs(xi)
     rhs = 1 - xi[0]
     for i in range(n):
         for j in range(i + 1, n):

@@ -38,15 +38,20 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
+def check_enumeration_size(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Raise ValueError unless 1 <= n <= cap: the guard of every walk over S_n."""
+    if n < 1:
+        raise ValueError(f"group size must be positive, got {n}")
+    if n > cap:
+        raise ValueError(f"n={n} exceeds enumeration cap {cap} ({math.factorial(n)} elements)")
+
+
 def enumerate_permutations(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Perm]:
     """All n! permutations of {1, .., n} in lexicographic order.
 
     ``cap`` guards the factorial blowup; exceeding it raises ValueError.
     """
-    if n < 1:
-        raise ValueError(f"group size must be positive, got {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap} ({math.factorial(n)} elements)")
+    check_enumeration_size(n, cap)
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 

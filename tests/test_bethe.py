@@ -162,6 +162,21 @@ def test_braid_relations_report_a_planted_error(monkeypatch, field):
     assert braid_relations_hold(tuple(field(z) for z in XI3)) is False
 
 
+@pytest.mark.parametrize("n, operators", [(3, 8), (4, 13), (5, 18)])
+def test_braid_relations_build_each_slot_operator_once(monkeypatch, n, operators):
+    # 2(N-1) inverse pairs, (1,3) and (2,3) at every slot, (3,4) at slots 3..N-1
+    calls = []
+    original = bethe.two_site_embed
+
+    def counted(block, slot, size):
+        calls.append(slot)
+        return original(block, slot, size)
+
+    monkeypatch.setattr(bethe, "two_site_embed", counted)
+    assert braid_relations_hold(tuple(F(1, k + 2) for k in range(n)))
+    assert len(calls) == operators
+
+
 def test_braid_relations_float_tolerance():
     assert braid_relations_hold((0.31, 0.47, 0.83), atol=1e-12)
 

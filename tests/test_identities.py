@@ -38,6 +38,41 @@ def test_main_identity_hand_value():
     assert lhs == rhs == F(-1, 2)
 
 
+def per_permutation_main_lhs(xi):
+    """The main left side one permutation at a time: the center amplitude
+    times xi_p(2) xi_p(3)^2 ... xi_p(N)^(N-1) over prod_(k=2..N) (1 - xi_p(k) ... xi_p(N))."""
+    n = len(xi)
+    lhs = 0
+    for p in enumerate_permutations(n):
+        num = den = suffix = 1
+        for k in range(n, 1, -1):
+            z = xi[p[k - 1] - 1]
+            num *= z ** (k - 1)
+            suffix *= z
+            den *= 1 - suffix
+        lhs += bethe.amplitude_center(p, xi) * num / den
+    return lhs
+
+
+def test_main_walk_matches_the_per_permutation_loop():
+    assert per_permutation_main_lhs(XI2) == main_identity(XI2)[0] == F(-1, 2)
+    rng = random.Random(31)
+    for n in (2, 3, 4, 5):
+        for _ in range(3):
+            xi = random_rational_point(n, rng)
+            assert main_identity(xi)[0] == per_permutation_main_lhs(xi)
+    for n in (6, 7):
+        xi = random_field_point(n, rng)
+        lhs = main_identity(xi)[0]
+        assert type(lhs) is GFp and lhs == per_permutation_main_lhs(xi)
+
+
+def test_main_identity_refuses_more_than_ten_coordinates():
+    xi = random_field_point(11, random.Random(11))
+    with pytest.raises(ValueError, match="enumeration cap"):
+        main_identity(xi)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_main_identity_random(n):
     rng = random.Random(n)
@@ -388,7 +423,9 @@ def _skew_variant_b(original, xi, variant, d):
 
 #: One planted error per suite identity, each breaking only what that entry checks.
 PLANTS = {
-    "main": lambda: _plant(identities, "_tail_numerator", lambda f, xi, p: 2 * f(xi, p)),
+    "main": lambda: _plant(
+        identities, "_main_factors", lambda f, xi: [[(2 * a, b) for a, b in row] for row in f(xi)]
+    ),
     "equiv_a": lambda: _plant(identities, "vandermonde", lambda f, xi: 2 * f(xi)),
     "equiv_b": lambda: _plant(identities, "vandermonde", lambda f, xi: 2 * f(xi)),
     "substitution": lambda: _plant(identities, "_variant_sides", _skew_variant_b),
