@@ -26,9 +26,13 @@ structure, braid and closed-form checks.
 
 All matrices here are stored sparsely (dict-of-rows) because T factors have
 at most two nonzeros per row and amplitude products stay upper triangular.
-Entries are generic scalars: exact fractions for identity checking,
+Entries are generic scalars, and :func:`scattering_matrix` is the one
+statement of S for all of them: elements of GF(2^61 - 1) at the identity
+suite's random points, with exact fractions as its hand-checkable anchors;
 integer Laurent polynomials in the u_a = 1 - xi_a for the residue route,
-complex floats or numpy node arrays for quadrature.
+which evaluates S at the symbolic point xi_a = 1 - u_a
+(:func:`tasep2c.formulas._sym_columns`); complex floats or numpy node
+arrays for quadrature.
 
 Species words index matrix rows the same way throughout the package: the
 word (w_1 ... w_N) over {1, 2} maps to the binary integer with digits
@@ -38,7 +42,6 @@ word (w_1 ... w_N) over {1, 2} maps to the binary integer with digits
 
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -393,7 +396,7 @@ def braid_relations_hold(point, atol=0) -> bool:
     return True
 
 
-def bethe_residuals(point, positions: Sequence[int], t: float = 0.0):
+def bethe_residuals(point, positions: Sequence[int]):
     """Residuals of the free evolution equation and coincidence reduction.
 
     With F(X) = sum over permutations of A_sigma * prod_i xi_sigma(i)^x_i,
@@ -407,9 +410,8 @@ def bethe_residuals(point, positions: Sequence[int], t: float = 0.0):
 
     with B_i the collision matrix embedded at slots (i, i+1).  Both vanish
     identically; over exact fractions the returned values are exact zeros.
-    A nonzero t only scales the residuals by the positive factor |e^(eps t)|
-    (the exponential is common to every term), so it is applied as a final
-    scalar and t = 0 keeps everything exact.
+    The time factor e^(eps t) is common to every term, so the residuals are
+    taken at t = 0, which keeps everything exact.
     """
     xi = tuple(point)
     n = len(xi)
@@ -447,9 +449,4 @@ def bethe_residuals(point, positions: Sequence[int], t: float = 0.0):
         bmat = two_site_embed(blocking_matrix(), i, n)
         diff = field(coincident) - (bmat @ field(split))
         boundary.append(diff.max_abs())
-
-    if t:
-        scale = abs(cmath.exp(complex(eps) * t))
-        free_residual = free_residual * scale
-        boundary = [b * scale for b in boundary]
     return free_residual, tuple(boundary)

@@ -59,11 +59,12 @@ product formula.  Both routes read it from one amplitude column of every
 permutation, computed by :func:`tasep2c.bethe.amplitude_columns`, which
 pushes the initial word's unit column through the slot operators along a
 prefix tree of reduced words and never builds a 2^N x 2^N matrix.  The
-residue route runs it once per (N, initial word) over symbolic entries.  In
-u_a = 1 - xi_a the scattering entries are -u_beta/u_alpha, 1 - u_beta/u_alpha
-and -1, so every amplitude entry is an integer Laurent polynomial in the u_a
-(at N = 6 a column holds at most about 130k terms), and each term
-prod_a u_a^e_a separates into one-variable residue factors J(k_a, e_a).
+residue route runs it once per (N, initial word) with
+:func:`tasep2c.bethe.scattering_matrix` at the symbolic point
+xi_a = 1 - u_a, whose entries -u_beta/u_alpha, 1 - u_beta/u_alpha and -1 are
+integer Laurent polynomials in the u_a (:class:`_ULaurent`).  So is every
+amplitude entry (at N = 6 a column holds at most about 130k terms), and each
+term prod_a u_a^e_a separates into one-variable residue factors J(k_a, e_a).
 Quadrature runs it once per grid slab over numpy node arrays and sums each
 permutation's term as the walk reaches it.
 
@@ -287,7 +288,11 @@ def _evaluate(what: str, n: int, t: float, method: str, quad, residue, quadratur
     module docstring); ``quadrature`` is None where the formula has none.
     """
     if method == "residue":
-        value = _fixed_result(residue(t, _FIXED_BITS), n, t, n * _FIXED_BITS)
+        total, bits = residue(t, _FIXED_BITS), n * _FIXED_BITS
+        if total < 0:
+            raise AccuracyError(f"{what} has a negative total at the 2^-{bits} fixed-point "
+                                "scale; the probability cannot be certified there")
+        value = _fixed_result(total, n, t, bits)
     elif method == "quadrature" and quadrature is not None:
         value = _quadrature(t, quad, *quadrature)
     else:
@@ -295,13 +300,22 @@ def _evaluate(what: str, n: int, t: float, method: str, quad, residue, quadratur
     return _as_probability(value, what)
 
 
-def _vandermonde(xis):
-    """prod_(i<j) (xi_j - xi_i), the determinant det[xi_i^j]."""
+def vandermonde(xis):
+    """prod_(i<j) (xi_j - xi_i), the determinant det[xi_i^j], over any scalars or node arrays."""
     val = 1
     for i, lo in enumerate(xis):
         for hi in xis[i + 1 :]:
             val = val * (hi - lo)
     return val
+
+
+def complete_homogeneous(degree: int, xis):
+    """h_degree(xis), by h_d <- h_d + xi h_(d-1) over the variables one at a time."""
+    h = [1] + [0] * degree
+    for xi in xis:
+        for d in range(1, degree + 1):
+            h[d] = h[d] + xi * h[d - 1]
+    return h[degree]
 
 
 def head_word(n: int) -> str:
@@ -421,34 +435,38 @@ class _ULaurent(dict):
                 out[e] = c
         return _ULaurent({e: c for e, c in out.items() if c})
 
+    def __neg__(self):
+        return _ULaurent({e: -c for e, c in self.items()})
 
-def _sym_scattering(alpha: int, beta: int, nvars: int) -> SparseMatrix:
-    """Scattering matrix in the variables u_alpha, u_beta (1-based labels).
+    def __sub__(self, other):
+        return self + -other
 
-    s = -u_beta / u_alpha and q = 1 - u_beta / u_alpha; the 21-diagonal is -1.
-    """
-    zero = (0,) * nvars
-    ratio = tuple((i == beta - 1) - (i == alpha - 1) for i in range(nvars))
-    s = _ULaurent({ratio: -1})
-    m = SparseMatrix(4)
-    m.set(0, 0, s)
-    m.set(1, 1, s)
-    m.set(1, 2, _ULaurent({zero: 1, ratio: -1}))
-    m.set(2, 2, _ULaurent({zero: -1}))
-    m.set(3, 3, s)
-    return m
+    def __rsub__(self, c: int):
+        return -self + _ULaurent({(0,) * len(next(iter(self))): c})
+
+    def __truediv__(self, other):
+        """Exact division by a monomial with coefficient 1 or -1, such as u_a."""
+        ((e0, c0),) = other.items()
+        return _ULaurent({tuple(map(operator.sub, e, e0)): c * c0 for e, c in self.items()})
 
 
 @lru_cache(maxsize=4)
 def _sym_columns(n: int, col: int) -> dict:
     """Symbolic amplitude column ``col`` of every permutation: {sigma: {row: entry}}.
 
-    Few are kept: at N = 6 the column of 222111 holds 132,336 terms (about
-    17 MB).
+    The blocks are :func:`tasep2c.bethe.scattering_matrix` at xi_a = 1 - u_a;
+    a plain-int entry (the unit column times -1 entries) becomes a constant
+    polynomial.  Few are kept: at N = 6 the column of 222111 holds 132,336
+    terms (about 17 MB).
     """
-    columns = dict(bethe.amplitude_columns(n, col, lambda a, b: _sym_scattering(a, b, n)))
-    # the identity permutation keeps the unit column's plain integer 1
-    columns[tuple(range(1, n + 1))] = {col: _ULaurent({(0,) * n: 1})}
+    zero = (0,) * n
+    xi = [_ULaurent({zero: 1, tuple(int(i == a) for i in range(n)): -1}) for a in range(n)]
+    columns = dict(bethe.amplitude_columns(
+        n, col, lambda a, b: bethe.scattering_matrix(xi[a - 1], xi[b - 1])))
+    for column in columns.values():
+        for r, v in column.items():
+            if type(v) is int:
+                column[r] = _ULaurent({zero: v})
     return columns
 
 
@@ -603,7 +621,7 @@ def leftmost_probability(
 
     rows = [(x - y[i] - 1, -(n - i) + (i == 0)) for i in range(n)]
     residue = _determinants([(1, rows)])
-    quadrature = (_vandermonde, rows)
+    quadrature = (vandermonde, rows)
     return _evaluate("leftmost probability", n, t, method, quad, residue, quadrature)
 
 
@@ -634,7 +652,7 @@ def tasep_leftmost_probability(
         return 1.0 if x == y[0] else 0.0
     rows = [(x - y[i] - 1, -(n - i)) for i in range(n)]
     residue = _determinants([(1, rows), (-1, [(k + 1, e) for k, e in rows])])
-    quadrature = (lambda xis: (1 - math.prod(xis)) * _vandermonde(xis), rows)
+    quadrature = (lambda xis: (1 - math.prod(xis)) * vandermonde(xis), rows)
     return _evaluate("TASEP leftmost probability", n, t, method, quad, residue, quadrature)
 
 
@@ -679,13 +697,8 @@ def leftmost_probability_shifted_step(
     prefactor = sign / math.factorial(n)
 
     def body(xis):
-        # h_d of the variables so far, one variable at a time
-        h = [1] + [0] * shift
-        for xi in xis:
-            for d in range(1, shift + 1):
-                h[d] = h[d] + xi * h[d - 1]
-        vdm = _vandermonde(xis)
-        return prefactor * h[shift] * vdm * vdm
+        vdm = vandermonde(xis)
+        return prefactor * complete_homogeneous(shift, xis) * vdm * vdm
 
     quadrature = (body, [(base, -(n - 1))] * n)
     return _evaluate("shifted-step leftmost probability", n, t, method, quad, residue, quadrature)

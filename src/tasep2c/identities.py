@@ -37,6 +37,11 @@ Checked identities, with LHS always an alternating sum over permutations:
 * closed_form -- the center amplitude product formula against the full
                  sparse matrix product.
 
+:func:`vandermonde` and :func:`complete_homogeneous` (h_l) are the ones
+:mod:`tasep2c.formulas` runs, re-exported, so the vandermonde and
+det_collapse checks certify the formulas' code, as closed_form and braid
+certify :func:`tasep2c.bethe.scattering_matrix`.
+
 The four variant left sides (equiv_a/b, tasep_a/b, also used by the
 substitution and main-to-variant bridge checks) run through one kernel,
 :func:`_alternating_sum`.  Its tail denominators are products over a suffix
@@ -65,7 +70,7 @@ from typing import Sequence
 
 from . import bethe
 from .errors import DegeneratePointError
-from .formulas import _fixed_det
+from .formulas import _fixed_det, complete_homogeneous, vandermonde
 from .permutations import check_enumeration_size, sign
 
 #: The field of the suite's points is GF(PRIME), PRIME = 2^61 - 1 (a Mersenne prime).
@@ -194,9 +199,6 @@ def _inverse(value: int) -> int:
 Scalar = Fraction | GFp
 Point = tuple[Scalar, ...]
 
-#: Numerators and denominators of sampled rational coordinates stay below this.
-MAX_DENOMINATOR = 1000
-
 
 def _field_point(xi: Sequence[Scalar]) -> Point:
     """The coordinates over GF(p) if any of them is a :class:`GFp` element, else over Q."""
@@ -235,14 +237,12 @@ def validate_point(xi: Sequence[Scalar], unit_interval: bool = False) -> Point:
     return point
 
 
-def random_rational_point(
-    n: int, rng: random.Random, max_denominator: int = MAX_DENOMINATOR
-) -> Point:
-    """Random point with distinct coordinates in (0, 1), denominators bounded."""
+def random_rational_point(n: int, rng: random.Random) -> Point:
+    """Random point with distinct coordinates in (0, 1), denominators at most 1000."""
     while True:
         coords = []
         for _ in range(n):
-            den = rng.randint(2, max_denominator)
+            den = rng.randint(2, 1000)
             num = rng.randint(1, den - 1)
             coords.append(Fraction(num, den))
         try:
@@ -258,27 +258,6 @@ def random_field_point(n: int, rng: random.Random) -> Point:
             return validate_point([GFp(rng.randrange(PRIME)) for _ in range(n)])
         except DegeneratePointError:
             continue
-
-
-def vandermonde(xi: Sequence[Scalar]) -> Scalar:
-    """prod over i < j of (xi_j - xi_i)."""
-    prod = 1
-    n = len(xi)
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod *= xi[j] - xi[i]
-    return prod
-
-
-def complete_homogeneous(degree: int, xi: Sequence[Scalar]) -> Scalar:
-    """Complete homogeneous symmetric polynomial h_degree: all monomials, once."""
-    total = 0
-    for combo in itertools.combinations_with_replacement(range(len(xi)), degree):
-        term = 1
-        for i in combo:
-            term *= xi[i]
-        total += term
-    return total
 
 
 def _identity_point(xi: Sequence[Scalar]) -> Point:

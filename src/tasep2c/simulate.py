@@ -56,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import _check_time
-from .formulas import Configuration
+from .formulas import Configuration, head_word
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -269,7 +269,7 @@ def estimate_event(
 
 
 def _leftmost_check(x: int, state: Configuration) -> bool:
-    return state.positions[0] == x and state.species == "2" + "1" * (state.n - 1)
+    return state.positions[0] == x and state.species == head_word(state.n)
 
 
 def leftmost_event(x: int) -> Callable[[Configuration], bool]:

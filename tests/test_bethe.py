@@ -299,13 +299,39 @@ def test_amplitude_columns_on_node_arrays_are_bit_identical():
                 assert np.array_equal(cols[p][i], value)
 
 
+def _symbolic_point(n):
+    # xi_a = 1 - u_a, the point at which the residue route evaluates S
+    zero = (0,) * n
+    unit = [tuple(int(i == a) for i in range(n)) for a in range(n)]
+    return [formulas._ULaurent({zero: 1, unit[a]: -1}) for a in range(n)]
+
+
+def _u_form_rows(alpha, beta, n):
+    # S written out in the u_a: s = -u_beta/u_alpha, q = 1 - u_beta/u_alpha and -1
+    ratio = tuple((i == beta - 1) - (i == alpha - 1) for i in range(n))
+    s = formulas._ULaurent({ratio: -1})
+    q = formulas._ULaurent({(0,) * n: 1, ratio: -1})
+    return {0: {0: s}, 1: {1: s, 2: q}, 2: {2: -1}, 3: {3: s}}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_scattering_matrix_at_the_symbolic_point_is_the_u_form(n):
+    xi = _symbolic_point(n)
+    for alpha in range(1, n + 1):
+        for beta in range(1, n + 1):
+            if alpha != beta:
+                block = scattering_matrix(xi[alpha - 1], xi[beta - 1])
+                assert block.rows == _u_form_rows(alpha, beta, n)
+
+
 def _full_symbolic_amplitude(n, sigma):
     # the product of embedded slot operators that the column kernel replaces
+    xi = _symbolic_point(n)
     mat = SparseMatrix.identity(1 << n)
     current = list(range(1, n + 1))
     for a in adjacent_decomposition(sigma):
         alpha, beta = current[a - 1], current[a]
-        block = formulas._sym_scattering(alpha, beta, n)
+        block = scattering_matrix(xi[alpha - 1], xi[beta - 1])
         mat = two_site_embed(block, a, n) @ mat
         current[a - 1], current[a] = beta, alpha
     return mat
@@ -325,6 +351,7 @@ def test_symbolic_columns_match_full_products_at_n5():
         for p, mat in full.items():
             expect = _column(mat, col)
             assert set(cols[p]) == set(expect)
+            assert all(isinstance(v, formulas._ULaurent) for v in cols[p].values())
             assert all(terms(cols[p][r]) == terms(v) for r, v in expect.items())
 
 
@@ -340,7 +367,7 @@ def _evaluate_u_form(entry, xi):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_symbolic_columns_evaluate_to_exact_amplitudes(n):
-    # ties the u = 1 - xi form of _sym_scattering to scattering_matrix
+    # ties the symbolic columns back to scattering_matrix at rational points
     rng = random.Random(70 + n)
     points = [random_rational_point(n, rng) for _ in range(3)]
     for col in range(1 << n):

@@ -46,6 +46,18 @@ def test_exact_transition_refuses_an_underflowed_scale(capsys):
     assert "underflows the 2^-256 fixed-point scale" in err
 
 
+def test_exact_transition_refuses_a_negative_total(capsys):
+    # the total is a negative integer at scale 2^-768; the value is 4.70e-217
+    argv = (
+        "exact transition --n 3 --initial 1,2,3 --species 211 --final 34,35,36 "
+        "--final-species 121 --time 0.1"
+    )
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_ACCURACY == 2
+    assert out == ""
+    assert "negative total" in err
+
+
 def test_exact_leftmost_single_particle(capsys):
     code, out, _ = run_cli(
         capsys, *"exact leftmost --n 1 --initial 0 --position 3 --time 2".split()

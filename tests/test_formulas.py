@@ -671,6 +671,15 @@ class TestLargeN:
             with pytest.raises(AccuracyError, match="2\\^-256"):
                 route(initial, final, 0.1)
 
+    # no factor reads 0 here, but the terms of this alternating sum cancel below
+    # the 2^-768 scale of the total, which comes out negative; at 512 bits per
+    # particle the value is 4.6997e-217, so the route must refuse, not clamp to 0.0
+    def test_transition_route_refuses_a_negative_total(self):
+        initial = Configuration((1, 2, 3), "211")
+        final = Configuration((34, 35, 36), "121")
+        with pytest.raises(AccuracyError, match="negative total at the 2\\^-768"):
+            transition_probability(initial, final, 0.1)
+
     def test_transition_routes_agree_short_of_underflow(self):
         initial = Configuration((1, 2), "21")
         final = Configuration((30, 31), "21")

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from tasep2c import bethe, identities
+from tasep2c import bethe, formulas, identities
 from tasep2c.errors import DegeneratePointError
 from tasep2c.identities import (
     PRIME,
@@ -207,6 +208,34 @@ def test_vandermonde_helpers():
     assert descending_vandermonde(XI2) == F(1, 2) - F(1, 3)
     assert complete_homogeneous(0, XI3) == 1
     assert complete_homogeneous(1, XI3) == F(1, 2) + F(1, 3) + F(1, 5)
+
+
+def _h_by_monomials(degree, xi):
+    # every monomial of the degree once: the oracle for the recurrence
+    total = 0
+    for combo in itertools.combinations_with_replacement(range(len(xi)), degree):
+        term = 1
+        for i in combo:
+            term *= xi[i]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("field", ("Q", "GF(p)"))
+def test_complete_homogeneous_recurrence_matches_the_monomial_sum(field):
+    rng = random.Random(17)
+    for n in range(1, 7):
+        if field == "Q":
+            xi = tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
+        else:
+            xi = tuple(GFp(rng.randrange(PRIME)) for _ in range(n))
+        for degree in range(6):
+            assert complete_homogeneous(degree, xi) == _h_by_monomials(degree, xi)
+
+
+def test_the_suite_checks_the_helpers_the_formulas_run():
+    assert identities.vandermonde is formulas.vandermonde
+    assert identities.complete_homogeneous is formulas.complete_homogeneous
 
 
 def test_suite_runner_small():
