@@ -148,9 +148,6 @@ class SparseMatrix:
     def is_upper_triangular(self) -> bool:
         return all(j >= i for i, row in self.rows.items() for j in row)
 
-    def diagonal(self) -> list:
-        return [self.get(i, i) for i in range(self.n)]
-
 
 def word_index(word) -> int:
     """0-based matrix index of a species word over {1, 2} (e.g. "21")."""

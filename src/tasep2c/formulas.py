@@ -29,8 +29,8 @@ that the result is a probability.  Its two routes are:
   The entries of all matrices at one (t, scale) come from one shared series
   table.  An integral known to be positive that reads 0 has underflowed
   the 2^-bits scale, and every residue route (the tables' and the Bareiss
-  matrices' entries and the transition route's factors) then
-  raises AccuracyError naming the scale, by :func:`_refuse_underflow`,
+  matrices' entries and the transition route's factors) reads it through
+  :func:`_fixed_integral`, which then raises AccuracyError naming the scale
   instead of returning a wrong value.  A factor with e > 0 can be exactly
   0, so one that reads 0 is not refused: its underflow goes undetected.
 * *quadrature*: a body and the (k, e) indices of its one-variable factors
@@ -46,7 +46,7 @@ that the result is a probability.  Its two routes are:
 
 :func:`head_transition_probability` has the determinant route only
 (:func:`transition_probability` is its second route), and transitions at
-N = 5 and 6 have the residue route only, with the Monte Carlo simulator as
+N = 5 to 7 have the residue route only, with the Monte Carlo simulator as
 their check.  Quadrature is limited to moderate times (the integrand
 reaches exp(2t) on the default radius-0.5 circles) and, for transitions,
 to N <= 4.  At N = 4 the budget allows a single doubling, 16^4 to 32^4,
@@ -63,7 +63,7 @@ residue route runs it once per (N, initial word) with
 :func:`tasep2c.bethe.scattering_matrix` at the symbolic point
 xi_a = 1 - u_a, whose entries -u_beta/u_alpha, 1 - u_beta/u_alpha and -1 are
 integer Laurent polynomials in the u_a (:class:`_ULaurent`).  So is every
-amplitude entry (at N = 6 a column holds at most about 130k terms), and each
+amplitude entry (:func:`_sym_columns` holds at most 200,000 terms), and each
 term prod_a u_a^e_a separates into one-variable residue factors J(k_a, e_a).
 Quadrature runs it once per grid slab over numpy node arrays and sums each
 permutation's term as the walk reaches it.
@@ -101,6 +101,8 @@ MAX_QUADRATURE_TIME = 30.0
 _PROBABILITY_SLACK = 1e-9
 #: Fixed-point scale for exact accumulation of alternating sums.
 _FIXED_BITS = 256
+#: The most polynomial terms :func:`_sym_columns` holds for one (N, initial word).
+_MAX_COLUMN_TERMS = 200_000
 
 
 class _Minors:
@@ -456,17 +458,27 @@ def _sym_columns(n: int, col: int) -> dict:
 
     The blocks are :func:`tasep2c.bethe.scattering_matrix` at xi_a = 1 - u_a;
     a plain-int entry (the unit column times -1 entries) becomes a constant
-    polynomial.  Few are kept: at N = 6 the column of 222111 holds 132,336
-    terms (about 17 MB).
+    polynomial.  It raises ValueError once the columns pass _MAX_COLUMN_TERMS
+    terms.  Every slot operator is invertible (triangular, diagonal s, s, -1,
+    s), so each of the N! columns keeps a term: N >= 9 is refused at once.
     """
+
+    def refuse(terms: int) -> ValueError:
+        return ValueError(f"symbolic columns hold at least {terms:,} terms, over the budget of "
+                          f"{_MAX_COLUMN_TERMS:,}; head words: head_transition_probability")
+
+    if math.factorial(n) > _MAX_COLUMN_TERMS:
+        raise refuse(math.factorial(n))
     zero = (0,) * n
     xi = [_ULaurent({zero: 1, tuple(int(i == a) for i in range(n)): -1}) for a in range(n)]
-    columns = dict(bethe.amplitude_columns(
-        n, col, lambda a, b: bethe.scattering_matrix(xi[a - 1], xi[b - 1])))
-    for column in columns.values():
-        for r, v in column.items():
-            if type(v) is int:
-                column[r] = _ULaurent({zero: v})
+    columns, terms = {}, 0
+    for sigma, column in bethe.amplitude_columns(
+            n, col, lambda a, b: bethe.scattering_matrix(xi[a - 1], xi[b - 1])):
+        column = {r: _ULaurent({zero: v}) if type(v) is int else v for r, v in column.items()}
+        terms += sum(map(len, column.values()))
+        if terms > _MAX_COLUMN_TERMS:
+            raise refuse(terms)
+        columns[sigma] = column
     return columns
 
 
@@ -484,9 +496,13 @@ def transition_probability(
 ) -> float:
     """P(state = final at time t | state = initial at time 0).
 
-    The residue route (N <= 6) expands each amplitude entry symbolically and
-    sums separable residue factors; quadrature evaluates the N-fold integral
-    of the amplitude-entry integrand (N <= 4, limited by the grid budget of
+    The residue route expands each amplitude entry symbolically and sums
+    separable residue factors within 200,000 column terms
+    (:func:`_sym_columns`): every word at N <= 6 (221211 holds the most,
+    140,512), 56 words at N = 7, each word with a single particle of one species
+    among them (1211111 holds 198,000), 16 at N = 8 (1^a 2^b and 1^a 2 1 2^b),
+    none at N >= 9.  Quadrature evaluates the N-fold integral of the
+    amplitude-entry integrand (N <= 4, limited by the grid budget of
     :func:`tasep2c.contour.multi_contour`, not by the amplitudes).  At N = 4
     that budget allows one doubling (16^4 to 32^4), too few for the default
     ``QuadratureSpec`` to converge on ordinary transitions; pass a smaller
@@ -501,11 +517,6 @@ def transition_probability(
         same = final.positions == initial.positions and final.species == initial.species
         return 1.0 if same else 0.0
     n = initial.n
-    if method == "residue" and n > 6:
-        raise ValueError(
-            "symbolic residue expansion supports N <= 6 (head words at any N: "
-            "head_transition_probability)"
-        )
     if method == "quadrature" and n > 4:
         raise ValueError(
             "transition quadrature supports N <= 4: beyond that the multi_contour "
@@ -521,7 +532,7 @@ def transition_probability(
     def residue(t, bits):
         # every factor multiplies in at full scale: flooring each partial
         # product would zero the terms of a tiny probability
-        total = 0
+        total, factor = 0, lru_cache(maxsize=None)(lambda k, e: _fixed_integral(k, e, t, bits))
         for p, column in _sym_columns(n, col).items():
             entry = column.get(row)
             if not entry:
@@ -530,13 +541,10 @@ def transition_probability(
             ks = [x[inv[a0] - 1] - y[a0] - 1 for a0 in range(n)]
             for e, coef in entry.items():
                 for k, ea in zip(ks, e):
-                    v = contour.exp_scaled_residue(k, ea, t, bits)
-                    if v == 0:
-                        _refuse_underflow(k, ea, t, bits)
+                    coef *= factor(k, ea)
+                    if not coef:
                         break
-                    coef *= v
-                else:
-                    total += coef
+                total += coef
         return total
 
     def body(xis):

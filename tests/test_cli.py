@@ -313,6 +313,13 @@ def test_verify_pass_and_output(capsys):
     assert all(r["passed"] and r["points"] == 3 for r in records)
 
 
+def test_verify_checks_every_size_asked(capsys):
+    code, out, _ = run_cli(capsys, *"verify --identity amplitude --n-range 6..6 --points 3".split())
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["identity"], r["n"], r["passed"]) for r in records] == [("closed_form", 6, True)]
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, *"verify --identity all --n-range 2..2 --points 2".split())
     assert code == EXIT_OK

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tasep2c import contour, formulas, simulate
+from tasep2c import bethe, contour, formulas, simulate
 from tasep2c.contour import QuadratureSpec
 from tasep2c.errors import AccuracyError, WindowTooSmallWarning
 from tasep2c.formulas import (
@@ -145,9 +145,48 @@ class TestTransition:
         band = 6 * math.sqrt(exact * (1 - exact) / est.runs)
         assert abs(est.estimate - exact) <= band
 
-    def test_size_caps(self):
-        with pytest.raises(ValueError, match="N <= 6"):
-            transition_probability(step_configuration(7), step_configuration(7), 1.0)
+    @pytest.mark.parametrize("t", (0.5, 1.5))
+    def test_n7_head_words_match_determinant(self, t):
+        y = step_configuration(7)
+        for xs in ((2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5, 7, 9), (2, 3, 4, 6, 7, 8, 10)):
+            x = Configuration(xs, "2111111")
+            expect = head_transition_probability(y, x, t)
+            assert transition_probability(y, x, t) == pytest.approx(expect, rel=1e-12)
+
+    def test_n7_non_head_word_matches_monte_carlo(self):
+        y = step_configuration(7)
+        final = Configuration((1, 2, 3, 4, 5, 6, 8), "1211111")
+        exact = transition_probability(y, final, 1.0)
+        assert 0.0 < exact < 1.0
+        est = simulate.estimate_event(y, simulate.transition_event(final), 1.0, 40_000, seed=7)
+        band = 6 * math.sqrt(exact * (1 - exact) / est.runs)
+        assert abs(est.estimate - exact) <= band
+
+    def test_column_budget_refuses_n9_before_enumerating(self, monkeypatch):
+        def enumerate_permutations(n):
+            raise AssertionError(f"enumerated S_{n}")
+
+        monkeypatch.setattr(bethe, "enumerate_permutations", enumerate_permutations)
+        y = step_configuration(9)
+        with pytest.raises(ValueError, match=r"362,880 terms, over the budget"):
+            transition_probability(y, y, 1.0)
+
+    def test_size_caps(self, monkeypatch):
+        # the N = 8 head word's 40,320 columns hold 2,530,080 terms; the walk
+        # stops once it holds more than 200,000 (about 1.3 s on 2 cores)
+        walk, seen = bethe.amplitude_columns, []
+
+        def counted(*args):
+            for sigma, column in walk(*args):
+                seen.append(sigma)
+                yield sigma, column
+
+        monkeypatch.setattr(bethe, "amplitude_columns", counted)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget of 200,000"):
+            transition_probability(step_configuration(8), step_configuration(8), 1.0)
+        assert time.perf_counter() - start < 5.0
+        assert len(seen) < math.factorial(8) // 2
         with pytest.raises(ValueError, match="grid budget"):
             transition_probability(
                 step_configuration(5), step_configuration(5), 1.0, method="quadrature"
@@ -168,13 +207,13 @@ class TestTransition:
         assert 0.0 < value < 1.0
 
     def test_cold_n6_three_twos_within_budget(self):
-        # the largest column at N = 6; about 0.45 s cold on a 2-core machine
-        # (measured 2026-10-19)
+        # the largest column at N = 6, 140,512 terms; about 0.45 s cold on a
+        # 2-core machine (measured 2026-10-19)
         formulas._sym_columns.cache_clear()
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
         formulas._minor_table.cache_clear()
-        y = Configuration((1, 2, 3, 4, 5, 6), "222111")
+        y = Configuration((1, 2, 3, 4, 5, 6), "221211")
         final = Configuration((2, 3, 4, 5, 7, 8), "122121")
         start = time.perf_counter()
         value = transition_probability(y, final, 0.5)

@@ -253,6 +253,17 @@ def test_suite_rejects_checking_no_points(points):
         run_identity_suite(n_values=(2,), points=points)
 
 
+def test_suite_rejects_sizes_below_two():
+    with pytest.raises(ValueError, match="N >= 2"):
+        run_identity_suite(n_values=(1,), points=1)
+
+
+def test_suite_checks_the_matrix_identities_at_n6():
+    records = run_identity_suite(n_values=(6,), points=2, identities=("closed_form", "braid"))
+    assert [(r["identity"], r["n"], r["passed"]) for r in records] == [
+        ("closed_form", 6, True), ("braid", 6, True)]
+
+
 # The four variant forms as (variant, d): d = 1 for equiv, 0 for tasep.
 FORMS = {"equiv_a": ("a", 1), "equiv_b": ("b", 1), "tasep_a": ("a", 0), "tasep_b": ("b", 0)}
 
