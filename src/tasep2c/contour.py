@@ -48,7 +48,17 @@ and one independent second evaluator:
   summed with the weights of their conjugate pairs.  Every coset is
   evaluated in slabs of at most ``_SLAB`` nodes, so the rule's memory does
   not grow with the grid; the budget ``max_evals`` on the grid M^n is what
-  bounds it.
+  bounds it.  Every slab needs the same few temporaries of at most
+  ``_SLAB`` complex values, and they stay resident: the first rule a
+  process runs allocates and frees one untouched block of 8 * ``_SLAB``
+  complex values (``_keep_slabs_resident``).  Under glibc, freeing that
+  mmapped block raises the mmap threshold to its size and the heap trim
+  threshold to twice it (mallopt(3)), so the temporaries come from the
+  heap and are reused instead of being returned to the system and
+  page-faulted back in for every slab; other allocators ignore it.
+  One-variable factors g_a(xi_a) of the integrand ride the rule's
+  per-variable contraction vectors (``factors``), so they are evaluated on
+  the node vectors only and never on the grid.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -332,28 +342,49 @@ def circle_quadrature(
     return multi_contour(lambda xis: f(xis[0]), 1, spec, max_evals=max_points)
 
 
-def _grid_sum(F: Callable, vecs: Sequence[np.ndarray], shifted: bool) -> float:
-    """Real sum of F(xis) * prod_a xi_a over the tensor grid of the node sets ``vecs``.
+@cache
+def _keep_slabs_resident() -> None:
+    """Allocate and free one untouched block larger than a slab's working set.
 
-    Each node set is an L-point circle or, for the first variable where
-    ``shifted``, its half-step coset; both are closed under conjugation,
-    and F has real coefficients, so the terms of conjugate nodes are
-    conjugate.  Only the first variable's nodes with Im xi >= 0 are
-    evaluated, and their real parts are summed with the weights of their
-    pairs: on the circle nodes 0..L/2 with weights 1, 2, .., 2, 1 (nodes 0
-    and L/2 are real), on the coset nodes 0..L/2-1 with weight 2.
+    The block, 8 * _SLAB complex values, is mmapped and never touched, so it
+    costs no page faults.  glibc raises its mmap threshold to the size of a
+    freed mmapped chunk and its trim threshold to twice that (mallopt(3)),
+    so from then on every slab temporary comes from the heap and stays there
+    between slabs.  Other allocators ignore it.  Run once per process, by the
+    first quadrature, so routes without quadrature keep their memory as is.
+    """
+    np.empty(8 * _SLAB, complex)
+
+
+def _grid_sum(
+    F: Callable, vecs: Sequence[np.ndarray], shifted: bool, factors: Sequence[Callable]
+) -> float:
+    """Real sum of F(xis) * prod_a g_a(xi_a) xi_a over the tensor grid of the node sets ``vecs``.
+
+    The g_a are the ``factors``, one per variable, or none (g_a = 1) when
+    it is empty.  Each node set is an L-point circle or, for the first
+    variable where ``shifted``, its half-step coset; both are closed under
+    conjugation, and F and the g_a have real coefficients, so the terms of
+    conjugate nodes are conjugate.  Only the first variable's nodes with
+    Im xi >= 0 are evaluated, and their real parts are summed with the
+    weights of their pairs: on the circle nodes 0..L/2 with weights 1, 2,
+    .., 2, 1 (nodes 0 and L/2 are real), on the coset nodes 0..L/2-1 with
+    weight 2.
 
     The grid is cut into slabs of at most _SLAB nodes: the leading variables
     that do not fit are fixed one node at a time, and the next variable is
-    cut into blocks of rows.  Each slab's values are contracted with the
-    node vectors one axis at a time, the first as weight * xi, so neither
-    the weights nor prod_a xi_a are ever built on the grid.
+    cut into blocks of rows.  Each slab's values are contracted with one
+    vector per variable, one axis at a time: g_a(xi_a) * xi_a, times the
+    weights for the first variable.  Neither the weights, prod_a xi_a nor
+    prod_a g_a(xi_a) is ever built on the grid.
     """
     weights = np.full(len(vecs[0]) // 2 + (not shifted), 2.0)
     if not shifted:
         weights[[0, -1]] = 1.0
     vecs = [vecs[0][: len(weights)], *vecs[1:]]
     contract = [weights * vecs[0], *vecs[1:]]
+    for a, g in enumerate(factors):
+        contract[a] = contract[a] * g(vecs[a])
     n = len(vecs)
     sizes = [len(vec) for vec in vecs]
     fixed = 0
@@ -386,12 +417,17 @@ def multi_contour(
     n: int,
     spec: QuadratureSpec = QuadratureSpec(),
     max_evals: int = 2**22,
+    factors: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
 ) -> QuadratureResult:
     """n-fold tensor-product circle quadrature of an integrand real on the real axis.
 
-    ``F`` receives a list of n mutually broadcastable node arrays, one per
-    variable, and must return the integrand values under numpy broadcasting.
-    F must have real coefficients, F(conj(xis)) = conj(F(xis)), and the
+    The integrand is F(xis) * prod_a g_a(xi_a).  ``F`` receives a list of n
+    mutually broadcastable node arrays, one per variable, and must return
+    its values under numpy broadcasting.  ``factors`` is empty (every
+    g_a = 1) or holds one callable g_a per variable, which receives that
+    variable's 1-d node vector and returns g_a on it elementwise; the g_a
+    are evaluated on the node vectors only, never on the grid.  F and every
+    g_a must have real coefficients, F(conj(xis)) = conj(F(xis)), and the
     value returned is the real integral.  M doubles until two successive
     values agree within ``spec.tolerance``; the (2M)^n grid of a doubling
     must fit ``max_evals``, and exhausting that budget raises AccuracyError
@@ -400,20 +436,24 @@ def multi_contour(
 
     The rule nests under doubling: the 2M-point grid is the M-point grid
     plus 2^n - 1 cosets shifted by half a step in some variables, each an
-    M^n tensor grid.  The running sum of F * prod_a xi_a is kept, and a
-    doubling evaluates only the new cosets, so no node is evaluated twice.
-    Every node set is closed under conjugation, and the conjugate node's
-    term is the conjugate of the node's, so only the first variable's nodes
-    with Im xi >= 0 are evaluated, and the real parts are summed with pair
-    weights.  Each coset is evaluated in slabs of at most _SLAB nodes, so
-    memory does not grow with the grid.
+    M^n tensor grid.  The running sum of F * prod_a g_a(xi_a) xi_a is kept,
+    and a doubling evaluates only the new cosets, so no node is evaluated
+    twice.  Every node set is closed under conjugation, and the conjugate
+    node's term is the conjugate of the node's, so only the first
+    variable's nodes with Im xi >= 0 are evaluated, and the real parts are
+    summed with pair weights.  Each coset is evaluated in slabs of at most _SLAB nodes, so
+    memory does not grow with the grid, and the slabs' temporaries stay
+    resident between slabs (see the module docstring).
     """
     if n < 1:
         raise ValueError("need at least one integration variable")
+    if factors and len(factors) != n:
+        raise ValueError(f"need one factor per variable, got {len(factors)} for {n}")
     m = spec.points
     if m**n > max_evals:
         raise ValueError(f"starting grid {m}^{n} already exceeds budget {max_evals}")
-    total = _grid_sum(F, [_nodes(spec.radius, m)] * n, False)
+    _keep_slabs_resident()
+    total = _grid_sum(F, [_nodes(spec.radius, m)] * n, False, factors)
     prev = total / m**n
     delta = math.inf
     while (2 * m) ** n <= max_evals:
@@ -422,7 +462,7 @@ def multi_contour(
         halves = (circle[0::2], circle[1::2])
         for shifts in itertools.product((0, 1), repeat=n):
             if any(shifts):
-                total += _grid_sum(F, [halves[s] for s in shifts], shifts[0])
+                total += _grid_sum(F, [halves[s] for s in shifts], shifts[0], factors)
         cur = total / m**n
         delta = abs(cur - prev)
         if delta <= spec.tolerance * max(1.0, abs(cur)):

@@ -36,7 +36,8 @@ that the result is a probability.  Its two routes are:
 * *quadrature*: a body and the (k, e) indices of its one-variable factors
   xi^k (1 - xi)^e e^((1/xi - 1) t) go to :func:`_quadrature`, which owns
   the time cap, the default rule of :func:`tasep2c.contour.multi_contour`,
-  and the evaluation of each one-variable factor on its node vector only.
+  and the one-variable factors, which the rule evaluates on its node
+  vectors only and never on the grid.
   Each body carries its formula's constants, so the rule's tolerance
   applies to the probability itself.  Every body and factor has real
   coefficients, so the integrand is real on the real axis and the rule
@@ -262,25 +263,25 @@ def _quadrature(
 
     j_a(xi) = xi^k_a (1 - xi)^e_a e^((1/xi - 1) t) is the one-variable
     integrand of J(k_a, e_a), with (k_a, e_a) taken from the n ``powers``.
-    Each j_a is evaluated on its variable's node vector of
-    :func:`tasep2c.contour.multi_contour`, and the vectors meet the grid
-    only in their outer product, which multiplies ``body`` once.  ``body``
-    is the rest of the defining integrand and receives the broadcastable
-    node arrays.  Every body and every j_a has real coefficients, so the
-    integrand is real on the real axis, as the rule requires, and its value
-    and the best value of an AccuracyError it raises are the real integral.
-    Beyond MAX_QUADRATURE_TIME the rule is refused.
+    The j_a are the ``factors`` of :func:`tasep2c.contour.multi_contour`,
+    evaluated on their variable's node vector only: they ride the rule's
+    contraction vectors and never meet the grid, which sees ``body``
+    alone.  ``body`` is the rest of the defining integrand and receives
+    the broadcastable node arrays.  Every body and every j_a has real
+    coefficients, so the integrand is real on the real axis, as the rule
+    requires, and its value and the best value of an AccuracyError it
+    raises are the real integral.  Beyond MAX_QUADRATURE_TIME the rule is
+    refused.
     """
     if t > MAX_QUADRATURE_TIME:
         raise ValueError(f"t={t} too large for circle quadrature; use the residue route")
 
-    def F(xis):
-        factor = 1
-        for z, (k, e) in zip(xis, powers):
-            factor = factor * (z**k * (1 - z) ** e * np.exp((1 / z - 1) * t))
-        return body(xis) * factor
+    def j(k: int, e: int):
+        return lambda z: z**k * (1 - z) ** e * np.exp((1 / z - 1) * t)
 
-    return contour.multi_contour(F, len(powers), quad or QuadratureSpec()).value
+    factors = [j(k, e) for k, e in powers]
+    return contour.multi_contour(body, len(powers), quad or QuadratureSpec(),
+                                 factors=factors).value
 
 
 def _evaluate(what: str, n: int, t: float, method: str, quad, residue, quadrature) -> float:

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,14 +292,14 @@ def full_grid_trapezoid(F, n, radius, m):
     return complex(np.mean(vals))
 
 
-def level_value(F, n, spec, m):
+def level_value(F, n, spec, m, factors=()):
     """The rule's value and level with a budget of exactly m^n.
 
     The budget stops the rule at level m, and its error carries that level's
     value; a doubling delta of exactly 0 returns an earlier level.
     """
     try:
-        result = multi_contour(F, n, spec, max_evals=m**n)
+        result = multi_contour(F, n, spec, max_evals=m**n, factors=factors)
     except AccuracyError as exc:
         return exc.value, m
     return result.value, result.points
@@ -312,16 +317,46 @@ def test_multi_contour_levels_match_full_grid(n, top):
         m *= 2
 
 
+def with_factors(F, factors):
+    """F(xis) * prod_a g_a(xi_a), the integrand ``factors`` stand for, on the grid."""
+    return lambda xis: F(xis) * math.prod(g(z) for g, z in zip(factors, xis))
+
+
+FACTORS = (integrand(0, 0, 0.3), integrand(-1, -1, 0.7), integrand(2, 1, 1.1))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("m", (16, 32))
+def test_multi_contour_factors_match_the_grid_product(n, m):
+    # the factors ride the contraction vectors; the value is that of the
+    # integrand with their product built on the grid, from the same nodes
+    spec = QuadratureSpec(points=m)
+    counts = {}
+    values = {}
+    for mode, F, factors in (("factors", coupled, FACTORS[:n]),
+                             ("grid", with_factors(coupled, FACTORS[:n]), ())):
+        counts[mode] = []
+        values[mode], level = level_value(counting(F, counts[mode]), n, spec, m, factors)
+        assert level == m
+    assert abs(values["factors"] - values["grid"]) <= 1e-15 * max(1.0, abs(values["grid"]))
+    assert counts["factors"] == counts["grid"]
+
+
+def test_multi_contour_wants_one_factor_per_variable():
+    with pytest.raises(ValueError, match="one factor per variable"):
+        multi_contour(coupled, 3, factors=FACTORS[:2])
+
+
 class _Captured(Exception):
     pass
 
 
 def captured_integrand(monkeypatch, call):
-    """The integrand F and variable count n a formula hands to multi_contour."""
+    """The integrand F, variable count n and factors a formula hands to multi_contour."""
     seen = []
 
-    def capture(F, n, *args, **kwargs):
-        seen.append((F, n))
+    def capture(F, n, *args, factors=(), **kwargs):
+        seen.append((F, n, factors))
         raise _Captured
 
     with monkeypatch.context() as patch:
@@ -360,14 +395,35 @@ def captured_integrand(monkeypatch, call):
 @pytest.mark.parametrize("m", (16, 32))
 def test_package_integrands_are_real_on_the_real_axis(monkeypatch, call, m):
     # the rule sums half of each conjugation-closed grid; the formulas'
-    # integrands have real coefficients, so at a forced level its value is
-    # the real part of the whole grid's trapezoid sum
-    F, n = captured_integrand(monkeypatch, call)
+    # integrands, body times one-variable factors, have real coefficients,
+    # so at a forced level its value is the real part of the whole grid's
+    # trapezoid sum
+    F, n, factors = captured_integrand(monkeypatch, call)
+    assert len(factors) == n
+    assert half_grid_error(F, n, factors, m) <= 1e-14
+
+
+def half_grid_error(F, n, factors, m):
+    """|half-grid rule - real part of the full-grid rule| at level m, relative to max(1, |value|)."""
     with pytest.raises(AccuracyError) as info:
-        multi_contour(F, n, QuadratureSpec(points=m), max_evals=m**n)
+        multi_contour(F, n, QuadratureSpec(points=m), max_evals=m**n, factors=factors)
     value = info.value.value
-    expect = full_grid_trapezoid(F, n, 0.5, m).real
-    assert abs(value - expect) <= 1e-14 * max(1.0, abs(value))
+    expect = full_grid_trapezoid(with_factors(F, factors), n, 0.5, m).real
+    return abs(value - expect) / max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("a", (0, 1, 2))
+def test_realness_check_sees_a_complex_factor(monkeypatch, a):
+    # a factor with a complex coefficient breaks the conjugate symmetry the
+    # half grid relies on, and the check above must see it in any variable
+    F, n, factors = captured_integrand(
+        monkeypatch,
+        lambda: formulas.leftmost_probability_shifted_step(2, 3, 2, 1.0, method="quadrature"),
+    )
+    factors = list(factors)
+    g = factors[a]
+    factors[a] = lambda z: (1 + 0.5j) * g(z)
+    assert half_grid_error(F, n, factors, 16) > 1e-6
 
 
 def counting(F, sizes):
@@ -403,6 +459,29 @@ def test_multi_contour_slabs_are_bounded(n, points):
     assert info.value.value == pytest.approx(1.0, abs=1e-13)
     assert max(sizes) == contour._SLAB
     assert sum(sizes) == {1: 2**16 + 1, 5: 9 * 16**4}[n]
+
+
+_COLD_STEP_LEFTMOST = """
+import resource
+from tasep2c import formulas
+start = formulas.step_configuration(3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+formulas.leftmost_probability(start, 2, 1.0, method="quadrature")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's malloc")
+def test_quadrature_slabs_stay_resident():
+    # this rule reaches M = 128 in about 50 slabs of up to 2^15 nodes; were
+    # the slab temporaries trimmed off the heap after every slab, each slab
+    # would fault them back in, about 11,000 minor faults in all
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(contour.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _COLD_STEP_LEFTMOST], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 1000
 
 
 def test_multi_contour_product_of_inverses():
