@@ -334,14 +334,15 @@ class Configuration:
     species: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
-        if len(self.positions) == 0:
+        positions = tuple(map(int, self.positions))
+        object.__setattr__(self, "positions", positions)
+        if not positions:
             raise ValueError("need at least one particle")
-        if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
-            raise ValueError(f"positions must be strictly increasing: {self.positions}")
-        if len(self.species) != len(self.positions):
+        if not all(map(operator.lt, positions, positions[1:])):
+            raise ValueError(f"positions must be strictly increasing: {positions}")
+        if len(self.species) != len(positions):
             raise ValueError("species word length must match the number of positions")
-        if set(self.species) - {"1", "2"}:
+        if self.species.strip("12"):  # what is left holds a character other than 1 and 2
             raise ValueError(f"species word may only contain 1 and 2: {self.species!r}")
 
     @property

@@ -16,14 +16,25 @@ labels at fixed ordered positions, which keeps the position vector strictly
 increasing structurally; the position vector alone evolves exactly like a
 single-species process.
 
-Engine: :func:`final_state_sample` advances runs in lockstep blocks of
-``_BLOCK`` runs, one numpy int64 row of positions and species digits per
-run.  Each step draws a dwell and a particle for every live run, applies
-the move, block and swap rules with masks, and retires the runs whose clock
-has passed t, counting their final rows.  :func:`estimate_event` is that
-histogram with the predicate applied once per distinct state, weighted by
-its count.  The ``processes`` pool splits the runs into spans, one per
-worker, and merges the histograms.
+Engine: :func:`final_state_sample` advances runs in blocks of ``_BLOCK``
+runs and does its numpy work in bulk.  A run's step count depends only on
+its dwells, so the block first draws the dwells as (steps x live runs)
+matrices and subtracts them from t one row at a time, the same
+subtractions as one step at a time, to find each run's count.  Sorted by
+descending count, the runs alive at any step are a prefix of the block, so
+no step compacts or tests for finished runs.  Particle i of a run is packed
+in one int64 as 4 x_i + [species 2], and the gap to the next particle (or
+to a wall the last particle never reaches) decides the step: 3 swaps the
+adjacent pair 21, 4 and 5 are blocked, 7 or more is a move; two table
+lookups apply it.  The particle draws come in the same chunked matrices;
+each chunk holds about 4 * ``_BLOCK`` draws, which keeps temporaries below
+glibc's 128 KiB mmap threshold.  At the end of the block one lexsort groups
+equal final states and each distinct state becomes one ``(positions,
+species)`` key with its count.  Packing needs 4 (x_N + steps + 2) below
+2^63, so positions near 2^61 raise ``OverflowError``.
+:func:`estimate_event` is that histogram with the predicate applied once
+per distinct state, weighted by its count.  The ``processes`` pool splits
+the runs into spans, one per worker, and merges the histograms.
 
 Random numbers: run r owns the SplitMix64 stream (Steele, Lea & Flood,
 OOPSLA 2014) keyed by ``splitmix64(seed ^ splitmix64(r))``; its draw j is
@@ -32,8 +43,8 @@ the (j+1)-th output of that stream, computed counter-style in numpy
 u the top 53 bits over 2^53, and draw 2k+1 for the particle, the draw
 modulo N (a bias below N/2^64).  A run's final state therefore depends
 only on (seed, r), so a (seed, runs) pair pins every histogram and
-estimate bit-exactly, whatever the block size, the split of the runs into
-spans, or the worker count.
+estimate bit-exactly, whatever the block size, the chunk size, the split
+of the runs into spans, or the worker count.
 ``numpy.random`` is not used: importing it alone costs about 5 MB of
 resident memory.
 
@@ -89,11 +100,6 @@ def _run_keys(seed: int, start: int, stop: int) -> np.ndarray:
     return _mix64((inner ^ np.uint64(seed & _MASK64)) + np.uint64(_GAMMA))
 
 
-def _draws(keys: np.ndarray, j: int) -> np.ndarray:
-    """Draw j of every stream: the SplitMix64 output at counter key + (j+1)*gamma."""
-    return _mix64(keys + np.uint64(((j + 1) * _GAMMA) & _MASK64))
-
-
 def substream(seed: int, run_index: int) -> random.Random:
     """Independent scalar RNG for one run, for the :func:`simulate_until` oracle."""
     return random.Random(_splitmix64((seed & _MASK64) ^ _splitmix64(run_index)))
@@ -145,57 +151,134 @@ def simulate_until(initial: Configuration, t: float, rng: random.Random) -> Conf
         state = nxt
 
 
+# read at the gap from a particle's packed value to the next one's, indices
+# past 7 clipped to 7: 3 is "21" adjacent (swap), 4 and 5 are blocked, 7 and
+# above is a free target site (move)
+_SELF = np.array([0, 0, 0, -1, 0, 0, 0, 4], np.int64)
+_NEXT = np.array([0, 0, 0, 1, 0, 0, 0, 0], np.int64)
+
+
+def _chunk_steps(live: int, steps: float) -> int:
+    """Steps per chunk: about 4 * _BLOCK draws for ``live`` runs, at most ``steps``."""
+    return max(1, int(min(steps, 4 * _BLOCK // live)))
+
+
+def _draw_matrix(keys: np.ndarray, j0: int, count: int) -> np.ndarray:
+    """Draws j0, j0 + 2, ..., j0 + 2(count - 1) of every stream, one row per draw.
+
+    Draw j is the SplitMix64 output at counter key + (j+1)*gamma.
+    """
+    steps = np.arange(count, dtype=np.uint64) * np.uint64((2 * _GAMMA) & _MASK64)
+    steps += np.uint64(((j0 + 1) * _GAMMA) & _MASK64)
+    return _mix64(steps[:, None] + keys)
+
+
+def _step_counts(n: int, t: float, keys: np.ndarray) -> np.ndarray:
+    """Moves each run makes before its clock passes t: the steps before the one that does.
+
+    A step's dwell is its even draw.  Each chunk subtracts the dwells of
+    its steps one row at a time from the remaining time, the same sequence
+    of subtractions as one step at a time, and counts the steps that leave
+    it positive (it never rises, so they come first).
+    """
+    counts = np.zeros(len(keys), np.int64)
+    live = np.arange(len(keys))
+    remaining = np.full(len(keys), t)
+    first = 0
+    while live.size:
+        mean = n * float(remaining.max())  # steps the slowest run still expects
+        c = _chunk_steps(live.size, mean + 3 * math.sqrt(mean) + 1)
+        clock = (_draw_matrix(keys[live], 2 * first, c) >> np.uint64(11)).astype(np.float64)
+        clock *= 2.0**-53
+        np.subtract(1.0, clock, out=clock)
+        np.log(clock, out=clock)
+        clock /= -n  # rounds as -log(1 - u) / n does: the sign does not touch rounding
+        np.subtract(remaining, clock[0], out=clock[0])
+        for i in range(1, c):
+            np.subtract(clock[i - 1], clock[i], out=clock[i])
+        counts[live] += (clock > 0).sum(axis=0)
+        remaining = clock[-1]
+        going = remaining > 0
+        live, remaining = live[going], remaining[going]
+        first += c
+    return counts
+
+
 def _advance_block(
     initial: Configuration, t: float, keys: np.ndarray, finals: Counter
 ) -> None:
-    """Advance one block of runs to time t and count their final rows in ``finals``.
+    """Advance one block of runs to time t and count their final states in ``finals``.
 
-    A run's row holds its n positions, a wall, its n species digits and a
-    0.  The wall sits at the last particle's starting site, which that
-    particle's target always exceeds, so particle i + 1 always exists and
-    the wall never blocks.
+    The step counts come first, from the dwells alone.  Runs sorted by
+    descending count are alive at step s exactly as the prefix
+    ``[:alive[s]]``.  Row i of ``state`` packs particle i of every run as
+    4 x_i + [species 2]; row n is a wall far enough right that the last
+    particle never meets it.
     """
-    n = initial.n
-    ahead = n + 1  # from a particle's position to its species digit
-    state = np.empty((len(keys), 2 * ahead), np.int64)
-    state[:] = initial.positions + initial.positions[-1:] + tuple(map(int, initial.species + "0"))
-    remaining = np.full(len(keys), t)
-    step = 0
-    while True:
-        u = (_draws(keys, 2 * step) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        remaining -= -np.log(1.0 - u) / n
-        done = remaining <= 0
-        if done.any():
-            finals.update(map(tuple, state[done].tolist()))
-            keep = ~done
-            if not keep.any():
-                return
-            keys, remaining, state = keys[keep], remaining[keep], state[keep]
-        at = np.arange(0, state.size, 2 * ahead)
-        at += (_draws(keys, 2 * step + 1) % np.uint64(n)).astype(np.int64)
-        flat = state.reshape(-1)
-        target = flat[at] + 1
-        blocked = flat[at + 1] == target
-        flat[at] = target - blocked
-        # a blocked pair swaps exactly when it reads 21
-        at += ahead
-        swap = at[blocked & (flat[at] > flat[at + 1])]
-        flat[swap] = 1
-        flat[swap + 1] = 2
-        step += 1
+    n, m = initial.n, len(keys)
+    steps = _step_counts(n, t, keys)
+    order = np.argsort(-steps)
+    keys, steps = keys[order], steps[order]
+    kmax = int(steps[0])
+    alive = (m - np.cumsum(np.bincount(steps, minlength=kmax + 1))[:kmax]).tolist()
+    column = [4 * x + (c == "2") for x, c in zip(initial.positions, initial.species)]
+    state = np.empty((n + 1, m), np.int64)
+    state[:] = np.array(column + [4 * (initial.positions[-1] + kmax + 2)], np.int64)[:, None]
+    flat = state.reshape(-1)
+    first = 0
+    while first < kmax:
+        live = alive[first]
+        c = _chunk_steps(live, kmax - first)
+        draws = _draw_matrix(keys[:live], 2 * first + 1, c)
+        at = (draws - draws // np.uint64(n) * np.uint64(n)).astype(np.int64)
+        at *= m
+        at += np.arange(live)
+        for s in range(c):
+            here = at[s, : alive[first + s]]
+            ahead = here + m
+            v = flat[here]
+            w = flat[ahead]
+            gap = w - v
+            v += _SELF.take(gap, mode="clip")
+            w += _NEXT.take(gap, mode="clip")
+            flat[here] = v
+            flat[ahead] = w
+        first += c
+    _count_columns(state[:n], finals)
+
+
+def _count_columns(state: np.ndarray, finals: Counter) -> None:
+    """Add one ``(positions, species)`` key per distinct packed column to ``finals``.
+
+    Each row is narrowed to the smallest unsigned type that holds its
+    spread before the sort, as lexsort runs a radix sort on small integers.
+    """
+    narrow = state - state.min(axis=1, keepdims=True)
+    narrow = narrow.astype(np.min_scalar_type(int(narrow.max())))
+    order = np.lexsort(narrow)
+    narrow = narrow[:, order]
+    new = np.zeros(len(order), bool)
+    new[0] = True
+    for row in narrow:
+        new[1:] |= row[1:] != row[:-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(order)).tolist()
+    distinct = state[:, order[starts]].T
+    n = len(state)
+    words = ((distinct & 1) + ord("1")).astype(np.uint8).tobytes().decode()
+    positions = map(tuple, (distinct >> 2).tolist())
+    species = (words[i : i + n] for i in range(0, len(words), n))
+    finals.update(dict(zip(zip(positions, species), counts)))
 
 
 def _sample_span(
     initial: Configuration, t: float, seed: int, span: tuple[int, int]
 ) -> Counter[tuple[tuple[int, ...], str]]:
     """Histogram of the final states of runs span[0]..span[1]-1."""
-    finals: Counter[tuple[int, ...]] = Counter()
+    finals: Counter[tuple[tuple[int, ...], str]] = Counter()
     for lo in range(span[0], span[1], _BLOCK):
         _advance_block(initial, t, _run_keys(seed, lo, min(lo + _BLOCK, span[1])), finals)
-    n = initial.n
-    return Counter(
-        {(row[:n], "".join(map(str, row[n + 1 : -1]))): c for row, c in finals.items()}
-    )
+    return finals
 
 
 def _chunk_ranges(runs: int, chunks: int) -> list[tuple[int, int]]:

@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tasep2c import bethe, contour, formulas, simulate
@@ -42,6 +43,25 @@ class TestConfiguration:
             Configuration((1, 2), "23")
         with pytest.raises(ValueError):
             Configuration((), "")
+
+    @pytest.mark.parametrize(
+        "positions, species, message",
+        [
+            ((), "", "need at least one particle"),
+            ((1, 3, 3), "211", "strictly increasing"),
+            ((1, 2), "211", "length must match"),
+            ((1, 2, 3), "1x1", "only contain 1 and 2"),
+        ],
+    )
+    def test_each_refusal_names_its_cause(self, positions, species, message):
+        with pytest.raises(ValueError, match=message):
+            Configuration(positions, species)
+
+    def test_numpy_positions_become_python_ints(self):
+        c = Configuration(tuple(np.arange(-1, 2)), "211")
+        assert c.positions == (-1, 0, 1)
+        assert all(type(p) is int for p in c.positions)
+        assert c == Configuration((-1, 0, 1), "211")
 
     def test_step_initial(self):
         assert StepInitial(0).positions(4) == (1, 2, 3, 4)

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -247,8 +249,10 @@ def test_engine_draws_match_reference_splitmix64(seed):
     for run in (0, 1, 2047, 2048, 999_999):
         keys = simulate._run_keys(seed, run, run + 1)
         expected = reference_stream(seed, run)
+        even, odd = (simulate._draw_matrix(keys, j0, 21)[:, 0] for j0 in (0, 1))
         for j in range(42):
-            assert int(simulate._draws(keys, j)[0]) == next(expected), (seed, run, j)
+            got = (odd if j % 2 else even)[j // 2]
+            assert int(got) == next(expected), (seed, run, j)
     span = [int(k) for k in simulate._run_keys(seed, 3, 9)]
     assert span == [int(simulate._run_keys(seed, r, r + 1)[0]) for r in range(3, 9)]
 
@@ -297,6 +301,60 @@ def test_histogram_independent_of_span_split_and_block_size(monkeypatch):
     assert parts == whole
     monkeypatch.setattr(simulate, "_BLOCK", 7)
     assert final_state_sample(y, t, runs, seed) == whole
+    monkeypatch.setattr(simulate, "_BLOCK", 2048)
+    monkeypatch.setattr(simulate, "_chunk_steps", lambda live, steps: 1)
+    assert final_state_sample(y, t, runs, seed) == whole
+    monkeypatch.setattr(simulate, "_chunk_steps", lambda live, steps: int(min(steps, 3)))
+    assert final_state_sample(y, t, runs, seed) == whole
+
+
+def histogram_digest(counts):
+    return hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest()[:16]
+
+
+# Digests of histograms recorded from the step-at-a-time engine that kept one
+# row of positions and species digits per run; any change to a draw, a step
+# count or a jump rule moves them.
+@pytest.mark.parametrize(
+    "initial, t, runs, seed, distinct, digest",
+    [
+        (step_configuration(3), 1.0, 1, 5, 1, "4149a4ae81b11542"),
+        (step_configuration(2), 2.0, 1, 0, 1, "28c9b413547a6f97"),
+        (step_configuration(3), 2.0, 5000, 4, 165, "355d17ad24992df7"),
+        (Configuration((0, 1, 3), "211"), 1.5, 4500, -7, 138, "1668a1b1f584f909"),
+        (step_configuration(8), 7.5, 600, 17, 596, "61bc8fbb6832e6c1"),
+        (step_configuration(20), 30.0, 300, 23, 300, "f0c6b88bf09afec0"),
+        (Configuration((-9, -4, -3, 0), "2121"), 3.0, 700, 2**63 + 1, 455, "371e775eab08874e"),
+    ],
+)
+def test_golden_histograms(initial, t, runs, seed, distinct, digest):
+    counts = final_state_sample(initial, t, runs, seed)
+    assert sum(counts.values()) == runs
+    assert (len(counts), histogram_digest(counts)) == (distinct, digest)
+
+
+def test_engine_near_the_packing_limit():
+    # a particle packs as 4 x + [species 2] in int64
+    y = Configuration((2**60, 2**60 + 1, 2**60 + 3), "211")
+    expected = Counter(replay(y, 2.0, 9, r) for r in range(50))
+    assert final_state_sample(y, 2.0, 50, 9) == expected
+    with pytest.raises(OverflowError):
+        final_state_sample(Configuration((2**61, 2**61 + 3), "21"), 1.0, 10, 1)
+
+
+@pytest.mark.parametrize(
+    "initial, t, runs, limit",
+    [(step_configuration(20), 100.0, 4096, 4 << 20), (step_configuration(1), 1.0, 1, 64 << 10)],
+)
+def test_peak_traced_memory(initial, t, runs, limit):
+    final_state_sample(initial, 1.0, 8, 1)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        final_state_sample(initial, t, runs, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
 
 
 # Two-sample chi-square test of homogeneity between the lockstep engine and
