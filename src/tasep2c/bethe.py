@@ -43,7 +43,7 @@ word (w_1 ... w_N) over {1, 2} maps to the binary integer with digits
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from numpy import ndarray
 
@@ -277,18 +277,18 @@ def _push_column(column: dict, block: SparseMatrix, slot: int, n: int) -> dict:
     return {i: v for i, v in out.items() if not _is_scalar_zero(v)}
 
 
-def amplitude_columns(n: int, col: int, scatter: Callable) -> Iterator[tuple[tuple, dict]]:
+def amplitude_columns(n: int, col: int, point: Sequence) -> Iterator[tuple[tuple, dict]]:
     """Column ``col`` of the amplitude matrix of every permutation of S_n.
 
     Yields (sigma, {row: value}) as a depth-first walk of the prefix tree of
     reduced words reaches the node where sigma's word ends: the unit column
     e_col pushed through the slot operators of the canonical word of sigma,
     without building any 2^N x 2^N matrix.  Only the columns on one
-    root-to-node path are alive at a time.  ``scatter(alpha, beta)`` returns
-    the 4x4 scattering block for the 1-based particle labels alpha, beta, so
-    entries may be any scalar type (exact, symbolic, numpy node arrays);
-    each block is requested once.  Species counts are conserved, so a column
-    holds at most C(N, #2s) entries.  Permutations whose words share a
+    root-to-node path are alive at a time.  The 4x4 block for the 1-based
+    particle labels alpha, beta is ``scattering_matrix(point[alpha - 1],
+    point[beta - 1])``, built once, so entries may be any scalar type of the
+    point (exact, symbolic, numpy node arrays).  Species counts are
+    conserved, so a column holds at most C(N, #2s) entries.  Permutations whose words share a
     prefix share its slot steps (154 instead of 600 at N = 5).  The words
     are the canonical ones of :func:`amplitude`, so every entry equals the
     corresponding entry of ``amplitude(sigma, point)`` computed the same
@@ -306,7 +306,8 @@ def amplitude_columns(n: int, col: int, scatter: Callable) -> Iterator[tuple[tup
             alpha, beta = current[a - 1], current[a]
             block = blocks.get((alpha, beta))
             if block is None:
-                block = blocks[(alpha, beta)] = scatter(alpha, beta)
+                block = scattering_matrix(point[alpha - 1], point[beta - 1])
+                blocks[(alpha, beta)] = block
             nxt = list(current)
             nxt[a - 1], nxt[a] = beta, alpha
             yield from walk(child, _push_column(column, block, a, n), nxt)

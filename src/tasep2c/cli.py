@@ -49,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _dump(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
-
-
 def _workers() -> int:
     raw = os.environ.get("TASEP2C_WORKERS", "1")
     try:
@@ -114,57 +110,28 @@ def _leftmost_value(args, x: int) -> float:
     return formulas.leftmost_probability(initial, x, args.time, method=args.method, quad=quad)
 
 
-def _record(command: str, args, extra: dict, stochastic_seed: int | None = None) -> dict:
-    parameters = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("func", "command", "subcommand") and value is not None
-    }
+def _emit(command: str, args, extra: dict, started: float, seed: int | None = None) -> None:
+    """Print the JSON record of ``command``, with the wall time since ``started`` under --timing."""
     record = {
         "command": command,
-        "parameters": parameters,
+        "parameters": {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if key not in ("func", "command", "subcommand") and value is not None
+        },
         "version": __version__,
     }
-    if stochastic_seed is not None:
-        record["seed"] = stochastic_seed
+    if seed is not None:
+        record["seed"] = seed
     record.update(extra)
-    return record
-
-
-def _cmd_exact_leftmost(args) -> int:
-    if (args.position is None) == (args.sweep is None):
-        raise _UsageError("give exactly one of --position or --sweep")
-    if args.csv and args.sweep is None:
-        raise _UsageError("--csv writes a sweep; give --sweep, not --position")
-    started = time.perf_counter()
-    err = None if args.method in ("residue", "determinant") else args.tol
-    if args.sweep is not None:
-        lo, hi = _parse_range(args.sweep)
-        rows = [(x, _leftmost_value(args, x)) for x in range(lo, hi + 1)]
-        lines = [CSV_HEADER] + [
-            f"{x},{value!r},{args.method},{args.time!r},{args.n}" for x, value in rows
-        ]
-        if args.csv:
-            with open(args.csv, "w") as handle:
-                handle.write("\n".join(lines) + "\n")
-            extra = {
-                "method": args.method,
-                "csv": args.csv,
-                "rows": len(rows),
-                "error_estimate": err,
-            }
-            if args.timing:
-                extra["runtime"] = time.perf_counter() - started
-            _dump(_record("exact leftmost", args, extra))
-        else:
-            print("\n".join(lines))
-        return EXIT_OK
-    value = _leftmost_value(args, args.position)
-    extra = {"method": args.method, "value": value, "error_estimate": err}
     if args.timing:
-        extra["runtime"] = time.perf_counter() - started
-    _dump(_record("exact leftmost", args, extra))
-    return EXIT_OK
+        record["runtime"] = time.perf_counter() - started
+    print(json.dumps(record, sort_keys=True))
+
+
+def _error_estimate(args) -> float | None:
+    """The quadrature tolerance; the exact routes carry no error estimate."""
+    return args.tol if args.method == "quadrature" else None
 
 
 def _final_configuration(args) -> Configuration:
@@ -179,21 +146,56 @@ def _species_initial(args) -> Configuration:
     return Configuration(base.positions, args.species or head_word(args.n))
 
 
-def _transition_pair(args) -> tuple[Configuration, Configuration]:
-    return _species_initial(args), _final_configuration(args)
+def _exact_value(args) -> float:
+    """The exact probability of the event the flags name, by --method.
 
-
-def _cmd_exact_transition(args) -> int:
-    started = time.perf_counter()
-    initial, final = _transition_pair(args)
-    value = formulas.transition_probability(
+    The event is ``--event`` for compare and the subcommand for exact; a
+    leftmost event is taken at ``--position``.
+    """
+    event = args.event if args.command == "compare" else args.subcommand
+    if event == "leftmost":
+        return _leftmost_value(args, args.position)
+    if args.method == "determinant":
+        raise _UsageError("the determinant evaluator serves the leftmost event only")
+    initial, final = _species_initial(args), _final_configuration(args)
+    return formulas.transition_probability(
         initial, final, args.time, method=args.method, quad=_quad_spec(args)
     )
-    err = None if args.method == "residue" else args.tol
-    extra = {"method": args.method, "value": value, "error_estimate": err}
-    if args.timing:
-        extra["runtime"] = time.perf_counter() - started
-    _dump(_record("exact transition", args, extra))
+
+
+def _cmd_exact(args) -> int:
+    started = time.perf_counter()
+    value = _exact_value(args)
+    extra = {"method": args.method, "value": value, "error_estimate": _error_estimate(args)}
+    _emit(f"exact {args.subcommand}", args, extra, started)
+    return EXIT_OK
+
+
+def _cmd_exact_leftmost(args) -> int:
+    if (args.position is None) == (args.sweep is None):
+        raise _UsageError("give exactly one of --position or --sweep")
+    if args.csv and args.sweep is None:
+        raise _UsageError("--csv writes a sweep; give --sweep, not --position")
+    if args.sweep is None:
+        return _cmd_exact(args)
+    started = time.perf_counter()
+    lo, hi = _parse_range(args.sweep)
+    rows = [(x, _leftmost_value(args, x)) for x in range(lo, hi + 1)]
+    lines = [CSV_HEADER] + [
+        f"{x},{value!r},{args.method},{args.time!r},{args.n}" for x, value in rows
+    ]
+    if not args.csv:
+        print("\n".join(lines))
+        return EXIT_OK
+    with open(args.csv, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    extra = {
+        "method": args.method,
+        "csv": args.csv,
+        "rows": len(rows),
+        "error_estimate": _error_estimate(args),
+    }
+    _emit("exact leftmost", args, extra, started)
     return EXIT_OK
 
 
@@ -210,16 +212,8 @@ def _event_predicate(args):
     return simulate.transition_event(_final_configuration(args))
 
 
-def _event_probe(args):
-    """(exact value, predicate) for the selected event."""
-    predicate = _event_predicate(args)
-    if args.event == "leftmost":
-        return _leftmost_value(args, args.position), predicate
-    initial, final = _transition_pair(args)
-    return formulas.transition_probability(initial, final, args.time), predicate
-
-
 def _cmd_simulate(args) -> int:
+    started = time.perf_counter()
     if args.runs < 1:
         raise _UsageError("--runs must be at least 1")
     initial = _species_initial(args)
@@ -233,19 +227,18 @@ def _cmd_simulate(args) -> int:
         "error_estimate": estimate.std_error,
         "runs": estimate.runs,
     }
-    if args.timing:
-        extra["runtime"] = estimate.elapsed
-    _dump(_record("simulate", args, extra, stochastic_seed=args.seed))
+    _emit("simulate", args, extra, started, seed=args.seed)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
+    started = time.perf_counter()
     if args.runs < 1:
         raise _UsageError("--runs must be at least 1")
     if not args.sigma > 0:
         raise _UsageError(f"--sigma must be positive, got {args.sigma}")
-    started = time.perf_counter()
-    exact, predicate = _event_probe(args)
+    predicate = _event_predicate(args)
+    exact = _exact_value(args)
     initial = _species_initial(args)
     estimate = simulate.estimate_event(
         initial, predicate, args.time, args.runs, args.seed, processes=_workers()
@@ -268,9 +261,7 @@ def _cmd_compare(args) -> int:
         "agree": agree,
         "runs": args.runs,
     }
-    if args.timing:
-        extra["runtime"] = time.perf_counter() - started
-    _dump(_record("compare", args, extra, stochastic_seed=args.seed))
+    _emit("compare", args, extra, started, seed=args.seed)
     return EXIT_OK if agree else EXIT_ACCURACY
 
 
@@ -289,8 +280,6 @@ _VERIFY_BUCKETS = {
 
 def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.n_range)
-    if lo < 2:
-        raise _UsageError("identities are stated for N >= 2")
     records = identities.run_identity_suite(
         n_values=range(lo, hi + 1),
         points=args.points,
@@ -319,6 +308,23 @@ def _add_model_flags(parser) -> None:
     parser.add_argument("--initial", help="comma-separated initial positions")
     parser.add_argument("--step-l", type=int, default=None, help="step-like initial shift l")
     parser.add_argument("--timing", action="store_true", help="include wall time in the record")
+
+
+def _add_event_flags(parser, event_default: str | None) -> None:
+    """--event, required where it has no default, the event's flags, --runs and --seed."""
+    parser.add_argument(
+        "--event",
+        choices=("leftmost", "transition"),
+        default=event_default,
+        required=event_default is None,
+        help="event to estimate",
+    )
+    parser.add_argument("--position", type=int, help="leftmost event position")
+    parser.add_argument("--final", help="transition event final positions")
+    parser.add_argument("--species", help="initial species word")
+    parser.add_argument("--final-species", help="final species word")
+    parser.add_argument("--runs", type=int, required=True, help="Monte Carlo runs")
+    parser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
 
 
 def build_parser() -> _Parser:
@@ -356,38 +362,26 @@ def build_parser() -> _Parser:
         "--method", choices=("residue", "quadrature"), default="residue", help="evaluation route"
     )
     _add_quadrature_flags(transition)
-    transition.set_defaults(func=_cmd_exact_transition)
+    transition.set_defaults(func=_cmd_exact)
 
     sim = commands.add_parser(
         "simulate", help="seeded Monte Carlo estimate", formatter_class=_HELP_FMT
     )
     _add_model_flags(sim)
-    sim.add_argument("--event", choices=("leftmost", "transition"), required=True)
-    sim.add_argument("--position", type=int, help="leftmost event position")
-    sim.add_argument("--final", help="transition event final positions")
-    sim.add_argument("--species", help="initial species word")
-    sim.add_argument("--final-species", help="final species word")
-    sim.add_argument("--runs", type=int, required=True)
-    sim.add_argument("--seed", type=int, default=0)
+    _add_event_flags(sim, None)
     sim.set_defaults(func=_cmd_simulate, method="monte-carlo")
 
     compare = commands.add_parser(
         "compare", help="exact value against Monte Carlo", formatter_class=_HELP_FMT
     )
     _add_model_flags(compare)
-    compare.add_argument("--event", choices=("leftmost", "transition"), default="leftmost")
-    compare.add_argument("--position", type=int)
-    compare.add_argument("--final")
-    compare.add_argument("--species")
-    compare.add_argument("--final-species")
+    _add_event_flags(compare, "leftmost")
     compare.add_argument(
         "--method",
         choices=("residue", "quadrature", "determinant"),
         default="residue",
         help="exact evaluation route",
     )
-    compare.add_argument("--runs", type=int, required=True)
-    compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--sigma", type=float, default=4.0, help="agreement band width")
     _add_quadrature_flags(compare)
     compare.set_defaults(func=_cmd_compare)

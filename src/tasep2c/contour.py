@@ -81,6 +81,8 @@ MAX_SERIES_TERMS = 2_000_000
 _EXP_CHUNK = 700.0
 #: Most grid nodes a quadrature integrand is evaluated on in one call.
 _SLAB = 2**15
+#: Default bound on the tensor grid M^n of :func:`multi_contour`.
+_GRID_BUDGET = 2**22
 
 
 def laurent_coefficient(k: int, e: int) -> int:
@@ -416,7 +418,7 @@ def multi_contour(
     F: Callable[[Sequence[np.ndarray]], np.ndarray],
     n: int,
     spec: QuadratureSpec = QuadratureSpec(),
-    max_evals: int = 2**22,
+    max_evals: int = _GRID_BUDGET,
     factors: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
 ) -> QuadratureResult:
     """n-fold tensor-product circle quadrature of an integrand real on the real axis.

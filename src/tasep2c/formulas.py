@@ -43,17 +43,19 @@ that the result is a probability.  Its two routes are:
   coefficients, so the integrand is real on the real axis and the rule
   evaluates one node of each conjugate pair.  The rule reuses every node
   across doublings and evaluates the grid in bounded slabs, so only its
-  grid budget (M^n <= 2^22 by default), not memory, limits it.
+  grid budget (M^n <= 2^22), not memory, limits it.
 
 :func:`head_transition_probability` has the determinant route only
 (:func:`transition_probability` is its second route), and transitions at
 N = 5 to 7 have the residue route only, with the Monte Carlo simulator as
 their check.  Quadrature is limited to moderate times (the integrand
-reaches exp(2t) on the default radius-0.5 circles) and, for transitions,
-to N <= 4.  At N = 4 the budget allows a single doubling, 16^4 to 32^4,
-which the default rule rarely passes: a smaller radius and a looser
-tolerance, such as QuadratureSpec(radius=0.25, tolerance=1e-9), converge
-there.  Beyond N = 4 the starting grid leaves no room to double.
+reaches exp(2t) on the default radius-0.5 circles) and by the grid budget
+alone: :func:`_quadrature` refuses, before it evaluates a node, a rule
+whose first doubling, (2M)^N nodes, exceeds it.  From the default M = 16
+that leaves N <= 4, where the budget allows a single doubling, 16^4 to
+32^4, which the default rule rarely passes on transitions: a smaller
+radius and a looser tolerance, such as QuadratureSpec(radius=0.25,
+tolerance=1e-9), converge there.
 
 For transitions between arbitrary species words the amplitude entry has no
 product formula.  Both routes read it from one amplitude column of every
@@ -271,17 +273,23 @@ def _quadrature(
     coefficients, so the integrand is real on the real axis, as the rule
     requires, and its value and the best value of an AccuracyError it
     raises are the real integral.  Beyond MAX_QUADRATURE_TIME the rule is
-    refused.
+    refused, and so is a rule whose first doubling, (2M)^n nodes, would
+    exceed the grid budget: it could never converge.
     """
     if t > MAX_QUADRATURE_TIME:
         raise ValueError(f"t={t} too large for circle quadrature; use the residue route")
+    spec, n = quad or QuadratureSpec(), len(powers)
+    if (2 * spec.points) ** n > contour._GRID_BUDGET:
+        raise ValueError(
+            f"{n}-fold quadrature from {spec.points} points cannot double within the grid "
+            f"budget of {contour._GRID_BUDGET:,} nodes; use the residue route or fewer points"
+        )
 
     def j(k: int, e: int):
         return lambda z: z**k * (1 - z) ** e * np.exp((1 / z - 1) * t)
 
     factors = [j(k, e) for k, e in powers]
-    return contour.multi_contour(body, len(powers), quad or QuadratureSpec(),
-                                 factors=factors).value
+    return contour.multi_contour(body, n, spec, factors=factors).value
 
 
 def _evaluate(what: str, n: int, t: float, method: str, quad, residue, quadrature) -> float:
@@ -474,8 +482,7 @@ def _sym_columns(n: int, col: int) -> dict:
     zero = (0,) * n
     xi = [_ULaurent({zero: 1, tuple(int(i == a) for i in range(n)): -1}) for a in range(n)]
     columns, terms = {}, 0
-    for sigma, column in bethe.amplitude_columns(
-            n, col, lambda a, b: bethe.scattering_matrix(xi[a - 1], xi[b - 1])):
+    for sigma, column in bethe.amplitude_columns(n, col, xi):
         column = {r: _ULaurent({zero: v}) if type(v) is int else v for r, v in column.items()}
         terms += sum(map(len, column.values()))
         if terms > _MAX_COLUMN_TERMS:
@@ -504,12 +511,12 @@ def transition_probability(
     140,512), 56 words at N = 7, each word with a single particle of one species
     among them (1211111 holds 198,000), 16 at N = 8 (1^a 2^b and 1^a 2 1 2^b),
     none at N >= 9.  Quadrature evaluates the N-fold integral of the
-    amplitude-entry integrand (N <= 4, limited by the grid budget of
-    :func:`tasep2c.contour.multi_contour`, not by the amplitudes).  At N = 4
-    that budget allows one doubling (16^4 to 32^4), too few for the default
-    ``QuadratureSpec`` to converge on ordinary transitions; pass a smaller
-    radius and looser tolerance, such as
-    ``QuadratureSpec(radius=0.25, tolerance=1e-9)``.  Both routes read their
+    amplitude-entry integrand, limited by the grid budget of
+    :func:`_quadrature`, not by the amplitudes: N <= 4 from the default 16
+    points, N = 5 from 8.  At N = 4 that budget allows one doubling (16^4
+    to 32^4), too few for the default ``QuadratureSpec`` to converge on
+    ordinary transitions; pass a smaller radius and looser tolerance, such
+    as ``QuadratureSpec(radius=0.25, tolerance=1e-9)``.  Both routes read their
     entries from one amplitude column per permutation.  At t = 0 the exact
     indicator is returned bit-exactly.
     """
@@ -519,13 +526,6 @@ def transition_probability(
         same = final.positions == initial.positions and final.species == initial.species
         return 1.0 if same else 0.0
     n = initial.n
-    if method == "quadrature" and n > 4:
-        raise ValueError(
-            "transition quadrature supports N <= 4: beyond that the multi_contour "
-            "grid budget (max_evals) leaves no room to refine the grid, and at N = 4 "
-            "it allows one doubling, which needs a smaller radius and looser tolerance "
-            "than the default, e.g. QuadratureSpec(radius=0.25, tolerance=1e-9)"
-        )
     y = initial.positions
     x = final.positions
     row = word_index(final.species)
@@ -551,9 +551,7 @@ def transition_probability(
 
     def body(xis):
         acc = 0
-        for p, column in bethe.amplitude_columns(
-            n, col, lambda a, b: bethe.scattering_matrix(xis[a - 1], xis[b - 1])
-        ):
+        for p, column in bethe.amplitude_columns(n, col, xis):
             phase = column.get(row)
             if phase is None:
                 continue
@@ -770,13 +768,13 @@ def probability_mass_check(initial: Configuration, t: float, window: int) -> flo
 
     Sums transition probabilities over all ordered positions with
     per-particle displacement at most ``window`` and every species word with
-    the conserved multiset.  The result should be 1 up to numerical noise
-    plus ``displacement_tail_bound``; a too-small window triggers
-    WindowTooSmallWarning carrying the tail estimate.
+    the conserved multiset, at any N: the window bounds the work, and the
+    residue route refuses what its term budget cannot hold.  The result
+    should be 1 up to numerical noise plus ``displacement_tail_bound``; a
+    too-small window triggers WindowTooSmallWarning carrying the tail
+    estimate.
     """
     n = initial.n
-    if n > 3:
-        raise ValueError("mass check enumerates windows only up to N = 3")
     if window < 0:
         raise ValueError("window must be nonnegative")
     _check_time(t)

@@ -12,12 +12,14 @@ The suite samples its points uniformly from GF(p).  After clearing
 denominators each identity is a polynomial identity of degree at most d, so
 by Schwartz (1980) and Zippel (1979) a false identity passes one uniform
 point with probability at most d / p, about 1.3e-16 at N = 6; every report
-line carries the coarse degree bound d behind that figure.  The identities
-are generic-point statements: points are rejection-sampled away from the
-sets where a denominator vanishes, which over GF(p) means the same checks
-taken mod p (distinct coordinates, none 0 or 1, no subset product 1).  The
-public checks accept Fraction points too, and the Fraction tests keep exact
-anchors over Q, such as main at (1/2, 1/3).
+line carries the coarse degree bound d behind that figure.  One table,
+``_SUITE``, states each suite identity once: its check at a point and its
+degree bound.  The identities are generic-point statements: points are
+rejection-sampled away from the sets where a denominator vanishes, which
+over GF(p) means the same checks taken mod p (distinct coordinates, none 0
+or 1, no subset product 1).  The public checks accept Fraction points too,
+and the Fraction tests keep exact anchors over Q, such as main at
+(1/2, 1/3).
 
 Checked identities, with LHS always an alternating sum over permutations:
 
@@ -567,68 +569,50 @@ def closed_form_vs_product(xi: Sequence[Scalar], sigma: Sequence[int]) -> bool:
 # suite runner
 # ---------------------------------------------------------------------------
 
-SUITE_IDENTITIES = (
-    "main",
-    "equiv_a",
-    "equiv_b",
-    "substitution",
-    "tasep_a",
-    "tasep_b",
-    "vandermonde",
-    "det_collapse",
-    "closed_form",
-    "braid",
-)
+def _main_check(xi: Point, rng: random.Random) -> bool:
+    # the bridge reuses this point's N! main sum instead of repeating it
+    lhs, rhs, holds = main_identity(xi)
+    return holds and _bridge_holds(xi, lhs, rhs)
 
 
-def _degree_bound(identity: str, n: int) -> int:
-    """Coarse upper bound d on the cleared-denominator polynomial degree.
+def _det_collapse_check(xi: Point, rng: random.Random) -> bool:
+    exponents = [rng.randint(0, j - 2) for j in range(2, len(xi) + 1)]
+    shift = rng.randint(0, 3)
+    value = det_collapse(xi, shift, exponents)
+    if any(exponents):
+        return value == 0
+    return value == complete_homogeneous(shift, xi) * descending_vandermonde(xi)
 
-    The permutation-sum identities clear to a common denominator built from
-    all subset products (degree at most n 2^(n-1)) times per-variable
-    (1 - xi)^n powers; the determinant identities are plain polynomials.
-    """
-    if identity in ("vandermonde",):
-        return n * (n - 1) // 2 + n - 1
-    if identity in ("det_collapse",):
-        return n * n
-    if identity in ("closed_form", "braid"):
-        return 4 * n
+
+def _closed_form_check(xi: Point, rng: random.Random) -> bool:
+    sigma = list(range(1, len(xi) + 1))
+    rng.shuffle(sigma)
+    return closed_form_vs_product(xi, tuple(sigma))
+
+
+def _sum_degree(n: int) -> int:
+    # a common denominator of all subset products, degree at most n 2^(n-1),
+    # times per-variable (1 - xi)^n powers
     return n * 2 ** (n - 1) + 3 * n * n
 
 
-def _check_once(identity: str, n: int, rng: random.Random) -> bool:
-    xi = random_field_point(n, rng)
-    if identity == "main":
-        # the bridge reuses this point's N! main sum instead of repeating it
-        lhs, rhs, holds = main_identity(xi)
-        return holds and _bridge_holds(xi, lhs, rhs)
-    if identity == "equiv_a":
-        return equivalent_identities(xi, "a")
-    if identity == "equiv_b":
-        return equivalent_identities(xi, "b")
-    if identity == "substitution":
-        return substitution_transport(xi)
-    if identity == "tasep_a":
-        return tasep_identities(xi, "a")
-    if identity == "tasep_b":
-        return tasep_identities(xi, "b")
-    if identity == "vandermonde":
-        return vandermonde_cofactor(xi)
-    if identity == "det_collapse":
-        exponents = [rng.randint(0, j - 2) for j in range(2, n + 1)]
-        shift = rng.randint(0, 3)
-        value = det_collapse(xi, shift, exponents)
-        if any(exponents):
-            return value == 0
-        return value == complete_homogeneous(shift, xi) * descending_vandermonde(xi)
-    if identity == "closed_form":
-        sigma = list(range(1, n + 1))
-        rng.shuffle(sigma)
-        return closed_form_vs_product(xi, tuple(sigma))
-    if identity == "braid":
-        return bethe.braid_relations_hold(xi)
-    raise ValueError(f"unknown identity {identity!r}")
+#: Each suite identity's check at a point, which may draw more from the
+#: point's rng, and the coarse upper bound d on the degree of the identity
+#: cleared of denominators: the permutation sums by :func:`_sum_degree`,
+#: the determinant and matrix identities as plain polynomials.
+_SUITE = {
+    "main": (_main_check, _sum_degree),
+    "equiv_a": (lambda xi, rng: equivalent_identities(xi, "a"), _sum_degree),
+    "equiv_b": (lambda xi, rng: equivalent_identities(xi, "b"), _sum_degree),
+    "substitution": (lambda xi, rng: substitution_transport(xi), _sum_degree),
+    "tasep_a": (lambda xi, rng: tasep_identities(xi, "a"), _sum_degree),
+    "tasep_b": (lambda xi, rng: tasep_identities(xi, "b"), _sum_degree),
+    "vandermonde": (lambda xi, rng: vandermonde_cofactor(xi), lambda n: n * (n - 1) // 2 + n - 1),
+    "det_collapse": (_det_collapse_check, lambda n: n * n),
+    "closed_form": (_closed_form_check, lambda n: 4 * n),
+    "braid": (lambda xi, rng: bethe.braid_relations_hold(xi), lambda n: 4 * n),
+}
+SUITE_IDENTITIES = tuple(_SUITE)
 
 
 def run_identity_suite(
@@ -651,18 +635,19 @@ def run_identity_suite(
         raise ValueError(f"the identities are stated for N >= 2, got {tuple(n_values)}")
     records = []
     for identity in identities:
-        if identity not in SUITE_IDENTITIES:
+        if identity not in _SUITE:
             raise ValueError(f"unknown identity {identity!r}")
+        check, degree_bound = _SUITE[identity]
         for n in n_values:
             rng = random.Random((seed, identity, n).__repr__())
-            passed = all(_check_once(identity, n, rng) for _ in range(points))
+            passed = all(check(random_field_point(n, rng), rng) for _ in range(points))
             records.append(
                 {
                     "identity": identity,
                     "n": n,
                     "points": points,
                     "passed": passed,
-                    "degree_bound": _degree_bound(identity, n),
+                    "degree_bound": degree_bound(n),
                 }
             )
     return records

@@ -276,9 +276,7 @@ def test_amplitude_columns_match_full_matrices_exactly(n):
     xi = random_rational_point(n, random.Random(40 + n))
     amps = {p: amplitude(p, xi) for p in enumerate_permutations(n)}
     for col in range(1 << n):
-        cols = dict(
-            amplitude_columns(n, col, lambda a, b: scattering_matrix(xi[a - 1], xi[b - 1]))
-        )
+        cols = dict(amplitude_columns(n, col, xi))
         assert set(cols) == set(amps)
         for p, amp in amps.items():
             assert cols[p] == _column(amp, col)
@@ -289,9 +287,7 @@ def test_amplitude_columns_on_node_arrays_are_bit_identical():
     nodes = [0.5 * cmath.exp(2j * cmath.pi * (k + 0.5) / m) for k in range(m)]
     xis = [np.array(nodes).reshape([m if i == v else 1 for i in range(3)]) for v in range(3)]
     for col in range(8):
-        cols = dict(
-            amplitude_columns(3, col, lambda a, b: scattering_matrix(xis[a - 1], xis[b - 1]))
-        )
+        cols = dict(amplitude_columns(3, col, xis))
         for p in enumerate_permutations(3):
             full = _column(amplitude(p, xis), col)
             assert set(cols[p]) == set(full)

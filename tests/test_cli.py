@@ -286,6 +286,48 @@ def test_compare_flags_disagreement(capsys):
     assert json.loads(out)["agree"] is False
 
 
+TRANSITION_3 = (
+    "--n 3 --initial 1,2,3 --species 211 --final 2,3,4 --final-species 121 --time 0.5"
+)
+
+
+def test_compare_transition_honours_the_quadrature_flags(capsys):
+    # from 8 points at tolerance 1e-4 the rule stops 7.9e-11 off the residue value
+    quad = "--method quadrature --quad-points 8 --tol 1e-4"
+    code, out, _ = run_cli(capsys, *f"exact transition {TRANSITION_3} {quad}".split())
+    assert code == EXIT_OK
+    value = json.loads(out)["value"]
+    code, out, _ = run_cli(
+        capsys, *f"compare --event transition {TRANSITION_3} {quad} --runs 500 --seed 2".split()
+    )
+    assert code == EXIT_OK
+    record = json.loads(out)
+    assert record["method"] == "quadrature" and record["exact"] == value
+    residue = formulas.transition_probability(
+        formulas.Configuration((1, 2, 3), "211"), formulas.Configuration((2, 3, 4), "121"), 0.5
+    )
+    assert 0 < abs(value - residue) < 1e-9
+
+
+def test_compare_transition_quadrature_past_the_grid_budget_is_a_usage_error(capsys):
+    argv = (
+        "compare --n 5 --step-l 0 --event transition --final 1,2,3,4,6 --species 21111 "
+        "--final-species 12111 --time 1 --runs 2000 --seed 1 --method quadrature"
+    )
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "grid budget" in err
+
+
+def test_compare_transition_refuses_the_determinant_route(capsys):
+    argv = f"compare --event transition {TRANSITION_3} --runs 50 --method determinant"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "leftmost event" in err
+
+
 @pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
 def test_compare_rejects_bad_sigma(capsys, sigma):
     argv = "compare --n 2 --step-l 0 --event leftmost --position 1 --time 1 --runs 50"

@@ -212,6 +212,21 @@ class TestTransition:
                 step_configuration(5), step_configuration(5), 1.0, method="quadrature"
             )
 
+    def test_quadrature_is_limited_by_the_grid_budget_alone(self, monkeypatch):
+        # N = 5 from 8 points doubles within the budget, so it reaches the
+        # rule; the default 16 points cannot double and are refused up front
+        def reached(*args, **kwargs):
+            raise RuntimeError("reached the rule")
+
+        monkeypatch.setattr(contour, "multi_contour", reached)
+        y = step_configuration(5)
+        final = Configuration((1, 2, 3, 4, 6), "12111")
+        with pytest.raises(RuntimeError, match="reached the rule"):
+            transition_probability(y, final, 1.0, method="quadrature",
+                                   quad=QuadratureSpec(points=8))
+        with pytest.raises(ValueError, match="grid budget of 4,194,304"):
+            transition_probability(y, final, 1.0, method="quadrature")
+
     def test_cold_n5_within_budget(self):
         # about 0.01 s cold on a 2-core machine (measured 2026-10-19)
         formulas._sym_columns.cache_clear()
@@ -271,6 +286,15 @@ class TestLeftmost:
                     a = leftmost_probability(y, x, t)
                     b = leftmost_probability(y, x, t, method="quadrature", quad=QUAD)
                     assert scaled_close(a, b, 1e-9)
+
+    def test_quadrature_past_the_grid_budget_is_refused_up_front(self, monkeypatch):
+        # 32^5 nodes exceed the budget of 2^22, so the rule could never double
+        def unreachable(*args, **kwargs):
+            raise AssertionError("multi_contour ran")
+
+        monkeypatch.setattr(contour, "multi_contour", unreachable)
+        with pytest.raises(ValueError, match="grid budget of 4,194,304 nodes"):
+            leftmost_probability(step_configuration(5), 2, 1.0, method="quadrature")
 
     def test_nonstep_initial_data(self):
         y = Configuration((0, 3, 7), "211")
@@ -871,9 +895,11 @@ class TestMassConservation:
         with pytest.warns(WindowTooSmallWarning):
             probability_mass_check(Configuration((0,), "2"), 2.0, 3)
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            probability_mass_check(step_configuration(4), 1.0, 5)
+    def test_four_particles(self):
+        # every window and word at N = 4: 1 - total is about 3.0e-10, under
+        # the tail bound of about 1.2e-9; about 0.2 s on 2 cores
+        total = probability_mass_check(step_configuration(4), 0.25, 7)
+        assert 0 <= 1 - total <= 1e-12 + displacement_tail_bound(4, 0.25, 7)
 
     # (0.5, 12), (1.0, 16) and (0.25, 8) are the windows of the benchmark's
     # mass cases

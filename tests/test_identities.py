@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -442,6 +444,25 @@ def test_suite_records_repeat_for_a_seed():
     assert first == run()
     assert all(r["passed"] for r in first)
     assert set(first[0]) == {"identity", "n", "points", "passed", "degree_bound"}
+
+
+def test_suite_records_and_points_match_a_recorded_digest(monkeypatch):
+    # the records of run_identity_suite(range(2, 7), 3, 2024) and the GF(p)
+    # points every check received, in order; recorded before the suite's
+    # checks and degree bounds moved into one table
+    seen = []
+    draw = identities.random_field_point
+
+    def recording(n, rng):
+        point = draw(n, rng)
+        seen.append([z.v for z in point])
+        return point
+
+    monkeypatch.setattr(identities, "random_field_point", recording)
+    records = run_identity_suite(range(2, 7), 3, 2024)
+    assert len(seen) == 150 and all(r["passed"] for r in records)
+    digest = hashlib.sha256(json.dumps([records, seen], sort_keys=True).encode()).hexdigest()
+    assert digest == "a958574c44803fd762f1523d9e1a9f2b645abcf5e96e4c686aff927ea74a7a83"
 
 
 def _plant(owner, name, change):
