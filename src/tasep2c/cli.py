@@ -7,10 +7,11 @@ and the library version; elapsed wall time is included only under
 ``--timing`` so that default outputs are byte-identical across runs with
 the same seed and parameters.
 
-Monte Carlo runs fan out over a process pool when the TASEP2C_WORKERS
-environment variable is above 1, each worker advancing its span of runs in
-lockstep numpy blocks.  Estimates are bit-identical for any worker count,
-because run r draws only from its own SplitMix64 stream keyed by (seed, r).
+Monte Carlo runs advance in blocks of lockstep numpy work, shared out in
+order over a process pool when the TASEP2C_WORKERS environment variable is
+above 1 and the runs fill more than one block.  Estimates are bit-identical for
+any worker count, because run r draws only from its own SplitMix64 stream
+keyed by (seed, r).
 
 Exit codes: 0 success, 1 usage error, 2 accuracy/agreement failure,
 3 identity verification failure.
@@ -212,15 +213,16 @@ def _event_predicate(args):
     return simulate.transition_event(_final_configuration(args))
 
 
+def _estimate(args, predicate) -> simulate.SimulationEstimate:
+    """The Monte Carlo estimate of ``predicate`` over the runs the flags ask for."""
+    return simulate.estimate_event(
+        _species_initial(args), predicate, args.time, args.runs, args.seed, processes=_workers()
+    )
+
+
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
-    if args.runs < 1:
-        raise _UsageError("--runs must be at least 1")
-    initial = _species_initial(args)
-    predicate = _event_predicate(args)
-    estimate = simulate.estimate_event(
-        initial, predicate, args.time, args.runs, args.seed, processes=_workers()
-    )
+    estimate = _estimate(args, _event_predicate(args))
     extra = {
         "method": "monte-carlo",
         "value": estimate.estimate,
@@ -233,16 +235,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     started = time.perf_counter()
-    if args.runs < 1:
-        raise _UsageError("--runs must be at least 1")
     if not args.sigma > 0:
         raise _UsageError(f"--sigma must be positive, got {args.sigma}")
     predicate = _event_predicate(args)
     exact = _exact_value(args)
-    initial = _species_initial(args)
-    estimate = simulate.estimate_event(
-        initial, predicate, args.time, args.runs, args.seed, processes=_workers()
-    )
+    estimate = _estimate(args, predicate)
     # null-model standard error from the exact probability; exact indicator
     # events (t = 0 or impossible transitions) compare for strict equality
     se = math.sqrt(exact * (1.0 - exact) / args.runs)

@@ -738,20 +738,6 @@ def leftmost_probability_step_det(n: int, x: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _windowed_positions(y: Sequence[int], window: int):
-    n = len(y)
-
-    def rec(prefix: tuple[int, ...], i: int):
-        if i == n:
-            yield prefix
-            return
-        lo = y[i] if not prefix else max(y[i], prefix[-1] + 1)
-        for v in range(lo, y[i] + window + 1):
-            yield from rec(prefix + (v,), i + 1)
-
-    yield from rec((), 0)
-
-
 def displacement_tail_bound(n: int, t: float, window: int) -> float:
     """Upper bound on the probability some particle moved more than ``window``.
 
@@ -788,8 +774,11 @@ def probability_mass_check(initial: Configuration, t: float, window: int) -> flo
             stacklevel=2,
         )
     words = sorted(set("".join(w) for w in itertools.permutations(initial.species)))
+    reach = [range(y, y + window + 1) for y in initial.positions]
     terms = []
-    for xs in _windowed_positions(initial.positions, window):
+    for xs in itertools.product(*reach):
+        if not all(map(operator.lt, xs, xs[1:])):
+            continue
         for w in words:
             terms.append(transition_probability(initial, Configuration(xs, w), t))
     return math.fsum(terms)

@@ -66,7 +66,6 @@ bridge on the same main sum, so the walk runs once per point; its
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -231,14 +230,19 @@ def validate_point(xi: Sequence[Scalar], unit_interval: bool = False) -> Point:
             raise DegeneratePointError("coordinates 0 and 1 are excluded")
         if unit_interval and not 0 < z < 1:
             raise DegeneratePointError(f"coordinate {z} outside (0, 1)")
-    for size in range(2, n):
-        for subset in itertools.combinations(point, size):
-            prod = 1
-            for z in subset:
-                prod *= z
-            if prod == 1:
-                raise DegeneratePointError("a subset product equals 1")
+    for mask, prod in enumerate(_subset_products(point)):
+        if 2 <= mask.bit_count() < n and prod == 1:
+            raise DegeneratePointError("a subset product equals 1")
     return point
+
+
+def _subset_products(xi: Sequence[Scalar]) -> list[Scalar]:
+    """Entry [mask]: the product of the xi_v whose bit v is set in mask (1 when none is)."""
+    prod = [1] * (1 << len(xi))
+    for mask in range(1, len(prod)):
+        low = mask & -mask
+        prod[mask] = prod[mask ^ low] * xi[low.bit_length() - 1]
+    return prod
 
 
 def random_rational_point(n: int, rng: random.Random) -> Point:
@@ -348,10 +352,7 @@ def _alternating_sum(
     n = len(xi)
     full = (1 << n) - 1
     suffix = tail == "suffix"
-    prod = [1] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        prod[mask] = prod[mask ^ low] * xi[low.bit_length() - 1]
+    prod = _subset_products(xi)
     # rest[U]: the sum over every order of U on the free positions, already
     # divided by the tail factor of the placed values (the complement of U)
     rest = [1] * (full + 1)

@@ -33,8 +33,11 @@ equal final states and each distinct state becomes one ``(positions,
 species)`` key with its count.  Packing needs 4 (x_N + steps + 2) below
 2^63, so positions near 2^61 raise ``OverflowError``.
 :func:`estimate_event` is that histogram with the predicate applied once
-per distinct state, weighted by its count.  The ``processes`` pool splits
-the runs into spans, one per worker, and merges the histograms.
+per distinct state, weighted by its count.  The blocks are the one unit of
+work, whatever the worker count: one process advances them in order, and a
+``processes`` pool gives each worker a run of consecutive blocks, so the
+histograms add up in block order either way.  A request of one block
+starts no pool.
 
 Random numbers: run r owns the SplitMix64 stream (Steele, Lea & Flood,
 OOPSLA 2014) keyed by ``splitmix64(seed ^ splitmix64(r))``; its draw j is
@@ -43,8 +46,8 @@ the (j+1)-th output of that stream, computed counter-style in numpy
 u the top 53 bits over 2^53, and draw 2k+1 for the particle, the draw
 modulo N (a bias below N/2^64).  A run's final state therefore depends
 only on (seed, r), so a (seed, runs) pair pins every histogram and
-estimate bit-exactly, whatever the block size, the chunk size, the split
-of the runs into spans, or the worker count.
+estimate bit-exactly, whatever the block size, the chunk size or the
+worker count.
 ``numpy.random`` is not used: importing it alone costs about 5 MB of
 resident memory.
 
@@ -58,7 +61,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import random
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -73,14 +75,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 # runs advanced together; sets only speed and temporary memory, never a value
 _BLOCK = 2048
-
-
-def _splitmix64(state: int) -> int:
-    state = (state + _GAMMA) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -102,7 +96,7 @@ def _run_keys(seed: int, start: int, stop: int) -> np.ndarray:
 
 def substream(seed: int, run_index: int) -> random.Random:
     """Independent scalar RNG for one run, for the :func:`simulate_until` oracle."""
-    return random.Random(_splitmix64((seed & _MASK64) ^ _splitmix64(run_index)))
+    return random.Random(int(_run_keys(seed, run_index, run_index + 1)[0]))
 
 
 @dataclass(frozen=True)
@@ -112,8 +106,6 @@ class SimulationEstimate:
     estimate: float
     std_error: float
     runs: int
-    seed: int
-    elapsed: float
 
 
 def step_dynamics(state: Configuration, rng: random.Random) -> tuple[Configuration, float]:
@@ -205,9 +197,9 @@ def _step_counts(n: int, t: float, keys: np.ndarray) -> np.ndarray:
 
 
 def _advance_block(
-    initial: Configuration, t: float, keys: np.ndarray, finals: Counter
-) -> None:
-    """Advance one block of runs to time t and count their final states in ``finals``.
+    initial: Configuration, t: float, seed: int, block: tuple[int, int]
+) -> Counter[tuple[tuple[int, ...], str]]:
+    """Histogram of the final states at time t of runs block[0]..block[1]-1.
 
     The step counts come first, from the dwells alone.  Runs sorted by
     descending count are alive at step s exactly as the prefix
@@ -215,6 +207,7 @@ def _advance_block(
     4 x_i + [species 2]; row n is a wall far enough right that the last
     particle never meets it.
     """
+    keys = _run_keys(seed, *block)
     n, m = initial.n, len(keys)
     steps = _step_counts(n, t, keys)
     order = np.argsort(-steps)
@@ -244,11 +237,11 @@ def _advance_block(
             flat[here] = v
             flat[ahead] = w
         first += c
-    _count_columns(state[:n], finals)
+    return _count_columns(state[:n])
 
 
-def _count_columns(state: np.ndarray, finals: Counter) -> None:
-    """Add one ``(positions, species)`` key per distinct packed column to ``finals``.
+def _count_columns(state: np.ndarray) -> Counter[tuple[tuple[int, ...], str]]:
+    """One ``(positions, species)`` key per distinct packed column, with its count.
 
     Each row is narrowed to the smallest unsigned type that holds its
     spread before the sort, as lexsort runs a radix sort on small integers.
@@ -268,28 +261,7 @@ def _count_columns(state: np.ndarray, finals: Counter) -> None:
     words = ((distinct & 1) + ord("1")).astype(np.uint8).tobytes().decode()
     positions = map(tuple, (distinct >> 2).tolist())
     species = (words[i : i + n] for i in range(0, len(words), n))
-    finals.update(dict(zip(zip(positions, species), counts)))
-
-
-def _sample_span(
-    initial: Configuration, t: float, seed: int, span: tuple[int, int]
-) -> Counter[tuple[tuple[int, ...], str]]:
-    """Histogram of the final states of runs span[0]..span[1]-1."""
-    finals: Counter[tuple[tuple[int, ...], str]] = Counter()
-    for lo in range(span[0], span[1], _BLOCK):
-        _advance_block(initial, t, _run_keys(seed, lo, min(lo + _BLOCK, span[1])), finals)
-    return finals
-
-
-def _chunk_ranges(runs: int, chunks: int) -> list[tuple[int, int]]:
-    size, extra = divmod(runs, chunks)
-    ranges, start = [], 0
-    for i in range(chunks):
-        stop = start + size + (1 if i < extra else 0)
-        if stop > start:
-            ranges.append((start, stop))
-        start = stop
-    return ranges
+    return Counter(dict(zip(zip(positions, species), counts)))
 
 
 def _histogram(
@@ -297,17 +269,34 @@ def _histogram(
 ) -> Counter[tuple[tuple[int, ...], str]]:
     t = _check_time(t)
     if runs < 1:
-        raise ValueError(f"need at least one run, got {runs}")
-    processes = min(processes, runs)  # one worker per span, never an idle one
-    if processes > 1:
-        worker = partial(_sample_span, initial, t, seed)
-        with multiprocessing.Pool(processes) as pool:
-            parts = pool.map(worker, _chunk_ranges(runs, processes))
-        total: Counter = Counter()
-        for part in parts:
-            total.update(part)
-        return total
-    return _sample_span(initial, t, seed, (0, runs))
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    blocks = [(lo, min(lo + _BLOCK, runs)) for lo in range(0, runs, _BLOCK)]
+    advance = partial(_advance_blocks, initial, t, seed)
+    workers = min(processes, len(blocks))  # never an idle worker
+    if workers < 2:
+        return advance(blocks)
+    # each worker adds up a run of consecutive blocks and sends back one
+    # histogram: one per block would repeat every key the blocks share, and
+    # this process would unpickle and add up each copy
+    cuts = [i * len(blocks) // workers for i in range(workers + 1)]
+    shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    with multiprocessing.Pool(workers) as pool:
+        return _merged(pool.imap(advance, shares))
+
+
+def _advance_blocks(
+    initial: Configuration, t: float, seed: int, blocks: list[tuple[int, int]]
+) -> Counter[tuple[tuple[int, ...], str]]:
+    """Histogram of the final states of the runs of ``blocks``, in block order."""
+    return _merged(_advance_block(initial, t, seed, block) for block in blocks)
+
+
+def _merged(parts) -> Counter[tuple[tuple[int, ...], str]]:
+    """The histograms added up in order: a key sits where it first appears."""
+    total: Counter[tuple[tuple[int, ...], str]] = Counter()
+    for part in parts:
+        total.update(part)
+    return total
 
 
 def final_state_sample(
@@ -317,8 +306,8 @@ def final_state_sample(
 
     One batch serves every event probability at once, which is how the
     acceptance checks amortize a million runs across a whole x-sweep.
-    Results are identical for every ``processes`` value: runs own their
-    streams and counters merge commutatively.
+    Results are identical, key order included, for every ``processes``
+    value: runs own their streams and the blocks merge in order.
     """
     return _histogram(initial, t, runs, seed, processes)
 
@@ -337,33 +326,24 @@ def estimate_event(
     :func:`final_state_sample` histogram, in this process, so any callable
     works with every ``processes`` value.  Both share one private entry
     point, so a wrapper around either public function sees each batch once.
+    The estimate holds the fraction, its binomial standard error and the
+    run count, all fixed by the arguments.
     """
-    start = time.perf_counter()
     counts = _histogram(initial, t, runs, seed, processes)
     hits = sum(c for (pos, spc), c in counts.items() if predicate(Configuration(pos, spc)))
     p = hits / runs
-    return SimulationEstimate(
-        estimate=p,
-        std_error=math.sqrt(p * (1.0 - p) / runs),
-        runs=runs,
-        seed=seed,
-        elapsed=time.perf_counter() - start,
-    )
-
-
-def _leftmost_check(x: int, state: Configuration) -> bool:
-    return state.positions[0] == x and state.species == head_word(state.n)
+    return SimulationEstimate(estimate=p, std_error=math.sqrt(p * (1.0 - p) / runs), runs=runs)
 
 
 def leftmost_event(x: int) -> Callable[[Configuration], bool]:
     """Predicate: species order still 21...1 and the leftmost particle at x."""
-    return partial(_leftmost_check, x)
 
+    def event(state: Configuration) -> bool:
+        return state.positions[0] == x and state.species == head_word(state.n)
 
-def _transition_check(positions: tuple[int, ...], species: str, state: Configuration) -> bool:
-    return state.positions == positions and state.species == species
+    return event
 
 
 def transition_event(final: Configuration) -> Callable[[Configuration], bool]:
     """Predicate: the state equals the given configuration exactly."""
-    return partial(_transition_check, final.positions, final.species)
+    return lambda state: state == final

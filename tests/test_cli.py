@@ -162,6 +162,41 @@ def test_simulate_runs_validation(capsys):
     assert "runs" in err
 
 
+def test_workers_variable_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("TASEP2C_WORKERS", "abc")
+    argv = "simulate --n 2 --step-l 0 --event leftmost --position 1 --time 1 --runs 10"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "TASEP2C_WORKERS" in err
+
+
+def test_exact_leftmost_from_a_shifted_step(capsys):
+    argv = "exact leftmost --n 3 --step-l 1 --position 2 --time 0.1"
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == formulas.leftmost_probability_shifted_step(1, 3, 2, 0.1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "exact leftmost --n 2 --step-l 0 --position 1 --time 1",
+        "simulate --n 2 --step-l 0 --event leftmost --position 1 --time 1 --runs 100",
+        "compare --n 2 --step-l 0 --event leftmost --position 1 --time 1 --runs 100",
+    ],
+)
+def test_timing_adds_only_the_runtime(capsys, argv):
+    _, plain, _ = run_cli(capsys, *argv.split())
+    _, timed, _ = run_cli(capsys, *argv.split(), "--timing")
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert set(timed) - set(plain) == {"runtime"}
+    del timed["runtime"]
+    assert timed.pop("parameters")["timing"] is True
+    assert plain.pop("parameters")["timing"] is False
+    assert timed == plain
+
+
 @pytest.mark.parametrize("time", ["nan", "inf", "-1"])
 def test_simulate_rejects_bad_time(capsys, time):
     code, out, err = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -125,10 +126,10 @@ def test_transition_event_at_time_zero():
 
 
 def test_runs_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="runs must be at least 1, got 0"):
         estimate_event(step_configuration(2), lambda s: True, 1.0, 0, seed=0)
-    with pytest.raises(ValueError):
-        final_state_sample(step_configuration(2), 1.0, 0, seed=0)
+    with pytest.raises(ValueError, match="runs must be at least 1, got -3"):
+        final_state_sample(step_configuration(2), 1.0, -3, seed=0)
 
 
 def test_parallel_estimates_match_sequential():
@@ -141,8 +142,9 @@ def test_parallel_estimates_match_sequential():
     assert seq_counts == par_counts
 
 
-def test_no_more_workers_than_runs(monkeypatch):
-    # a recording stand-in for the pool maps in this process
+def test_no_more_workers_than_blocks(monkeypatch):
+    # a recording stand-in for the pool maps in this process; 5000 runs
+    # make three blocks of 2048, so eight workers are cut to three
     sizes = []
 
     class FakePool:
@@ -155,16 +157,30 @@ def test_no_more_workers_than_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, func, items):
-            return [func(item) for item in items]
+        def imap(self, func, items):
+            return map(func, items)
 
     monkeypatch.setattr(simulate.multiprocessing, "Pool", FakePool)
     y = step_configuration(3)
-    for runs, processes, expect in ((2, 8, [2]), (5, 3, [3]), (1, 8, [])):
+    for runs, processes, expect in ((2, 8, []), (5, 3, []), (1, 8, []), (5000, 8, [3])):
         sizes.clear()
         got = final_state_sample(y, 1.0, runs, seed=11, processes=processes)
         assert sizes == expect
-        assert got == final_state_sample(y, 1.0, runs, seed=11)
+        want = final_state_sample(y, 1.0, runs, seed=11)
+        assert list(got.items()) == list(want.items())
+
+
+def test_key_order_independent_of_worker_count():
+    y = step_configuration(8)
+    first = final_state_sample(y, 7.5, 5000, seed=3)
+    for processes in (2, 3):
+        got = final_state_sample(y, 7.5, 5000, seed=3, processes=processes)
+        assert list(got.items()) == list(first.items())
+
+
+def test_estimate_fields():
+    names = [f.name for f in dataclasses.fields(SimulationEstimate)]
+    assert names == ["estimate", "std_error", "runs"]
 
 
 def test_substreams_differ():
@@ -173,6 +189,15 @@ def test_substreams_differ():
     c = substream(2, 0).random()
     assert len({a, b, c}) == 3
     assert substream(1, 0).random() == a
+
+
+@pytest.mark.parametrize("seed, run", [(1, 0), (-7, 5), (2**64 - 1, 999)])
+def test_substream_keyed_like_the_engine(seed, run):
+    # the scalar oracle seeds random.Random with the key of the engine's run
+    key = splitmix_step((seed & MASK64) ^ splitmix_step(run)[1])[1]
+    expected = random.Random(key)
+    rng = substream(seed, run)
+    assert [rng.random() for _ in range(3)] == [expected.random() for _ in range(3)]
 
 
 def test_final_state_sample_consistent_with_estimate():
@@ -228,19 +253,20 @@ def test_bad_times_raise(t):
         simulate_until(y, t, random.Random(0))
 
 
+def splitmix_step(state):
+    """One SplitMix64 step on Python ints: (next state, output)."""
+    state = (state + GAMMA) & MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
 def reference_stream(seed, run):
     """SplitMix64 outputs of run `run`, stepped sequentially on Python ints."""
-
-    def step(state):
-        state = (state + GAMMA) & MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return state, z ^ (z >> 31)
-
-    _, inner = step(run)
-    _, state = step((seed & MASK64) ^ inner)
+    _, inner = splitmix_step(run)
+    _, state = splitmix_step((seed & MASK64) ^ inner)
     while True:
-        state, out = step(state)
+        state, out = splitmix_step(state)
         yield out
 
 
@@ -296,8 +322,8 @@ def test_histogram_independent_of_span_split_and_block_size(monkeypatch):
     assert sum(whole.values()) == runs
     cuts = [0, 1, 2056, 4099, runs]
     parts = Counter()
-    for span in zip(cuts, cuts[1:]):
-        parts.update(simulate._sample_span(y, t, seed, span))
+    for block in zip(cuts, cuts[1:]):
+        parts.update(simulate._advance_block(y, t, seed, block))
     assert parts == whole
     monkeypatch.setattr(simulate, "_BLOCK", 7)
     assert final_state_sample(y, t, runs, seed) == whole
