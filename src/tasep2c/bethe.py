@@ -21,8 +21,10 @@ Formulas need a single amplitude column rather than the whole matrix.
 :func:`amplitude_columns` pushes a unit column through the T factors of
 every permutation at once, sharing the steps of common word prefixes, and
 yields each permutation's column as it is reached, so a caller that sums as
-it goes holds one path of columns and no 2^N x 2^N matrix; the full matrices of :func:`amplitude` serve the
-structure, braid and closed-form checks.
+it goes holds one path of columns and no 2^N x 2^N matrix.
+:func:`amplitude_column` pushes the one column of one permutation, which is
+how the identity suite checks the center entry's closed form.  The full
+matrices of :func:`amplitude` now serve only the structure and braid checks.
 
 All matrices here are stored sparsely (dict-of-rows) because T factors have
 at most two nonzeros per row and amplitude products stay upper triangular.
@@ -228,12 +230,22 @@ def amplitude_from_word(word: Iterable[int], point) -> SparseMatrix:
     xi = tuple(point)
     n = len(xi)
     mat = SparseMatrix.identity(1 << n)
-    current = list(range(1, n + 1))
+    for a, xi_alpha, xi_beta in _letters(word, xi):
+        mat = t_operator(a, xi_alpha, xi_beta, n) @ mat
+    return mat
+
+
+def _letters(word: Iterable[int], xi: Sequence) -> Iterator[tuple]:
+    """(a, xi_alpha, xi_beta) per letter a of a word of adjacent swaps.
+
+    alpha and beta are the values at slots a and a + 1 of the permutation
+    the word has built before that letter.
+    """
+    current = list(range(1, len(xi) + 1))
     for a in word:
         alpha, beta = current[a - 1], current[a]
-        mat = t_operator(a, xi[alpha - 1], xi[beta - 1], n) @ mat
+        yield a, xi[alpha - 1], xi[beta - 1]
         current[a - 1], current[a] = beta, alpha
-    return mat
 
 
 def amplitude(sigma: Sequence[int], point) -> SparseMatrix:
@@ -315,6 +327,24 @@ def amplitude_columns(n: int, col: int, point: Sequence) -> Iterator[tuple[tuple
     return walk(_word_trie(n), {col: 1}, list(range(1, n + 1)))
 
 
+def amplitude_column(sigma: Sequence[int], col: int, point: Sequence) -> dict:
+    """Column ``col`` of ``amplitude(sigma, point)`` as {row: value}.
+
+    The unit column e_col pushed through the slot operators of the canonical
+    word of sigma, one 4x4 block per letter: the column that
+    :func:`amplitude_columns` reaches for sigma, for one permutation and
+    without the 2^N x 2^N products of :func:`amplitude`.
+    """
+    xi = tuple(point)
+    n = len(xi)
+    if len(sigma) != n:
+        raise ValueError("permutation size does not match the spectral point")
+    column = {col: 1}
+    for a, xi_alpha, xi_beta in _letters(adjacent_decomposition(sigma), xi):
+        column = _push_column(column, scattering_matrix(xi_alpha, xi_beta), a, n)
+    return column
+
+
 def amplitude_center(sigma: Sequence[int], point):
     """Closed form for the center entry of the amplitude matrix.
 
@@ -350,8 +380,9 @@ def braid_relations_hold(point, atol=0) -> bool:
           |i - j| = 1 (needs N >= 3);
     (iii) T_i(b,a) T_i(a,b) is the identity.
 
-    With atol=0 the two sides must be equal: their difference stores no
-    entry, which needs no ordering of the scalars, so exact fractions and
+    With atol=0 the two sides must be equal: no exact zero is ever stored,
+    so equal matrices have equal rows, compared entry by entry without an
+    ordering of the scalars or a difference matrix; exact fractions and
     elements of a finite field compare alike.  Pass a small atol for
     floating point components.
 
@@ -371,8 +402,9 @@ def braid_relations_hold(point, atol=0) -> bool:
         return op
 
     def close(mat_a, mat_b):
-        diff = mat_a - mat_b
-        return not diff.rows if atol == 0 else diff.max_abs() <= atol
+        if atol == 0:
+            return mat_a.rows == mat_b.rows
+        return (mat_a - mat_b).max_abs() <= atol
 
     ident = SparseMatrix.identity(size)
     for slot in range(1, n):

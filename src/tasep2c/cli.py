@@ -238,6 +238,8 @@ def _cmd_compare(args) -> int:
     if not args.sigma > 0:
         raise _UsageError(f"--sigma must be positive, got {args.sigma}")
     predicate = _event_predicate(args)
+    # the library's own rule, before the exact route spends any time
+    simulate.check_runs(args.runs)
     exact = _exact_value(args)
     estimate = _estimate(args, predicate)
     # null-model standard error from the exact probability; exact indicator

@@ -36,10 +36,11 @@ Checked identities, with LHS always an alternating sum over permutations:
                  otherwise: h_l a_delta = a_(delta + (l)), by which
                  :func:`tasep2c.formulas.leftmost_probability_shifted_step`
                  takes one determinant, its last row moved l columns on;
-* closed_form -- the center amplitude product formula against the full
-                 sparse matrix product;
-* braid       -- the slot-operator relations, on 2^N x 2^N sparse matrices
-                 like closed_form: under a second a point at N = 10.
+* closed_form -- the center amplitude product formula against the center
+                 entry of the unit column pushed through the slot operators
+                 of sigma's word (:func:`tasep2c.bethe.amplitude_column`);
+* braid       -- the slot-operator relations, on 2^N x 2^N sparse matrices:
+                 under a second a point at N = 10.
 
 :func:`vandermonde` and :func:`complete_homogeneous` (h_l) are the ones
 :mod:`tasep2c.formulas` runs, re-exported, so the vandermonde and
@@ -62,6 +63,15 @@ builds them from one table of per-(position, value) powers and sums them
 with one field division per point.  The suite's ``main`` entry checks the
 bridge on the same main sum, so the walk runs once per point; its
 ``substitution`` entry checks only :func:`substitution_transport`.
+
+A division over GF(p) is a modular inversion, which in CPython costs some
+25 multiplications mod p, so the permutation-sum checks divide only by
+values they know up front, inverted in one batch by :func:`_inverses` (one
+inversion per batch): the tail factors of :func:`_alternating_sum`, the 1 / (1 - xi_i)
+or 1 / (xi_i - 1) of each variant side, and the mapped point of
+:func:`substitution_transport`.  A point of equiv_a/b or tasep_a/b pays 2
+inversions, of main 4 (one in each side of the main identity, 2 in the
+bridge) and of substitution 5.
 """
 
 from __future__ import annotations
@@ -196,6 +206,31 @@ def _inverse(value: int) -> int:
     if value % PRIME == 0:
         raise ZeroDivisionError("division by 0 in GF(p)")
     return pow(value, -1, PRIME)
+
+
+def _inverses(values: Sequence[Scalar]) -> list[Scalar]:
+    """[1 / v for v in values], with one field inversion over GF(p).
+
+    Over GF(p) this is Montgomery's trick (Math. Comp. 48, 1987): the prefix
+    products, one :func:`_inverse` of the last, then a walk back that peels
+    one value off per step, 3(k - 1) multiplications in all.  Over Q each
+    value is inverted on its own, since a Fraction's inverse is a swap and
+    prefix products would only grow the numbers.  A zero value raises
+    ZeroDivisionError in both fields.
+    """
+    if not any(v.__class__ is GFp for v in values):
+        return [1 / v for v in values]
+    residues = [v.v if v.__class__ is GFp else v % PRIME for v in values]
+    prefix = residues[:]
+    for i in range(1, len(prefix)):
+        prefix[i] = prefix[i - 1] * residues[i] % PRIME
+    inv = _inverse(prefix[-1])  # 1 / (v_0 ... v_i), i running down from the end
+    out = [_new(GFp) for _ in residues]
+    for i in range(len(residues) - 1, 0, -1):
+        out[i].v = inv * prefix[i - 1] % PRIME
+        inv = inv * residues[i] % PRIME
+    out[0].v = inv
+    return out
 
 
 #: A coordinate or value of an identity: exact over Q or over GF(p).
@@ -347,12 +382,21 @@ def _alternating_sum(
     while a set U of values is still unplaced, the next position, the
     product of the placed xi and the sign picked up by placing v (the parity
     of the values of U on v's far side) all depend on U alone.  The partial
-    sums are memoised on the bitmask of U: N 2^(N-1) terms, not N! N.
+    sums are memoised on the bitmask of U: N 2^(N-1) terms, not N! N.  The
+    tail factor of U depends on U alone, so all 2^N - 2 of them are inverted
+    in one batch before the sums.
     """
     n = len(xi)
     full = (1 << n) - 1
     suffix = tail == "suffix"
     prod = _subset_products(xi)
+    # inverse[U - 1]: 1 over the tail factor of the values placed while U is not
+    placed = [prod[full ^ mask] for mask in range(1, full)]
+    tails = [1 - p for p in placed] if suffix else [p - 1 for p in placed]
+    try:
+        inverse = _inverses(tails)
+    except ZeroDivisionError:
+        raise DegeneratePointError("geometric-tail denominator vanished") from None
     # rest[U]: the sum over every order of U on the free positions, already
     # divided by the tail factor of the placed values (the complement of U)
     rest = [1] * (full + 1)
@@ -371,11 +415,7 @@ def _alternating_sum(
             else:
                 total += term
         if mask != full:
-            placed = prod[full ^ mask]
-            factor = 1 - placed if suffix else placed - 1
-            if factor == 0:
-                raise DegeneratePointError("geometric-tail denominator vanished")
-            total /= factor
+            total *= inverse[mask - 1]
         rest[mask] = total
     return rest[full]
 
@@ -385,7 +425,9 @@ def _variant_sides(xi: Point, variant: str, d: int) -> tuple[Scalar, Scalar]:
 
     Variant "a" weighs value i at 0-based position k by
     xi_i^k / (1 - xi_i)^max(k - d, 0) over the suffix tail; variant "b" by
-    (xi_i / (xi_i - 1))^max(N - 1 - k - d, 0) over the prefix tail.
+    (xi_i / (xi_i - 1))^max(N - 1 - k - d, 0) over the prefix tail.  Both
+    divide only by the w_i = 1 / (1 - xi_i) or 1 / (xi_i - 1), taken in one
+    batch: the weights and the right side multiply by their powers.
     """
     n = len(xi)
     total = 1
@@ -393,21 +435,21 @@ def _variant_sides(xi: Point, variant: str, d: int) -> tuple[Scalar, Scalar]:
         total *= z
     rhs = vandermonde(xi)
     if variant == "a":
-        weight = [[z**k / (1 - z) ** max(k - d, 0) for z in xi] for k in range(n)]
+        w = _inverses([1 - z for z in xi])
+        weight = [[z**k * wz ** max(k - d, 0) for z, wz in zip(xi, w)] for k in range(n)]
         lhs = _alternating_sum(xi, weight, "suffix")
         if d == 0:
             rhs *= 1 - total
-        for z in xi:
-            rhs /= (1 - z) ** (n - d)
     elif variant == "b":
-        weight = [[(z / (z - 1)) ** max(n - 1 - k - d, 0) for z in xi] for k in range(n)]
+        w = _inverses([z - 1 for z in xi])
+        weight = [[(z * wz) ** max(n - 1 - k - d, 0) for z, wz in zip(xi, w)] for k in range(n)]
         lhs = _alternating_sum(xi, weight, "prefix")
         if d == 0:
             rhs *= total - 1
-        for z in xi:
-            rhs /= (z - 1) ** (n - d)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    for wz in w:
+        rhs *= wz ** (n - d)
     return lhs, rhs
 
 
@@ -423,12 +465,14 @@ def main_identity(xi: Sequence[Scalar]) -> tuple[Scalar, Scalar, bool]:
     xi = _identity_point(xi)
     n = len(xi)
     lhs = _main_lhs(xi)
-    rhs = 1 - xi[0]
+    # its own product loop, apart from the vandermonde the variant sides
+    # share, so that the bridge compares two independent statements
+    num, den = 1 - xi[0], 1
     for i in range(n):
+        den *= (1 - xi[i]) ** (n - i)
         for j in range(i + 1, n):
-            rhs *= (xi[j] - xi[i]) / (1 - xi[i])
-    for z in xi:
-        rhs /= 1 - z
+            num *= xi[j] - xi[i]
+    rhs = num / den
     return lhs, rhs, lhs == rhs
 
 
@@ -475,7 +519,7 @@ def substitution_transport(xi: Sequence[Scalar]) -> bool:
     one displayed identity onto the other, left side onto left side.
     """
     xi = _identity_point(xi)
-    mapped = tuple(1 / z for z in reversed(xi))
+    mapped = tuple(reversed(_inverses(xi)))
     return _variant_sides(mapped, "a", 1)[0] == _variant_sides(xi, "b", 1)[0]
 
 
@@ -560,10 +604,16 @@ def descending_vandermonde(xi: Sequence[Scalar]) -> Scalar:
 
 
 def closed_form_vs_product(xi: Sequence[Scalar], sigma: Sequence[int]) -> bool:
-    """Center amplitude: product formula against the full matrix product."""
+    """Center amplitude: product formula against the slot operators of sigma's word.
+
+    The center entry is row c of the unit column e_c, c the center index,
+    pushed through the slot operators of the canonical word of sigma: the
+    entry of ``bethe.amplitude(sigma, point)`` without its 2^N x 2^N products.
+    """
     point = validate_point(xi)
     c = bethe.center_index(len(point))
-    return bethe.amplitude(sigma, point).get(c, c) == bethe.amplitude_center(sigma, point)
+    column = bethe.amplitude_column(sigma, c, point)
+    return column.get(c, 0) == bethe.amplitude_center(sigma, point)
 
 
 # ---------------------------------------------------------------------------

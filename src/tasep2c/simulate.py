@@ -264,12 +264,17 @@ def _count_columns(state: np.ndarray) -> Counter[tuple[tuple[int, ...], str]]:
     return Counter(dict(zip(zip(positions, species), counts)))
 
 
+def check_runs(runs: int) -> None:
+    """Reject a run count below 1: no estimate can be taken from it."""
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+
+
 def _histogram(
     initial: Configuration, t: float, runs: int, seed: int, processes: int
 ) -> Counter[tuple[tuple[int, ...], str]]:
     t = _check_time(t)
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
+    check_runs(runs)
     blocks = [(lo, min(lo + _BLOCK, runs)) for lo in range(0, runs, _BLOCK)]
     advance = partial(_advance_blocks, initial, t, seed)
     workers = min(processes, len(blocks))  # never an idle worker

@@ -162,6 +162,22 @@ def test_simulate_runs_validation(capsys):
     assert "runs" in err
 
 
+def test_compare_refuses_no_runs_before_the_exact_route(capsys, monkeypatch):
+    # the N = 7 residue route took 1.25 s before the refusal; now it never runs
+    def exact_value(args):
+        raise AssertionError("the exact route ran")
+
+    monkeypatch.setattr(cli, "_exact_value", exact_value)
+    argv = (
+        "compare --n 7 --step-l 0 --event transition --final 1,2,3,4,5,6,8 --species 2111111 "
+        "--final-species 1211111 --time 1 --runs 0"
+    )
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: runs must be at least 1, got 0\n"
+
+
 def test_workers_variable_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("TASEP2C_WORKERS", "abc")
     argv = "simulate --n 2 --step-l 0 --event leftmost --position 1 --time 1 --runs 10"

@@ -11,6 +11,8 @@ from tasep2c.errors import DegeneratePointError
 from tasep2c.identities import (
     PRIME,
     GFp,
+    _alternating_sum,
+    _inverses,
     _variant_sides,
     complete_homogeneous,
     closed_form_vs_product,
@@ -183,6 +185,38 @@ def test_closed_form_vs_product():
         assert closed_form_vs_product(xi, tuple(sigma))
 
 
+def test_pushed_center_column_is_the_amplitude_entry():
+    # every sigma of S_4 at a GF(p) point and of S_3 at XI3: the whole pushed
+    # column, the center entry that closed_form reads included
+    for point in (random_field_point(4, random.Random("column")), XI3):
+        n = len(point)
+        c = bethe.center_index(n)
+        for sigma in enumerate_permutations(n):
+            column = bethe.amplitude_column(sigma, c, point)
+            matrix = bethe.amplitude(sigma, point)
+            assert column == {i: row[c] for i, row in matrix.rows.items() if c in row}
+            assert column.get(c, 0) == matrix.get(c, c) == bethe.amplitude_center(sigma, point)
+
+
+def _skew_s(original, xi_alpha, xi_beta):
+    m = original(xi_alpha, xi_beta)
+    m.set(0, 0, m.get(0, 0) + 1)
+    return m
+
+
+def test_closed_form_reads_the_pushed_column(monkeypatch):
+    # a wrong s entry moves the center entry, so closed_form fails; a wrong q
+    # entry cannot: it moves a 2 one slot right and no entry moves it back,
+    # so only braid sees it
+    monkeypatch.setattr(*_plant(bethe, "scattering_matrix", _skew_s))
+    records = run_identity_suite(n_values=(3, 4), points=2, identities=("closed_form",))
+    assert [r["passed"] for r in records] == [False, False]
+    monkeypatch.undo()
+    monkeypatch.setattr(*_plant(bethe, "scattering_matrix", _skew_q))
+    records = run_identity_suite(n_values=(3, 4), points=2, identities=("closed_form", "braid"))
+    assert [r["passed"] for r in records] == [True, True, False, False]
+
+
 def test_validate_point_rejections():
     with pytest.raises(DegeneratePointError):
         validate_point((F(1, 2), F(1, 2)))
@@ -348,6 +382,32 @@ def test_suite_reports_a_broken_identity(monkeypatch):
     assert not any(r["passed"] for r in records)
 
 
+#: Field inversions per point of each permutation-sum check: one batch for
+#: the w_i of each variant side, one for the tail factors of each subset
+#: sum, one for the mapped point of substitution, and for main one division
+#: in each side of the main identity.
+INVERSIONS = {"main": 4, "equiv_a": 2, "equiv_b": 2, "substitution": 5, "tasep_a": 2,
+              "tasep_b": 2}
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_suite_checks_pay_a_fixed_number_of_inversions(monkeypatch, n):
+    calls = []
+    original = identities._inverse
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(identities, "_inverse", counted)
+    counts = {}
+    for name in INVERSIONS:
+        calls.clear()
+        assert run_identity_suite(n_values=(n,), points=1, identities=(name,))[0]["passed"]
+        counts[name] = len(calls)
+    assert counts == INVERSIONS
+
+
 def test_suite_runs_the_main_reference_once_per_point(monkeypatch):
     calls = []
     original = identities.main_identity
@@ -401,6 +461,43 @@ def test_field_refuses_zero_division_and_other_number_types():
         GFp(3) + F(1, 2)
     with pytest.raises(TypeError):
         GFp(0.5)
+
+
+@pytest.mark.parametrize("field", ("Q", "GF(p)"))
+def test_inverses_match_one_at_a_time(field):
+    rng = random.Random(f"inverses-{field}")
+    for length in (0, 1, 2, 7, 40):
+        if field == "Q":
+            values = [F(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 999))
+                      for _ in range(length)]
+        else:
+            values = [GFp(rng.randrange(1, PRIME)) for _ in range(length)]
+        inverses = _inverses(values)
+        assert inverses == [1 / v for v in values]
+        assert all(type(w) is type(v) for v, w in zip(values, inverses))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[GFp(3), GFp(PRIME), GFp(5)], [GFp(0)], [F(1, 2), F(0), F(3)], [F(0)]],
+    ids=["GF(p)", "GF(p)-alone", "Q", "Q-alone"],
+)
+def test_inverses_refuse_a_zero(values):
+    with pytest.raises(ZeroDivisionError):
+        _inverses(values)
+
+
+@pytest.mark.parametrize("tail", ["suffix", "prefix"])
+@pytest.mark.parametrize(
+    "xi",
+    [(F(2), F(1, 2), F(3)), (GFp(2**31), GFp(2**30), GFp(3))],
+    ids=["Q", "GF(p)"],
+)
+def test_alternating_sum_refuses_a_vanishing_tail_factor(xi, tail):
+    # the first two coordinates multiply to 1: the tail factor of that pair
+    weight = [[1] * 3 for _ in range(3)]
+    with pytest.raises(DegeneratePointError, match="geometric-tail"):
+        _alternating_sum(xi, weight, tail)
 
 
 def test_main_identity_hand_value_mod_p():
