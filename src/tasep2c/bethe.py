@@ -306,25 +306,31 @@ def amplitude_columns(n: int, col: int, point: Sequence) -> Iterator[tuple[tuple
     corresponding entry of ``amplitude(sigma, point)`` computed the same
     way, operation by operation.
     """
-    blocks: dict = {}
+    return _walk(_word_trie(n), {col: 1}, list(range(1, n + 1)), n, point, {})
 
-    def walk(node: dict, column: dict, current: list):
-        sigma = node.get(None)
-        if sigma is not None:
-            yield sigma, column
-        for a, child in node.items():
-            if a is None:
-                continue
-            alpha, beta = current[a - 1], current[a]
-            block = blocks.get((alpha, beta))
-            if block is None:
-                block = scattering_matrix(point[alpha - 1], point[beta - 1])
-                blocks[(alpha, beta)] = block
-            nxt = list(current)
-            nxt[a - 1], nxt[a] = beta, alpha
-            yield from walk(child, _push_column(column, block, a, n), nxt)
 
-    return walk(_word_trie(n), {col: 1}, list(range(1, n + 1)))
+def _walk(node: dict, column: dict, current: list, n: int, point: Sequence, blocks: dict):
+    """The walk of :func:`amplitude_columns` below one trie node, sharing ``blocks``.
+
+    A module-level generator, not a closure that calls itself: such a
+    closure is a reference cycle, which would keep its blocks (numpy node
+    arrays, on the quadrature route) alive until the next cyclic garbage
+    collection instead of freeing them when the walk ends.
+    """
+    sigma = node.get(None)
+    if sigma is not None:
+        yield sigma, column
+    for a, child in node.items():
+        if a is None:
+            continue
+        alpha, beta = current[a - 1], current[a]
+        block = blocks.get((alpha, beta))
+        if block is None:
+            block = scattering_matrix(point[alpha - 1], point[beta - 1])
+            blocks[(alpha, beta)] = block
+        nxt = list(current)
+        nxt[a - 1], nxt[a] = beta, alpha
+        yield from _walk(child, _push_column(column, block, a, n), nxt, n, point, blocks)
 
 
 def amplitude_column(sigma: Sequence[int], col: int, point: Sequence) -> dict:

@@ -7,11 +7,15 @@ alone dispatches on the method, chooses the fixed-point scale and checks
 that the result is a probability.  Its two routes are:
 
 * *residue* (the default, and the numerically stable route): a callable
-  ``residue(t, bits)`` expands the defining multiple contour integral into
-  an integer polynomial in the fixed-point one-variable integrals J(k, e)
-  of :func:`tasep2c.contour.exp_scaled_residue`, at scale 2^(N * bits),
-  and the evaluator converts it to float once, by
-  :func:`tasep2c.contour._fixed_result`.  Every alternating permutation
+  ``residue(t)`` expands the defining multiple contour integral into an
+  integer polynomial in the fixed-point one-variable integrals J(k, e) of
+  :func:`tasep2c.contour.exp_scaled_residue`, read at 2^bits each, and
+  returns it with its scale 2^(N * bits); the evaluator converts it to
+  float once, by :func:`tasep2c.contour._fixed_result`.  The determinant
+  routes read every entry at the fixed bits = 256 (``_FIXED_BITS``).  The
+  transition routes choose bits per query (:func:`_query_bits`): 256,
+  raised where the smallest e = 0 factor J(k_max, 0) would keep fewer
+  than 128 significant bits there.  Every alternating permutation
   sum is a determinant of such integrals (Schuetz 1997; Chatterjee and
   Schuetz 2010), taken exactly at any N.  In every leftmost formula row i
   of the matrix reads one sequence s -> J(s, e_i) over N consecutive
@@ -65,11 +69,20 @@ prefix tree of reduced words and never builds a 2^N x 2^N matrix.  The
 residue route runs it once per (N, initial word) with
 :func:`tasep2c.bethe.scattering_matrix` at the symbolic point
 xi_a = 1 - u_a, whose entries -u_beta/u_alpha, 1 - u_beta/u_alpha and -1 are
-integer Laurent polynomials in the u_a (:class:`_ULaurent`).  So is every
-amplitude entry (:func:`_sym_columns` holds at most 200,000 terms), and each
-term prod_a u_a^e_a separates into one-variable residue factors J(k_a, e_a).
-Quadrature runs it once per grid slab over numpy node arrays and sums each
-permutation's term as the walk reaches it.
+integer Laurent polynomials in the u_a over packed monomials
+(:class:`_PackedLaurent`): an exponent vector is one int with a fixed-width
+field per variable, so a product of monomials is one integer addition.  So
+is every amplitude entry, and each term prod_a u_a^e_a separates into
+one-variable residue factors J(k_a, e_a).  The walk streams into a
+contraction plan (:class:`_Plan`, at most 200,000 terms): each term's
+packed key, its monomial plus the permutation's final slots, and its
+coefficient, kept per final word and compiled on that word's first query
+into a prefix tree over the variables (:class:`_Tree`).  A query reads
+each distinct J(k, e) once and sums the tree bottom-up, so each distinct
+prefix of factors is multiplied once.  The plans are kept while together
+they hold at most 200,000 terms.  Quadrature runs the walk once per grid
+slab over numpy node arrays and sums each permutation's term as the walk
+reaches it.
 
 Conditioning: the alternating sums cancel catastrophically in double
 precision (at N = 5 the terms outweigh the result by ~8 digits), so every
@@ -85,6 +98,7 @@ import itertools
 import math
 import operator
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -95,7 +109,6 @@ from . import bethe, contour
 from .bethe import SparseMatrix, word_index
 from .contour import QuadratureSpec, _check_time, _fixed_result
 from .errors import AccuracyError, WindowTooSmallWarning
-from .permutations import inverse
 
 #: Beyond this time the circle-quadrature factor exp(t/xi) overwhelms the
 #: rule on radius-0.5 contours; the residue route has no such limit.
@@ -258,6 +271,32 @@ def _determinants(terms):
     return residue
 
 
+def _at_fixed_scale(n: int, residue):
+    """``residue(t, bits)`` at _FIXED_BITS per entry, as :func:`_evaluate` takes it."""
+    return lambda t: (residue(t, _FIXED_BITS), n * _FIXED_BITS)
+
+
+def _query_bits(x: Sequence[int], y: Sequence[int], t: float) -> int:
+    """Bits per entry for a transition query from y to x at time t.
+
+    Every factor is some J(x_j - y_a - 1, e), and J(k_max, 0), with k_max =
+    max x - min y - 1, stands for the smallest: times e^t it is t^(k_max+1)
+    / (k_max+1)!, so at 2^bits it keeps bits + log2 of that many
+    significant bits.  Where it lacks more than 128 bits (log2 below -128),
+    the scale rises from _FIXED_BITS by the bits it lacks, rounded up to a
+    multiple of 64 so that nearby queries share a series table.  Elsewhere
+    it stays _FIXED_BITS, and ordinary queries share their series tables
+    with the determinant routes: a raise on every query builds more tables.
+    """
+    k = max(x) - min(y) - 1
+    if k < 0:
+        return _FIXED_BITS
+    lacking = (math.lgamma(k + 2) - (k + 1) * math.log(t)) / math.log(2)
+    if lacking <= 128:
+        return _FIXED_BITS
+    return _FIXED_BITS + 64 * math.ceil(lacking / 64)
+
+
 def _quadrature(
     t: float, quad: QuadratureSpec | None, body, powers: Sequence[tuple[int, int]]
 ) -> float:
@@ -297,13 +336,15 @@ def _evaluate(what: str, n: int, t: float, method: str, quad, residue, quadratur
 
     ``residue`` and ``quadrature`` are the formula's two routes (see the
     module docstring); ``quadrature`` is None where the formula has none.
+    ``residue(t)`` returns an exact integer and its scale: the total is
+    the probability times e^(n t) times 2^scale.
     """
     if method == "residue":
-        total, bits = residue(t, _FIXED_BITS), n * _FIXED_BITS
+        total, scale = residue(t)
         if total < 0:
-            raise AccuracyError(f"{what} has a negative total at the 2^-{bits} fixed-point "
+            raise AccuracyError(f"{what} has a negative total at the 2^-{scale} fixed-point "
                                 "scale; the probability cannot be certified there")
-        value = _fixed_result(total, n, t, bits)
+        value = _fixed_result(total, n, t, scale)
     elif method == "quadrature" and quadrature is not None:
         value = _quadrature(t, quad, *quadrature)
     else:
@@ -408,35 +449,69 @@ def _require_head(config: Configuration, what: str) -> None:
 
 # ---------------------------------------------------------------------------
 # symbolic amplitude entries: integer Laurent polynomials in u_a = 1 - xi_a
+# over packed monomials, and the transition route's contraction plans
 # ---------------------------------------------------------------------------
 
+#: Bits per variable of a packed key: an exponent field of _EXP_BITS bits,
+#: read with offset _EXP_OFFSET, under a 3-bit final-slot field, so the key
+#: of a term at N <= 8 (N >= 9 is refused) fills at most one uint64.
+_LANE = 8
+_EXP_BITS = 5
+_EXP_OFFSET = 1 << (_EXP_BITS - 1)
 
-class _ULaurent(dict):
-    """sum of c * prod_a (1 - xi_a)^e[a], stored as {exponent vector e: integer c}.
+
+def _pack(fields) -> int:
+    """sum_a fields[a] * 2^(_LANE * (N - 1 - a)): variable 0 in the top lane.
+
+    The map is linear, so the packed key of a product of monomials is the
+    sum of their keys, and dividing by a monomial subtracts its key.  Every
+    exponent of an amplitude entry lies in [-(N - 1), N - 1] (a reduced
+    word swaps each pair of particles at most once, and each swap moves an
+    exponent by at most one), inside the field's [-16, 15].
+    """
+    key = 0
+    for f in fields:
+        key = (key << _LANE) + f
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent vector of the packed monomial ``key`` of n variables."""
+    biased = key + _pack([_EXP_OFFSET] * n)
+    mask = (1 << _EXP_BITS) - 1
+    return tuple(((biased >> (_LANE * (n - 1 - a))) & mask) - _EXP_OFFSET for a in range(n))
+
+
+class _PackedLaurent(dict):
+    """sum of c * prod_a (1 - xi_a)^e[a], stored as {_pack(e): integer c}.
 
     Every scattering entry is an integer Laurent polynomial in u_a = 1 - xi_a,
     so every amplitude entry is one too.  Such polynomials have unique
-    coefficients, so sums cancel exactly and no zero is ever stored; each
-    term separates into one-variable residue factors J(k_a, e_a).
+    coefficients, so sums cancel exactly and no zero is ever stored; a
+    product of two monomials is one integer addition of their keys, and
+    each term separates into one-variable residue factors J(k_a, e_a).
     """
 
     __slots__ = ()
 
     def __mul__(self, other):
-        if not isinstance(other, _ULaurent):
+        if not isinstance(other, _PackedLaurent):
             return other * self  # an integer factor, through __rmul__
+        if len(self) == 1:  # a monomial, such as s: a shift of every key
+            ((ea, ca),) = self.items()
+            return _PackedLaurent({ea + eb: ca * cb for eb, cb in other.items()})
         out: dict = {}
         for ea, ca in self.items():
             for eb, cb in other.items():
-                key = tuple(map(operator.add, ea, eb))
+                key = ea + eb
                 if key in out:
                     out[key] += ca * cb
                 else:
                     out[key] = ca * cb
-        return _ULaurent({e: c for e, c in out.items() if c})
+        return _PackedLaurent({e: c for e, c in out.items() if c})
 
     def __rmul__(self, c: int):
-        return _ULaurent({e: c * v for e, v in self.items()} if c else {})
+        return _PackedLaurent({e: c * v for e, v in self.items()} if c else {})
 
     def __add__(self, other):
         out = dict(self)
@@ -445,32 +520,33 @@ class _ULaurent(dict):
                 out[e] += c
             else:
                 out[e] = c
-        return _ULaurent({e: c for e, c in out.items() if c})
+        return _PackedLaurent({e: c for e, c in out.items() if c})
 
     def __neg__(self):
-        return _ULaurent({e: -c for e, c in self.items()})
+        return _PackedLaurent({e: -c for e, c in self.items()})
 
     def __sub__(self, other):
         return self + -other
 
     def __rsub__(self, c: int):
-        return -self + _ULaurent({(0,) * len(next(iter(self))): c})
+        return -self + _PackedLaurent({0: c})
 
     def __truediv__(self, other):
         """Exact division by a monomial with coefficient 1 or -1, such as u_a."""
         ((e0, c0),) = other.items()
-        return _ULaurent({tuple(map(operator.sub, e, e0)): c * c0 for e, c in self.items()})
+        return _PackedLaurent({e - e0: c * c0 for e, c in self.items()})
 
 
-@lru_cache(maxsize=4)
-def _sym_columns(n: int, col: int) -> dict:
-    """Symbolic amplitude column ``col`` of every permutation: {sigma: {row: entry}}.
+def _sym_columns(n: int, col: int):
+    """Symbolic amplitude column ``col`` of every permutation, as (sigma, {row: entry}).
 
-    The blocks are :func:`tasep2c.bethe.scattering_matrix` at xi_a = 1 - u_a;
-    a plain-int entry (the unit column times -1 entries) becomes a constant
-    polynomial.  It raises ValueError once the columns pass _MAX_COLUMN_TERMS
-    terms.  Every slot operator is invertible (triangular, diagonal s, s, -1,
-    s), so each of the N! columns keeps a term: N >= 9 is refused at once.
+    Streams :func:`tasep2c.bethe.amplitude_columns` at xi_a = 1 - u_a, whose
+    blocks are :func:`tasep2c.bethe.scattering_matrix` there, and keeps
+    none of the columns it yields; a plain-int entry (the unit column times -1
+    entries) becomes a constant polynomial.  It raises ValueError once the
+    columns pass _MAX_COLUMN_TERMS terms.  Every slot operator is
+    invertible (triangular, diagonal s, s, -1, s), so each of the N!
+    columns keeps a term: N >= 9 is refused before the walk starts.
     """
 
     def refuse(terms: int) -> ValueError:
@@ -479,16 +555,160 @@ def _sym_columns(n: int, col: int) -> dict:
 
     if math.factorial(n) > _MAX_COLUMN_TERMS:
         raise refuse(math.factorial(n))
-    zero = (0,) * n
-    xi = [_ULaurent({zero: 1, tuple(int(i == a) for i in range(n)): -1}) for a in range(n)]
-    columns, terms = {}, 0
+    xi = [_PackedLaurent({0: 1, 1 << (_LANE * (n - 1 - a)): -1}) for a in range(n)]
+    terms = 0
     for sigma, column in bethe.amplitude_columns(n, col, xi):
-        column = {r: _ULaurent({zero: v}) if type(v) is int else v for r, v in column.items()}
+        column = {r: _PackedLaurent({0: v}) if type(v) is int else v for r, v in column.items()}
         terms += sum(map(len, column.values()))
         if terms > _MAX_COLUMN_TERMS:
             raise refuse(terms)
-        columns[sigma] = column
-    return columns
+        yield sigma, column
+
+
+class _Tree:
+    """One final word's terms as a prefix tree over the variables a = 0..N-1.
+
+    A term coef * prod_a J(x_(j_a) - y_a - 1, e_a), with j_a = sigma^-1(a)
+    the final slot of particle a, has the key whose lane a holds j_a above
+    e_a + _EXP_OFFSET, variable 0 in the top lane.  A node at depth d is a
+    distinct key prefix ((j_0, e_0), .., (j_(d-1), e_(d-1))).  ``fields[a]``
+    lists the distinct (j, e) of lane a, and ``levels`` holds, from the
+    leaves up, each lane's node-to-field positions and the slices that
+    group its nodes under their parents (None where every parent has one
+    child).  Keys are distinct: a permutation fixes every j_a, and the
+    monomials of one entry differ.
+
+    Every entry has degree 0 and a permutation leaves the last particle
+    one slot, so the last lane follows from the others: every node one
+    level above the leaves has one child.  The two bottom lanes then form
+    one level whose factor is read from ``pairs``, the distinct pairs of
+    their field positions, one product per pair (48 pairs for 384 terms at
+    N = 5).
+    """
+
+    __slots__ = ("fields", "pairs", "levels", "coefs")
+
+    def __init__(self, n: int, keys, coefs):
+        # plain lists, not numpy: a process's first numpy sort pages in 0.2
+        # to 0.9 MB of sorting code
+        coef = dict(zip(keys, coefs))
+        node = sorted(coef)
+        self.coefs = [coef[key] for key in node]
+        self.fields: list = [None] * n
+        self.levels = []
+        lane, exponent = (1 << _LANE) - 1, (1 << _EXP_BITS) - 1
+        for a in reversed(range(n)):
+            fields = sorted({key & lane for key in node})
+            self.fields[a] = [(f >> _EXP_BITS, (f & exponent) - _EXP_OFFSET) for f in fields]
+            position = {f: i for i, f in enumerate(fields)}
+            index = [position[key & lane] for key in node]
+            node = [key >> _LANE for key in node]
+            starts = [0] + [i for i in range(1, len(node)) if node[i] != node[i - 1]]
+            groups = None
+            if len(starts) < len(node):
+                groups = list(map(slice, starts, starts[1:] + [len(node)]))
+            self.levels.append((index, groups))
+            node = [node[i] for i in starts]
+        self.pairs = None
+        if len(self.levels) > 1 and self.levels[0][1] is None:
+            (low, _), (high, groups) = self.levels[:2]
+            self.pairs = sorted(set(zip(high, low)))
+            position = {pair: i for i, pair in enumerate(self.pairs)}
+            self.levels[:2] = [([position[pair] for pair in zip(high, low)], groups)]
+
+    def contract(self, factors) -> int:
+        """sum over terms of coef * prod_a factors[a][i], where fields[a][i] is the term's lane a.
+
+        Bottom-up: every node's value is the sum over its children of the
+        child's value times the child's factor, so each distinct prefix is
+        multiplied once.  Any scalars with + and * serve as factors.
+        """
+        lanes = factors[::-1]
+        if self.pairs is not None:
+            low, high = lanes[:2]
+            lanes[:2] = [[high[i] * low[k] for i, k in self.pairs]]
+        vals = self.coefs
+        for (index, groups), factor in zip(self.levels, lanes):
+            prods = list(map(operator.mul, map(factor.__getitem__, index), vals))
+            vals = prods if groups is None else list(map(sum, map(prods.__getitem__, groups)))
+        return vals[0]
+
+
+class _Plan:
+    """The transition route's terms for one (N, initial word), by final word.
+
+    One walk of :func:`_sym_columns` appends every term's packed key, the
+    entry's monomial key plus the permutation's slot offset (one integer
+    addition per term), and its coefficient to compact arrays per final
+    word; the columns themselves are never held.  A final word's
+    :class:`_Tree` is compiled on its first query.
+    """
+
+    def __init__(self, n: int, col: int):
+        self.n = n
+        self._raw: dict = {}
+        self._trees: dict = {}
+        bias = _pack([_EXP_OFFSET] * n)
+        slots = [0] * n
+        for sigma, column in _sym_columns(n, col):
+            # particle sigma(j) ends at final slot j
+            for j, particle in enumerate(sigma):
+                slots[particle - 1] = j << _EXP_BITS
+            offset = bias + _pack(slots)
+            for r, entry in column.items():
+                if r not in self._raw:
+                    self._raw[r] = (array("Q"), array("q"))
+                keys, coefs = self._raw[r]
+                keys.extend(map(offset.__add__, entry))
+                coefs.extend(entry.values())
+        self.terms = sum(len(keys) for keys, _ in self._raw.values())
+
+    def tree(self, row: int) -> _Tree | None:
+        """The compiled tree of final word ``row``; None where no term reaches it."""
+        if row not in self._trees:
+            raw = self._raw.pop(row, None)
+            self._trees[row] = _Tree(self.n, *raw) if raw else None
+        return self._trees[row]
+
+
+#: Contraction plans by (N, initial word), least recently used first.
+_plans: dict = {}
+
+
+def _transition_plan(n: int, col: int) -> _Plan:
+    """The plan of (n, col), kept while all kept plans hold at most _MAX_COLUMN_TERMS terms."""
+    plan = _plans.pop((n, col), None)
+    if plan is None:
+        plan = _Plan(n, col)
+        while _plans and plan.terms + sum(p.terms for p in _plans.values()) > _MAX_COLUMN_TERMS:
+            del _plans[next(iter(_plans))]
+    _plans[n, col] = plan
+    return plan
+
+
+def _transition_total(
+    n: int, col: int, row: int, x: Sequence[int], y: Sequence[int], t: float, bits: int
+) -> int:
+    """The transition route's exact total at scale 2^(n * bits), by the plan of (n, col).
+
+    Each distinct J(k, e) of the final word's tree is read once, at full
+    scale: flooring each partial product would zero the terms of a tiny
+    probability.  A factor with e >= 0 and k + e + 1 < 0 has no series
+    term and is 0 without a read.
+    """
+    tree = _transition_plan(n, col).tree(row)
+    if tree is None:
+        return 0
+    read: dict = {}
+
+    def factor(k: int, e: int) -> int:
+        v = read.get((k, e))
+        if v is None:
+            v = read[k, e] = 0 if 0 <= e < -1 - k else _fixed_integral(k, e, t, bits)
+        return v
+
+    return tree.contract([[factor(x[j] - y[a] - 1, e) for j, e in fields]
+                          for a, fields in enumerate(tree.fields)])
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +725,18 @@ def transition_probability(
 ) -> float:
     """P(state = final at time t | state = initial at time 0).
 
-    The residue route expands each amplitude entry symbolically and sums
-    separable residue factors within 200,000 column terms
-    (:func:`_sym_columns`): every word at N <= 6 (221211 holds the most,
-    140,512), 56 words at N = 7, each word with a single particle of one species
-    among them (1211111 holds 198,000), 16 at N = 8 (1^a 2^b and 1^a 2 1 2^b),
-    none at N >= 9.  Quadrature evaluates the N-fold integral of the
+    The residue route expands each amplitude entry symbolically, over
+    packed monomials, within 200,000 column terms (:func:`_sym_columns`):
+    every word at N <= 6 (221211 holds the most, 140,512), 56 words at
+    N = 7, each word with a single particle of one species among them
+    (1211111 holds 198,000), 16 at N = 8 (1^a 2^b and 1^a 2 1 2^b), none at
+    N >= 9.  The terms of one (N, initial word) form one contraction plan,
+    built once and kept while the plans hold at most 200,000 terms; the
+    final word's terms form a prefix tree over the variables, compiled on
+    its first query.  A query reads each distinct factor J(x_j - y_a - 1,
+    e) once, at the scale of :func:`_query_bits`, and sums the tree
+    bottom-up, child value times factor into the parent, to the same exact
+    integer as the term-by-term sum.  Quadrature evaluates the N-fold integral of the
     amplitude-entry integrand, limited by the grid budget of
     :func:`_quadrature`, not by the amplitudes: N <= 4 from the default 16
     points, N = 5 from 8.  At N = 4 that budget allows one doubling (16^4
@@ -531,23 +757,9 @@ def transition_probability(
     row = word_index(final.species)
     col = word_index(initial.species)
 
-    def residue(t, bits):
-        # every factor multiplies in at full scale: flooring each partial
-        # product would zero the terms of a tiny probability
-        total, factor = 0, lru_cache(maxsize=None)(lambda k, e: _fixed_integral(k, e, t, bits))
-        for p, column in _sym_columns(n, col).items():
-            entry = column.get(row)
-            if not entry:
-                continue
-            inv = inverse(p)
-            ks = [x[inv[a0] - 1] - y[a0] - 1 for a0 in range(n)]
-            for e, coef in entry.items():
-                for k, ea in zip(ks, e):
-                    coef *= factor(k, ea)
-                    if not coef:
-                        break
-                total += coef
-        return total
+    def residue(t):
+        bits = _query_bits(x, y, t)
+        return _transition_total(n, col, row, x, y, t, bits), n * bits
 
     def body(xis):
         acc = 0
@@ -573,7 +785,8 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     determinant det[J(x_j - y_a - 1, (a - 1)_+ - (j - 1)_+)] over 0-based
     a, j, where J(k, e) is the integral of xi^k (1 - xi)^e.  Its exponent
     changes along a row, so no table of minors serves it: it is taken
-    exactly by Bareiss elimination, :func:`_fixed_det`, at any N.
+    exactly by Bareiss elimination, :func:`_fixed_det`, at any N, with
+    entries read at the scale of :func:`_query_bits`.
     """
     _check_pair(initial, final)
     _require_head(initial, "head transition")
@@ -585,10 +798,11 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     y = initial.positions
     x = final.positions
 
-    def residue(t, bits):
+    def residue(t):
+        bits = _query_bits(x, y, t)
         mat = [[_fixed_integral(x[j] - y[a] - 1, max(a - 1, 0) - max(j - 1, 0), t, bits)
                 for j in range(n)] for a in range(n)]
-        return _fixed_det(mat)
+        return _fixed_det(mat), n * bits
 
     return _evaluate("head transition probability", n, t, "residue", None, residue, None)
 
@@ -628,7 +842,7 @@ def leftmost_probability(
         return 1.0 if x == y[0] else 0.0
 
     rows = [(x - y[i] - 1, -(n - i) + (i == 0)) for i in range(n)]
-    residue = _determinants([(1, rows)])
+    residue = _at_fixed_scale(n, _determinants([(1, rows)]))
     quadrature = (vandermonde, rows)
     return _evaluate("leftmost probability", n, t, method, quad, residue, quadrature)
 
@@ -659,7 +873,7 @@ def tasep_leftmost_probability(
     if t == 0:
         return 1.0 if x == y[0] else 0.0
     rows = [(x - y[i] - 1, -(n - i)) for i in range(n)]
-    residue = _determinants([(1, rows), (-1, [(k + 1, e) for k, e in rows])])
+    residue = _at_fixed_scale(n, _determinants([(1, rows), (-1, [(k + 1, e) for k, e in rows])]))
     quadrature = (lambda xis: (1 - math.prod(xis)) * vandermonde(xis), rows)
     return _evaluate("TASEP leftmost probability", n, t, method, quad, residue, quadrature)
 
@@ -701,7 +915,7 @@ def leftmost_probability_shifted_step(
     sign = (-1) ** (n * (n - 1) // 2)
     base = x - n - shift - 1
     rows = [(base + i + shift * (i == n - 1), -(n - 1)) for i in range(n)]
-    residue = _determinants([(sign, rows)])
+    residue = _at_fixed_scale(n, _determinants([(sign, rows)]))
     prefactor = sign / math.factorial(n)
 
     def body(xis):

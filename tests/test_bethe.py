@@ -245,7 +245,7 @@ def test_sparse_matrix_max_abs_reads_nan():
     assert SparseMatrix(2).max_abs() == 0
 
 
-@pytest.mark.parametrize("zero", [0, F(0), GFp(0), GFp(2**61 - 1), formulas._ULaurent()])
+@pytest.mark.parametrize("zero", [0, F(0), GFp(0), GFp(2**61 - 1), formulas._PackedLaurent()])
 def test_sparse_matrix_prunes_exact_zeros(zero):
     m = SparseMatrix(2)
     m.set(0, 1, 7)
@@ -296,17 +296,17 @@ def test_amplitude_columns_on_node_arrays_are_bit_identical():
 
 
 def _symbolic_point(n):
-    # xi_a = 1 - u_a, the point at which the residue route evaluates S
-    zero = (0,) * n
-    unit = [tuple(int(i == a) for i in range(n)) for a in range(n)]
-    return [formulas._ULaurent({zero: 1, unit[a]: -1}) for a in range(n)]
+    # xi_a = 1 - u_a, the point at which the residue route evaluates S; the
+    # packed key of the constant monomial is 0
+    unit = [formulas._pack([int(i == a) for i in range(n)]) for a in range(n)]
+    return [formulas._PackedLaurent({0: 1, unit[a]: -1}) for a in range(n)]
 
 
 def _u_form_rows(alpha, beta, n):
     # S written out in the u_a: s = -u_beta/u_alpha, q = 1 - u_beta/u_alpha and -1
-    ratio = tuple((i == beta - 1) - (i == alpha - 1) for i in range(n))
-    s = formulas._ULaurent({ratio: -1})
-    q = formulas._ULaurent({(0,) * n: 1, ratio: -1})
+    ratio = formulas._pack([(i == beta - 1) - (i == alpha - 1) for i in range(n)])
+    s = formulas._PackedLaurent({ratio: -1})
+    q = formulas._PackedLaurent({0: 1, ratio: -1})
     return {0: {0: s}, 1: {1: s, 2: q}, 2: {2: -1}, 3: {3: s}}
 
 
@@ -335,19 +335,19 @@ def _full_symbolic_amplitude(n, sigma):
 
 def test_symbolic_columns_match_full_products_at_n5():
     n = 5
-    one = formulas._ULaurent({(0,) * n: 1})
+    one = formulas._PackedLaurent({0: 1})
 
     def terms(entry):
         # (exponent vector, coefficient) pairs; a plain integer is a constant
-        return sorted((one * entry).items())
+        return sorted((formulas._unpack(e, n), c) for e, c in (one * entry).items())
 
     full = {p: _full_symbolic_amplitude(n, p) for p in enumerate_permutations(n)}
     for col in range(1 << n):
-        cols = formulas._sym_columns(n, col)
+        cols = dict(formulas._sym_columns(n, col))
         for p, mat in full.items():
             expect = _column(mat, col)
             assert set(cols[p]) == set(expect)
-            assert all(isinstance(v, formulas._ULaurent) for v in cols[p].values())
+            assert all(isinstance(v, formulas._PackedLaurent) for v in cols[p].values())
             assert all(terms(cols[p][r]) == terms(v) for r, v in expect.items())
 
 
@@ -355,7 +355,7 @@ def _evaluate_u_form(entry, xi):
     total = F(0)
     for e, coef in entry.items():
         term = F(coef)
-        for z, power in zip(xi, e):
+        for z, power in zip(xi, formulas._unpack(e, len(xi))):
             term *= (1 - z) ** power
         total += term
     return total
@@ -367,9 +367,9 @@ def test_symbolic_columns_evaluate_to_exact_amplitudes(n):
     rng = random.Random(70 + n)
     points = [random_rational_point(n, rng) for _ in range(3)]
     for col in range(1 << n):
-        cols = formulas._sym_columns(n, col)
+        cols = dict(formulas._sym_columns(n, col))
         for p in enumerate_permutations(n):
-            assert all(isinstance(v, formulas._ULaurent) for v in cols[p].values())
+            assert all(isinstance(v, formulas._PackedLaurent) for v in cols[p].values())
             for xi in points:
                 expect = _column(amplitude(p, xi), col)
                 got = {r: _evaluate_u_form(v, xi) for r, v in cols[p].items()}

@@ -37,25 +37,28 @@ def test_exact_leftmost_refuses_an_underflowed_scale(capsys):
 
 
 def test_exact_transition_refuses_an_underflowed_scale(capsys):
-    # J(38, 0) at t = 0.1 reads 0 at 256 bits; the value is 4.92e-173
+    # J(38, 0) at t = 0.1 reads 0 at 256 bits, so the route raises its scale;
+    # the value is that of the same formula at 2048 bits per entry
     code, out, err = run_cli(
         capsys, *"exact transition --n 2 --initial 1,2 --final 40,41 --time 0.1".split()
     )
-    assert code == EXIT_ACCURACY == 2
-    assert out == ""
-    assert "underflows the 2^-256 fixed-point scale" in err
+    assert code == EXIT_OK
+    assert err == ""
+    assert json.loads(out)["value"] == 4.9193866545981535e-173
 
 
 def test_exact_transition_refuses_a_negative_total(capsys):
-    # the total is a negative integer at scale 2^-768; the value is 4.70e-217
+    # at 256 bits per entry the total is a negative integer at scale 2^-768;
+    # J(34, 0) lacks more than 128 bits there, so the route reads every
+    # entry at 512 bits; the value is that at 2048 bits per entry
     argv = (
         "exact transition --n 3 --initial 1,2,3 --species 211 --final 34,35,36 "
         "--final-species 121 --time 0.1"
     )
     code, out, err = run_cli(capsys, *argv.split())
-    assert code == EXIT_ACCURACY == 2
-    assert out == ""
-    assert "negative total" in err
+    assert code == EXIT_OK
+    assert err == ""
+    assert json.loads(out)["value"] == 4.69970140462136e-217
 
 
 def test_exact_leftmost_single_particle(capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tasep2c import bethe, contour, formulas, simulate
+from tasep2c import bethe, contour, formulas, permutations, simulate
 from tasep2c.contour import QuadratureSpec
 from tasep2c.errors import AccuracyError, WindowTooSmallWarning
 from tasep2c.formulas import (
@@ -229,7 +229,7 @@ class TestTransition:
 
     def test_cold_n5_within_budget(self):
         # about 0.01 s cold on a 2-core machine (measured 2026-10-19)
-        formulas._sym_columns.cache_clear()
+        formulas._plans.clear()
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
         formulas._minor_table.cache_clear()
@@ -244,7 +244,7 @@ class TestTransition:
     def test_cold_n6_three_twos_within_budget(self):
         # the largest column at N = 6, 140,512 terms; about 0.45 s cold on a
         # 2-core machine (measured 2026-10-19)
-        formulas._sym_columns.cache_clear()
+        formulas._plans.clear()
         contour.exp_scaled_residue.cache_clear()
         contour._series_table.cache_clear()
         formulas._minor_table.cache_clear()
@@ -255,6 +255,63 @@ class TestTransition:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.5, f"cold N = 6 transition took {elapsed:.3f} s"
         assert 0.0 < value < 1.0
+
+
+def _term_by_term(n, col, x, y, t, bits):
+    """{row: exact total} by the term-by-term contraction the plans replace."""
+    totals = {}
+    for sigma, column in formulas._sym_columns(n, col):
+        inv = permutations.inverse(sigma)
+        ks = [x[inv[a] - 1] - y[a] - 1 for a in range(n)]
+        for row, entry in column.items():
+            for key, coef in entry.items():
+                for k, e in zip(ks, formulas._unpack(key, n)):
+                    coef *= contour.exp_scaled_residue(k, e, t, bits)
+                totals[row] = totals.get(row, 0) + coef
+    return totals
+
+
+class TestTransitionPlan:
+    @staticmethod
+    def _check(n, col, rng):
+        y = tuple(sorted(rng.sample(range(1, 3 * n), n)))
+        x = tuple(sorted(rng.sample(range(y[0], y[-1] + 6), n)))
+        t, bits = rng.choice((0.5, 1.5, 3.0)), rng.choice((128, 200, 256, 333))
+        expect = _term_by_term(n, col, x, y, t, bits)
+        for row, total in expect.items():
+            assert formulas._transition_total(n, col, row, x, y, t, bits) == total
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+    def test_plan_matches_term_by_term_at_every_word(self, n):
+        rng = random.Random(f"plan-{n}")
+        for col in range(1 << n):
+            self._check(n, col, rng)
+
+    @pytest.mark.parametrize("word", ("221211", "1211111"))
+    def test_plan_matches_term_by_term_at_large_words(self, word):
+        self._check(len(word), bethe.word_index(word), random.Random(word))
+
+    def test_packed_exponents_round_trip_at_n8(self):
+        rng = random.Random(8)
+        vectors = [(7,) * 8, (-7,) * 8] + [tuple(rng.choice((-7, 7)) for _ in range(8))
+                                           for _ in range(20)]
+        for v in vectors:
+            assert formulas._unpack(formulas._pack(v), 8) == v
+        # the key of a product of monomials is the sum of their keys
+        a, b = (3, -4, 0, 7, -7, 1, 2, -3), (4, -3, -7, 0, 0, -1, 5, -4)
+        product = tuple(u + w for u, w in zip(a, b))
+        assert formulas._unpack(formulas._pack(a) + formulas._pack(b), 8) == product
+
+    def test_plans_hold_at_most_the_column_budget(self, monkeypatch):
+        formulas._plans.clear()
+        monkeypatch.setattr(formulas, "_MAX_COLUMN_TERMS", 1500)
+        sizes = {}
+        for word in ("21111", "12111", "11211"):
+            sizes[word] = formulas._transition_plan(5, bethe.word_index(word)).terms
+            assert sum(p.terms for p in formulas._plans.values()) <= 1500
+        assert sum(sizes.values()) > 1500
+        assert list(formulas._plans)[-1] == (5, bethe.word_index("11211"))
+        formulas._plans.clear()
 
 
 class TestLeftmost:
@@ -740,28 +797,31 @@ class TestLargeN:
     # every entry of the 2 x 2 determinant is J(k, 0) = e^-t t^(k+1) / (k+1)!,
     # so the probability is e^-2t (t^m / m!)^2 / (m + 1) with m = x_1 - 1; at
     # x_1 = 40, J(38, 0) ~ 4e-86 reads 0 at 256 bits while the value is
-    # 4.92e-173, so both routes must refuse it rather than return 0.0
+    # 4.92e-173, so both routes raise their scale to read it
     @staticmethod
     def _pair_value(m, t):
         power = Fraction(t) ** m / math.factorial(m)
         return math.exp(-2 * t) * float(power * power / (m + 1))
 
     def test_transition_routes_refuse_an_underflowed_scale(self):
-        assert self._pair_value(39, 0.1) == pytest.approx(4.92e-173, rel=1e-3)
+        # the value of the same formula at 2048 bits per entry
+        reference = 4.9193866545981535e-173
+        assert self._pair_value(39, 0.1) == pytest.approx(reference, rel=1e-15)
         initial = Configuration((1, 2), "21")
         final = Configuration((40, 41), "21")
+        assert formulas._query_bits(final.positions, initial.positions, 0.1) == 576
         for route in (transition_probability, head_transition_probability):
-            with pytest.raises(AccuracyError, match="2\\^-256"):
-                route(initial, final, 0.1)
+            assert route(initial, final, 0.1) == reference
 
     # no factor reads 0 here, but the terms of this alternating sum cancel below
-    # the 2^-768 scale of the total, which comes out negative; at 512 bits per
-    # particle the value is 4.6997e-217, so the route must refuse, not clamp to 0.0
+    # the 2^-768 scale of a total at 256 bits per particle, which comes out
+    # negative; the raised scale (512 bits per particle) gives the value at
+    # 2048 bits, 4.6997e-217
     def test_transition_route_refuses_a_negative_total(self):
         initial = Configuration((1, 2, 3), "211")
         final = Configuration((34, 35, 36), "121")
-        with pytest.raises(AccuracyError, match="negative total at the 2\\^-768"):
-            transition_probability(initial, final, 0.1)
+        assert formulas._query_bits(final.positions, initial.positions, 0.1) == 512
+        assert transition_probability(initial, final, 0.1) == 4.69970140462136e-217
 
     def test_transition_routes_agree_short_of_underflow(self):
         initial = Configuration((1, 2), "21")
