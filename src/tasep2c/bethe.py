@@ -23,8 +23,11 @@ every permutation at once, sharing the steps of common word prefixes, and
 yields each permutation's column as it is reached, so a caller that sums as
 it goes holds one path of columns and no 2^N x 2^N matrix.
 :func:`amplitude_column` pushes the one column of one permutation, which is
-how the identity suite checks the center entry's closed form.  The full
-matrices of :func:`amplitude` now serve only the structure and braid checks.
+how the identity suite checks the center entry's closed form.
+:func:`braid_relations_hold` applies both sides of each relation to vectors
+through the same push.  The full 2^N x 2^N matrices of :func:`amplitude`,
+:func:`t_operator` and :func:`two_site_embed` now serve only
+:func:`bethe_residuals` and the amplitude-structure acceptance check.
 
 All matrices here are stored sparsely (dict-of-rows) because T factors have
 at most two nonzeros per row and amplitude products stay upper triangular.
@@ -44,6 +47,7 @@ word (w_1 ... w_N) over {1, 2} maps to the binary integer with digits
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -272,20 +276,25 @@ def _word_trie(n: int) -> dict:
 def _push_column(column: dict, block: SparseMatrix, slot: int, n: int) -> dict:
     """Apply the slot operator of a 4x4 block to a sparse column vector.
 
-    Each entry collects its block-row terms in stored order, the order in
-    which ``SparseMatrix.__matmul__`` collects the same entry of the full
-    product, so both give identical values.
+    The column is sorted once into four buckets by its 2-bit state at the
+    slot, keeping column order within each, and each block entry runs over
+    its own bucket.  Each entry collects its block-row terms in stored
+    order, the order in which ``SparseMatrix.__matmul__`` collects the same
+    entry of the full product, so both give identical values.
     """
     right = n - slot - 1
-    mask = 3 << right
+    keep = ~(3 << right)
+    buckets: tuple[list, ...] = ([], [], [], [])
+    for k, b in column.items():
+        buckets[(k >> right) & 3].append((k & keep, b))
     out: dict = {}
     for s, row in block.rows.items():
+        high = s << right
         for s2, a in row.items():
-            for k, b in column.items():
-                if (k >> right) & 3 == s2:
-                    i = (k & ~mask) | (s << right)
-                    term = a * b
-                    out[i] = out[i] + term if i in out else term
+            for base, b in buckets[s2]:
+                i = base | high
+                term = a * b
+                out[i] = out[i] + term if i in out else term
     return {i: v for i, v in out.items() if not _is_scalar_zero(v)}
 
 
@@ -386,50 +395,92 @@ def braid_relations_hold(point, atol=0) -> bool:
           |i - j| = 1 (needs N >= 3);
     (iii) T_i(b,a) T_i(a,b) is the identity.
 
-    With atol=0 the two sides must be equal: no exact zero is ever stored,
-    so equal matrices have equal rows, compared entry by entry without an
-    ordering of the scalars or a difference matrix; exact fractions and
-    elements of a finite field compare alike.  Pass a small atol for
-    floating point components.
+    Both sides of every relation are applied to vectors through
+    :func:`_push_column`, the kernel of the amplitude columns, with one 4x4
+    block per (alpha, beta) pair: 4 blocks at N = 3 and 5 from N = 4 on.
+    Over GF(p) the vector is one uniform random vector (Freivalds 1977),
+    drawn from a ``random.Random`` keyed by the point's residues, so a
+    relation that fails at the point passes with probability at most 1 / p.
+    Over Q and floats the vectors are all 2^N unit columns, so the verdict
+    is that of comparing the two 2^N x 2^N matrices.  A relation's first
+    push T_slot(a, b) v is taken once per vector and shared by every
+    relation that starts with it.
 
-    Each distinct slot operator T_slot(a, b) is built once per call and
-    shared by every relation that uses it: 8, 13 and 18 operators at
-    N = 3, 4 and 5.
+    With atol=0 the two sides must be equal: no exact zero is ever stored,
+    so equal vectors have equal entries, compared without an ordering of
+    the scalars; exact fractions and elements of a finite field compare
+    alike.  Pass a small atol for floating point components; a NaN entry
+    fails the check.
     """
     xi = tuple(point)
     n = len(xi)
-    size = 1 << n
-    operators: dict = {}
+    blocks: dict = {}
 
-    def T(slot, a, b):
-        op = operators.get((slot, a, b))
-        if op is None:
-            op = operators[(slot, a, b)] = t_operator(slot, xi[a - 1], xi[b - 1], n)
-        return op
+    def push(column: dict, letter: tuple) -> dict:
+        slot, a, b = letter
+        block = blocks.get((a, b))
+        if block is None:
+            block = blocks[(a, b)] = scattering_matrix(xi[a - 1], xi[b - 1])
+        return _push_column(column, block, slot, n)
 
-    def close(mat_a, mat_b):
-        if atol == 0:
-            return mat_a.rows == mat_b.rows
-        return (mat_a - mat_b).max_abs() <= atol
+    relations = _braid_relations(n)
+    for v in _braid_vectors(xi):
+        first: dict = {}
+        for lhs, rhs in relations:
+            sides = []
+            for word in (lhs, rhs):
+                w = v
+                if word:
+                    w = first.get(word[0])
+                    if w is None:
+                        w = first[word[0]] = push(v, word[0])
+                    for letter in word[1:]:
+                        w = push(w, letter)
+                sides.append(w)
+            if not _vectors_close(*sides, atol):
+                return False
+    return True
 
-    ident = SparseMatrix.identity(size)
-    for slot in range(1, n):
-        if not close(T(slot, 2, 1) @ T(slot, 1, 2), ident):
-            return False
+
+def _braid_relations(n: int) -> list:
+    """Both sides of every relation of :func:`braid_relations_hold` at n sites.
+
+    Each side is its letters (slot, alpha, beta) in the order they act on a
+    vector, the rightmost factor first; the empty side is the identity.
+    """
+    relations = [(((slot, 1, 2), (slot, 2, 1)), ()) for slot in range(1, n)]
     for slot in range(1, n - 1):
         for i, j in ((slot, slot + 1), (slot + 1, slot)):
-            lhs = T(i, 2, 3) @ T(j, 1, 3) @ T(i, 1, 2)
-            rhs = T(j, 1, 2) @ T(i, 1, 3) @ T(j, 2, 3)
-            if not close(lhs, rhs):
-                return False
-    if n >= 4:
-        for i in range(1, n - 1):
-            for j in range(i + 2, n):
-                lhs = T(i, 1, 2) @ T(j, 3, 4)
-                rhs = T(j, 3, 4) @ T(i, 1, 2)
-                if not close(lhs, rhs):
-                    return False
-    return True
+            relations.append((((i, 1, 2), (j, 1, 3), (i, 2, 3)),
+                              ((j, 2, 3), (i, 1, 3), (j, 1, 2))))
+    for i in range(1, n - 1):
+        for j in range(i + 2, n):
+            relations.append((((j, 3, 4), (i, 1, 2)), ((i, 1, 2), (j, 3, 4))))
+    return relations
+
+
+def _braid_vectors(xi: tuple) -> Iterable[dict]:
+    """The vectors :func:`braid_relations_hold` applies both sides to.
+
+    One uniform random vector over GF(p) if a coordinate is a field element,
+    drawn from its own generator keyed by the residues, so no caller's
+    random stream moves; all 2^N unit columns otherwise.
+    """
+    from .identities import PRIME, GFp  # identities imports this module
+
+    size = 1 << len(xi)
+    if any(type(z) is GFp for z in xi):
+        rng = random.Random(repr(tuple(GFp(z).v for z in xi)))
+        draws = (GFp(rng.randrange(PRIME)) for _ in range(size))
+        return [{k: r for k, r in enumerate(draws) if r}]
+    return ({c: 1} for c in range(size))
+
+
+def _vectors_close(x: dict, y: dict, atol) -> bool:
+    """x == y entry by entry for atol=0, else every |x_k - y_k| <= atol (NaN fails)."""
+    if atol == 0:
+        return x == y
+    return all(abs(x.get(k, 0) - y.get(k, 0)) <= atol for k in x.keys() | y.keys())
 
 
 def bethe_residuals(point, positions: Sequence[int]):

@@ -190,8 +190,8 @@ def _fixed_det(mat: list[list[int]]) -> int:
     entry in its column.  For entries at fixed-point scale 2^b the result
     is at scale 2^(n*b); it is not shifted back, since flooring it would
     zero every determinant below 2^-b.  The empty matrix has determinant 1.
-    The same steps run over a finite field, whose ``//`` is its exact
-    division (:class:`tasep2c.identities.GFp`).
+    A determinant over GF(p) is this one of the residues, reduced mod p
+    (:func:`tasep2c.identities.det_exact`).
     """
     n = len(mat)
     if n == 0:

@@ -39,8 +39,11 @@ Checked identities, with LHS always an alternating sum over permutations:
 * closed_form -- the center amplitude product formula against the center
                  entry of the unit column pushed through the slot operators
                  of sigma's word (:func:`tasep2c.bethe.amplitude_column`);
-* braid       -- the slot-operator relations, on 2^N x 2^N sparse matrices:
-                 under a second a point at N = 10.
+* braid       -- the slot-operator relations, both sides applied to one
+                 random vector of GF(p)^(2^N) through the slot kernel the
+                 amplitude columns run (Freivalds 1977): a relation false at
+                 the point passes with probability at most 1 / p, which adds
+                 1 / p per relation to its d / p; about 0.2 s a point at N = 10.
 
 :func:`vandermonde` and :func:`complete_homogeneous` (h_l) are the ones
 :mod:`tasep2c.formulas` runs, re-exported, so the vandermonde and
@@ -60,9 +63,11 @@ partial products that permutations sharing a suffix have in common, with no
 memo on subsets.  Its terms are the center amplitude of
 :func:`tasep2c.bethe.amplitude_center` times the geometric tail; the walk
 builds them from one table of per-(position, value) powers and sums them
-with one field division per point.  The suite's ``main`` entry checks the
-bridge on the same main sum, so the walk runs once per point; its
-``substitution`` entry checks only :func:`substitution_transport`.
+with one field division per point, carrying each term's sign down the
+walk.  The suite's ``main`` entry checks the bridge on the same main sum,
+so the walk runs once per point; its ``substitution`` entry checks only
+:func:`substitution_transport`.  The suite's entries take the point that
+:func:`random_field_point` has validated; the public checks validate theirs.
 
 A division over GF(p) is a modular inversion, which in CPython costs some
 25 multiplications mod p, so the permutation-sum checks divide only by
@@ -71,7 +76,9 @@ inversion per batch): the tail factors of :func:`_alternating_sum`, the 1 / (1 -
 or 1 / (xi_i - 1) of each variant side, and the mapped point of
 :func:`substitution_transport`.  A point of equiv_a/b or tasep_a/b pays 2
 inversions, of main 4 (one in each side of the main identity, 2 in the
-bridge) and of substitution 5.
+bridge) and of substitution 5.  :func:`det_exact` takes the integer
+determinant of the residues, so det_collapse pays none, and braid pays 2
+per 4x4 block: 8 at N = 3, 10 from N = 4 on.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ from typing import Sequence
 from . import bethe
 from .errors import DegeneratePointError
 from .formulas import _fixed_det, complete_homogeneous, vandermonde
-from .permutations import check_enumeration_size, sign
+from .permutations import check_enumeration_size
 
 #: The field of the suite's points is GF(PRIME), PRIME = 2^61 - 1 (a Mersenne prime).
 PRIME = (1 << 61) - 1
@@ -99,8 +106,6 @@ class GFp:
     p does not divide.  Elements combine with ints, the identities'
     constants and signs, and with no other number type, so a point never
     mixes Q and GF(p) silently.  Division by 0 raises ZeroDivisionError.
-    Every division in a field is exact, so ``//`` is ``/``: the Bareiss
-    kernel :func:`tasep2c.formulas._fixed_det` runs on elements unchanged.
     """
 
     # The suite spends most of its time in these operators, so each builds
@@ -170,8 +175,6 @@ class GFp:
         out = _new(GFp)
         out.v = other * _inverse(self.v) % PRIME
         return out
-
-    __floordiv__ = __truediv__
 
     def __neg__(self):
         out = _new(GFp)
@@ -329,10 +332,12 @@ def _main_lhs(xi: Point) -> Scalar:
 
     A depth-first walk fills positions N, N-1, .., 1, so permutations that
     share a suffix share its partial products: the suffix product, the tail
-    denominator, the tail numerator and the center amplitude's denominator
-    prod (1 - xi_sigma(k))^(k-2).  Each of the N! leaves takes its sign from
-    :func:`tasep2c.permutations.sign` and adds its term to a running
-    fraction, so the sum pays one field division; the center amplitude's
+    denominator, the tail numerator, the center amplitude's denominator
+    prod (1 - xi_sigma(k))^(k-2) and the sign.  Placing value rest[i] of the
+    sorted unplaced values at the last free position puts it before the
+    len(rest) - 1 - i larger ones, so the sign flips by that parity.  Each of
+    the N! leaves adds its term to a running fraction, so the sum pays one
+    field division; the center amplitude's
     sigma-free numerator prod_(k=3..N) (1 - xi_k)^(k-2) multiplies it once.
     Nothing is memoised on subsets, which keeps the walk independent of
     :func:`_alternating_sum`.
@@ -340,13 +345,15 @@ def _main_lhs(xi: Point) -> Scalar:
     n = len(xi)
     check_enumeration_size(n)
     factors = _main_factors(xi)
-    sigma = [0] * n
     total_num, total_den = 0, 1
 
-    # k: the 0-based position to fill; rest: the 0-based values not yet placed
-    def walk(k: int, rest: tuple[int, ...], suffix: Scalar, num: Scalar, den: Scalar):
+    # k: the 0-based position to fill; rest: the 0-based values not yet
+    # placed, in increasing order; odd: the parity of the placed values
+    def walk(k: int, rest: tuple[int, ...], suffix: Scalar, num: Scalar, den: Scalar,
+             odd: bool):
         nonlocal total_num, total_den
         row = factors[k]
+        last = len(rest) - 1
         for i, v in enumerate(rest):
             suffix_v = suffix * xi[v]
             tail = 1 - suffix_v
@@ -354,16 +361,16 @@ def _main_lhs(xi: Point) -> Scalar:
                 raise DegeneratePointError("geometric-tail denominator vanished")
             power, center = row[v]
             num_v, den_v = num * power, den * center * tail
-            sigma[k] = v + 1
-            others = rest[:i] + rest[i + 1 :]
+            odd_v = odd ^ bool((last - i) & 1)
             if k > 1:
-                walk(k - 1, others, suffix_v, num_v, den_v)
+                walk(k - 1, rest[:i] + rest[i + 1 :], suffix_v, num_v, den_v, odd_v)
             else:
-                sigma[0] = others[0] + 1
-                total_num = total_num * den_v + sign(sigma) * num_v * total_den
+                term = num_v * total_den
+                scaled = total_num * den_v
+                total_num = scaled - term if odd_v else scaled + term
                 total_den *= den_v
 
-    walk(n - 1, tuple(range(n)), 1, 1, 1)
+    walk(n - 1, tuple(range(n)), 1, 1, 1, False)
     lhs = total_num / total_den
     for k in range(2, n):
         lhs *= (1 - xi[k]) ** (k - 1)
@@ -462,7 +469,11 @@ def main_identity(xi: Sequence[Scalar]) -> tuple[Scalar, Scalar, bool]:
     independently of :func:`_alternating_sum`; N > 10 raises ValueError,
     as :func:`tasep2c.permutations.enumerate_permutations` does.
     """
-    xi = _identity_point(xi)
+    return _main_sides(_identity_point(xi))
+
+
+def _main_sides(xi: Point) -> tuple[Scalar, Scalar, bool]:
+    """:func:`main_identity` at a valid point."""
     n = len(xi)
     lhs = _main_lhs(xi)
     # its own product loop, apart from the vandermonde the variant sides
@@ -484,7 +495,12 @@ def equivalent_identities(xi: Sequence[Scalar], variant: str) -> bool:
     xi_i -> 1/xi_(N-i+1) and accepts any nondegenerate point (coordinates
     beyond (0, 1) included).
     """
-    lhs, rhs = _variant_sides(_identity_point(xi), variant, 1)
+    return _sides_agree(_identity_point(xi), variant, 1)
+
+
+def _sides_agree(xi: Point, variant: str, d: int) -> bool:
+    """Both sides of :func:`_variant_sides` agree at a valid point."""
+    lhs, rhs = _variant_sides(xi, variant, d)
     return lhs == rhs
 
 
@@ -499,7 +515,7 @@ def main_variant_bridge(xi: Sequence[Scalar]) -> bool:
     makes the equivalence mechanical rather than assumed.
     """
     xi = _identity_point(xi)
-    lhs_main, rhs_main, _ = main_identity(xi)
+    lhs_main, rhs_main, _ = _main_sides(xi)
     return _bridge_holds(xi, lhs_main, rhs_main)
 
 
@@ -518,7 +534,11 @@ def substitution_transport(xi: Sequence[Scalar]) -> bool:
     This is the mechanical check that the inversion substitution really maps
     one displayed identity onto the other, left side onto left side.
     """
-    xi = _identity_point(xi)
+    return _substitution_holds(_identity_point(xi))
+
+
+def _substitution_holds(xi: Point) -> bool:
+    """:func:`substitution_transport` at a valid point."""
     mapped = tuple(reversed(_inverses(xi)))
     return _variant_sides(mapped, "a", 1)[0] == _variant_sides(xi, "b", 1)[0]
 
@@ -529,8 +549,7 @@ def tasep_identities(xi: Sequence[Scalar], variant: str) -> bool:
     Variant "a" is the direct form, variant "b" its inversion substitute
     (valid at any nondegenerate point, components above 1 included).
     """
-    lhs, rhs = _variant_sides(_identity_point(xi), variant, 0)
-    return lhs == rhs
+    return _sides_agree(_identity_point(xi), variant, 0)
 
 
 def vandermonde_cofactor(xi: Sequence[Scalar]) -> bool:
@@ -552,15 +571,17 @@ def vandermonde_cofactor(xi: Sequence[Scalar]) -> bool:
 def det_exact(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     """Exact determinant of a square matrix: over GF(p) if an entry is a GFp, else over Q.
 
-    Both take the package's exact kernel :func:`tasep2c.formulas._fixed_det`
-    (Bareiss elimination).  A matrix over GF(p) goes to it as it is, since
-    every division in a field is exact.  Each row of a rational matrix is cleared
-    of denominators by their lcm, the integer determinant is taken, and the
-    result is divided by the product of the row scales.  The empty matrix
-    has determinant 1.
+    Both take the integer determinant of the package's exact kernel
+    :func:`tasep2c.formulas._fixed_det` (Bareiss elimination), whose
+    divisions are exact integer divisions.  A matrix over GF(p) goes to it
+    as the residues of its entries, and the determinant is mapped back into
+    the field: no modular inversion.  Each row of a rational matrix is
+    cleared of denominators by their lcm, the integer determinant is taken,
+    and the result is divided by the product of the row scales.  The empty
+    matrix has determinant 1.
     """
     if any(isinstance(v, GFp) for row in matrix for v in row):
-        return _fixed_det([[GFp(v) for v in row] for row in matrix])
+        return GFp(_fixed_det([[GFp(v).v for v in row] for row in matrix]))
     rows = []
     scale = 1
     for row in matrix:
@@ -610,7 +631,11 @@ def closed_form_vs_product(xi: Sequence[Scalar], sigma: Sequence[int]) -> bool:
     pushed through the slot operators of the canonical word of sigma: the
     entry of ``bethe.amplitude(sigma, point)`` without its 2^N x 2^N products.
     """
-    point = validate_point(xi)
+    return _closed_form_holds(validate_point(xi), sigma)
+
+
+def _closed_form_holds(point: Point, sigma: Sequence[int]) -> bool:
+    """:func:`closed_form_vs_product` at a valid point."""
     c = bethe.center_index(len(point))
     column = bethe.amplitude_column(sigma, c, point)
     return column.get(c, 0) == bethe.amplitude_center(sigma, point)
@@ -620,9 +645,13 @@ def closed_form_vs_product(xi: Sequence[Scalar], sigma: Sequence[int]) -> bool:
 # suite runner
 # ---------------------------------------------------------------------------
 
+# Each check takes the valid point that random_field_point drew, so it skips
+# the validation that the public check of the same identity makes.
+
+
 def _main_check(xi: Point, rng: random.Random) -> bool:
     # the bridge reuses this point's N! main sum instead of repeating it
-    lhs, rhs, holds = main_identity(xi)
+    lhs, rhs, holds = _main_sides(xi)
     return holds and _bridge_holds(xi, lhs, rhs)
 
 
@@ -638,7 +667,7 @@ def _det_collapse_check(xi: Point, rng: random.Random) -> bool:
 def _closed_form_check(xi: Point, rng: random.Random) -> bool:
     sigma = list(range(1, len(xi) + 1))
     rng.shuffle(sigma)
-    return closed_form_vs_product(xi, tuple(sigma))
+    return _closed_form_holds(xi, tuple(sigma))
 
 
 def _sum_degree(n: int) -> int:
@@ -653,11 +682,11 @@ def _sum_degree(n: int) -> int:
 #: the determinant and matrix identities as plain polynomials.
 _SUITE = {
     "main": (_main_check, _sum_degree),
-    "equiv_a": (lambda xi, rng: equivalent_identities(xi, "a"), _sum_degree),
-    "equiv_b": (lambda xi, rng: equivalent_identities(xi, "b"), _sum_degree),
-    "substitution": (lambda xi, rng: substitution_transport(xi), _sum_degree),
-    "tasep_a": (lambda xi, rng: tasep_identities(xi, "a"), _sum_degree),
-    "tasep_b": (lambda xi, rng: tasep_identities(xi, "b"), _sum_degree),
+    "equiv_a": (lambda xi, rng: _sides_agree(xi, "a", 1), _sum_degree),
+    "equiv_b": (lambda xi, rng: _sides_agree(xi, "b", 1), _sum_degree),
+    "substitution": (lambda xi, rng: _substitution_holds(xi), _sum_degree),
+    "tasep_a": (lambda xi, rng: _sides_agree(xi, "a", 0), _sum_degree),
+    "tasep_b": (lambda xi, rng: _sides_agree(xi, "b", 0), _sum_degree),
     "vandermonde": (lambda xi, rng: vandermonde_cofactor(xi), lambda n: n * (n - 1) // 2 + n - 1),
     "det_collapse": (_det_collapse_check, lambda n: n * n),
     "closed_form": (_closed_form_check, lambda n: 4 * n),

@@ -22,7 +22,7 @@ from tasep2c.bethe import (
     word_index,
 )
 from tasep2c.errors import PoleError
-from tasep2c.identities import GFp, random_rational_point
+from tasep2c.identities import GFp, random_field_point, random_rational_point
 from tasep2c.permutations import adjacent_decomposition, enumerate_permutations
 
 XI3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -162,19 +162,64 @@ def test_braid_relations_report_a_planted_error(monkeypatch, field):
     assert braid_relations_hold(tuple(field(z) for z in XI3)) is False
 
 
-@pytest.mark.parametrize("n, operators", [(3, 8), (4, 13), (5, 18)])
-def test_braid_relations_build_each_slot_operator_once(monkeypatch, n, operators):
-    # 2(N-1) inverse pairs, (1,3) and (2,3) at every slot, (3,4) at slots 3..N-1
+@pytest.mark.parametrize("field", ["Q", "GF(p)"])
+@pytest.mark.parametrize("n, blocks", [(3, 4), (4, 5), (5, 5)])
+def test_braid_relations_build_one_block_per_pair(monkeypatch, n, blocks, field):
+    # the pairs (1,2), (2,1), (1,3), (2,3), and (3,4) once N >= 4; no slot
+    # operator is embedded, since both sides act on vectors
     calls = []
-    original = bethe.two_site_embed
+    original = bethe.scattering_matrix
 
-    def counted(block, slot, size):
-        calls.append(slot)
-        return original(block, slot, size)
+    def counted(xi_alpha, xi_beta):
+        calls.append((xi_alpha, xi_beta))
+        return original(xi_alpha, xi_beta)
 
-    monkeypatch.setattr(bethe, "two_site_embed", counted)
-    assert braid_relations_hold(tuple(F(1, k + 2) for k in range(n)))
-    assert len(calls) == operators
+    monkeypatch.setattr(bethe, "scattering_matrix", counted)
+    monkeypatch.setattr(bethe, "two_site_embed", None)
+    point = tuple(F(1, k + 2) for k in range(n))
+    if field == "GF(p)":
+        point = tuple(GFp(z) for z in point)
+    assert braid_relations_hold(point)
+    assert len(calls) == blocks
+
+
+#: Points at which every relation holds, in each field the check takes.
+BRAID_POINTS = {
+    "GF(p)": lambda n: random_field_point(n, random.Random(f"braid-{n}")),
+    "Q": lambda n: tuple(F(1, k + 2) for k in range(n)),
+    "float": lambda n: (0.31, 0.47, 0.83, 0.12, 0.65)[:n],
+}
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (1, 2), (2, 2), (3, 3)])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("field", sorted(BRAID_POINTS))
+def test_braid_relations_catch_a_plant_in_each_entry_of_s(monkeypatch, field, n, entry):
+    # +1 in one stored entry of S; the (2, 2) plant zeroes the -1 entry
+    point = BRAID_POINTS[field](n)
+    atol = 1e-12 if field == "float" else 0
+    assert braid_relations_hold(point, atol=atol)
+    original = bethe.scattering_matrix
+
+    def planted(xi_alpha, xi_beta):
+        m = original(xi_alpha, xi_beta)
+        m.set(*entry, m.get(*entry) + 1)
+        return m
+
+    monkeypatch.setattr(bethe, "scattering_matrix", planted)
+    assert braid_relations_hold(point, atol=atol) is False
+
+
+def test_braid_vector_over_the_field_is_keyed_by_the_point():
+    # its own generator: the same point draws the same vector, and no
+    # module-level random state is read or moved
+    point = random_field_point(4, random.Random("vector"))
+    state = random.getstate()
+    (first,) = bethe._braid_vectors(point)
+    assert random.getstate() == state
+    (again,) = bethe._braid_vectors(tuple(GFp(z.v + 2**61 - 1) for z in point))
+    assert list(first.items()) == list(again.items()) and len(first) == 16
+    assert list(bethe._braid_vectors(XI3)) == [{c: 1} for c in range(8)]
 
 
 def test_braid_relations_float_tolerance():
@@ -300,6 +345,59 @@ def _symbolic_point(n):
     # packed key of the constant monomial is 0
     unit = [formulas._pack([int(i == a) for i in range(n)]) for a in range(n)]
     return [formulas._PackedLaurent({0: 1, unit[a]: -1}) for a in range(n)]
+
+
+def _filtered_push(column, block, slot, n):
+    """The slot push as one filter loop over the whole column per block entry:
+    the oracle for the bucketed :func:`bethe._push_column`."""
+    right = n - slot - 1
+    mask = 3 << right
+    out = {}
+    for s, row in block.rows.items():
+        for s2, a in row.items():
+            for k, b in column.items():
+                if (k >> right) & 3 == s2:
+                    i = (k & ~mask) | (s << right)
+                    term = a * b
+                    out[i] = out[i] + term if i in out else term
+    return {i: v for i, v in out.items() if not bethe._is_scalar_zero(v)}
+
+
+def _node_point(n, m=4):
+    nodes = [0.5 * cmath.exp(2j * cmath.pi * (k + 0.5) / m) for k in range(m)]
+    return [np.array(nodes).reshape([m if i == v else 1 for i in range(n)]) for v in range(n)]
+
+
+#: One point per scalar type the kernel runs on, at n = 4.
+PUSH_POINTS = {
+    "GF(p)": lambda: random_field_point(4, random.Random("push")),
+    "Q": lambda: random_rational_point(4, random.Random("push")),
+    "packed": lambda: _symbolic_point(4),
+    "nodes": lambda: _node_point(4),
+}
+
+
+@pytest.mark.parametrize("field", sorted(PUSH_POINTS))
+def test_bucketed_push_matches_the_filter_loop(field):
+    # along the canonical word of the reversal, from a dense integer column
+    # and from the center unit column: same entries, same key order
+    point = PUSH_POINTS[field]()
+    word = adjacent_decomposition((4, 3, 2, 1))
+    for start in ({k: k - 7 for k in range(16) if k != 7}, {8: 1}):
+        column = expected = start
+        for slot, xi_alpha, xi_beta in bethe._letters(word, point):
+            block = scattering_matrix(xi_alpha, xi_beta)
+            column = bethe._push_column(column, block, slot, 4)
+            expected = _filtered_push(expected, block, slot, 4)
+            assert list(column) == list(expected)
+            for got, want in zip(column.values(), expected.values()):
+                assert type(got) is type(want)
+                if isinstance(got, np.ndarray):
+                    assert np.array_equal(got, want)
+                elif isinstance(got, dict):  # a packed polynomial
+                    assert list(got.items()) == list(want.items())
+                else:
+                    assert got == want
 
 
 def _u_form_rows(alpha, beta, n):

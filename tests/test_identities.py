@@ -72,6 +72,33 @@ def test_main_walk_matches_the_per_permutation_loop():
         assert type(lhs) is GFp and lhs == per_permutation_main_lhs(xi)
 
 
+def direct_main_lhs(xi):
+    """The main left side as a direct N! sum with permutations.sign: each term is
+    sign(p) prod_(k=2..N) xi_p(k)^(k-1) / ((1 - xi_p(k) ... xi_p(N)) (1 - xi_p(k))^(k-2)),
+    and the sum is times prod_(k=3..N) (1 - xi_k)^(k-2)."""
+    n = len(xi)
+    total = 0
+    for p in enumerate_permutations(n):
+        num = den = suffix = 1
+        for k in range(n, 1, -1):
+            z = xi[p[k - 1] - 1]
+            suffix *= z
+            num *= z ** (k - 1)
+            den *= (1 - suffix) * (1 - z) ** (k - 2)
+        total += sign(p) * num / den
+    for k in range(3, n + 1):
+        total *= (1 - xi[k - 1]) ** (k - 2)
+    return total
+
+
+def test_main_walk_sign_matches_a_direct_sum_with_the_permutation_sign():
+    assert identities._main_lhs(XI3) == direct_main_lhs(XI3)
+    rng = random.Random("signed-walk")
+    for n in range(2, 8):
+        xi = random_field_point(n, rng)
+        assert identities._main_lhs(xi) == direct_main_lhs(xi)
+
+
 def test_main_identity_refuses_more_than_ten_coordinates():
     xi = random_field_point(11, random.Random(11))
     with pytest.raises(ValueError, match="enumeration cap"):
@@ -382,12 +409,13 @@ def test_suite_reports_a_broken_identity(monkeypatch):
     assert not any(r["passed"] for r in records)
 
 
-#: Field inversions per point of each permutation-sum check: one batch for
-#: the w_i of each variant side, one for the tail factors of each subset
-#: sum, one for the mapped point of substitution, and for main one division
-#: in each side of the main identity.
+#: Field inversions per point of each check: one batch for the w_i of each
+#: variant side, one for the tail factors of each subset sum, one for the
+#: mapped point of substitution, and for main one division in each side of
+#: the main identity; det_collapse takes an integer determinant and pays
+#: none; braid pays two per 4x4 block, one block per (alpha, beta) pair, by N.
 INVERSIONS = {"main": 4, "equiv_a": 2, "equiv_b": 2, "substitution": 5, "tasep_a": 2,
-              "tasep_b": 2}
+              "tasep_b": 2, "det_collapse": 0, "braid": {3: 8, 5: 10, 6: 10}}
 
 
 @pytest.mark.parametrize("n", [3, 5, 6])
@@ -405,21 +433,21 @@ def test_suite_checks_pay_a_fixed_number_of_inversions(monkeypatch, n):
         calls.clear()
         assert run_identity_suite(n_values=(n,), points=1, identities=(name,))[0]["passed"]
         counts[name] = len(calls)
-    assert counts == INVERSIONS
+    assert counts == {name: c if isinstance(c, int) else c[n] for name, c in INVERSIONS.items()}
 
 
 def test_suite_runs_the_main_reference_once_per_point(monkeypatch):
     calls = []
-    original = identities.main_identity
+    original = identities._main_lhs
 
     def counted(xi):
         calls.append(xi)
         return original(xi)
 
-    monkeypatch.setattr(identities, "main_identity", counted)
+    monkeypatch.setattr(identities, "_main_lhs", counted)
     records = run_identity_suite(n_values=(3, 4), points=3, identities=("main", "substitution"))
     assert all(r["passed"] for r in records)
-    assert len(calls) == 6  # the main entry only; substitution never calls it
+    assert len(calls) == 6  # one walk per point of the main entry; substitution runs none
 
 
 def test_main_entry_checks_the_bridge(monkeypatch):
@@ -445,7 +473,7 @@ def test_field_arithmetic():
     a, b = GFp(3), GFp(F(1, 2))
     assert b * 2 == 1 and 2 * b == GFp(1)
     assert a + 1 == 4 and 1 + a == 4 and a - 5 == -2 and 5 - a == 2
-    assert -a == PRIME - 3 and a / a == 1 and 1 / b == 2 and a // b == a / b == 6
+    assert -a == PRIME - 3 and a / a == 1 and 1 / b == 2 and a / b == 6
     assert a**-1 * 3 == 1 and b**0 == 1 and a**2 == 9
     assert GFp(PRIME + 3) == a and hash(GFp(PRIME + 3)) == hash(a)
     assert GFp(-1) == PRIME - 1 and not GFp(PRIME) and a
