@@ -210,7 +210,10 @@ def _event_predicate(args):
         return simulate.leftmost_event(args.position)
     if args.final is None:
         raise _UsageError("transition event needs --final")
-    return simulate.transition_event(_final_configuration(args))
+    final = _final_configuration(args)
+    # an unreachable final state is refused, as the exact routes refuse it
+    formulas._check_pair(_species_initial(args), final)
+    return simulate.transition_event(final)
 
 
 def _estimate(args, predicate) -> simulate.SimulationEstimate:

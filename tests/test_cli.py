@@ -181,6 +181,30 @@ def test_compare_refuses_no_runs_before_the_exact_route(capsys, monkeypatch):
     assert err == "usage error: runs must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "simulate --event transition --runs 100",
+        "exact transition",
+        "compare --event transition --runs 100",
+    ],
+)
+@pytest.mark.parametrize(
+    "final, message",
+    [
+        ("--final 2,3,4 --final-species 211", "initial and final configurations differ in size"),
+        ("--final 2,3 --final-species 22", "species multisets differ ('21' vs '22')"),
+    ],
+)
+def test_transition_commands_refuse_an_unreachable_final_state(capsys, command, final, message):
+    # simulate printed "value": 0.0, "error_estimate": 0.0 with exit 0
+    argv = f"{command} --n 2 --step-l 0 --time 1 {final}"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"usage error: {message}")
+
+
 def test_workers_variable_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("TASEP2C_WORKERS", "abc")
     argv = "simulate --n 2 --step-l 0 --event leftmost --position 1 --time 1 --runs 10"

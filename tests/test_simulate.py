@@ -178,6 +178,46 @@ def test_key_order_independent_of_worker_count():
         assert list(got.items()) == list(first.items())
 
 
+def packed_order(key):
+    """Sort key of the engine's order: lexsort over rows 4 x_i + [species 2], last row first."""
+    positions, species = key
+    return [4 * x + (c == "2") for x, c in zip(positions, species)][::-1]
+
+
+def test_key_order_is_the_packed_sort_order_for_any_block_or_chunk_size(monkeypatch):
+    y = step_configuration(8)
+    first = list(final_state_sample(y, 7.5, 5000, seed=3).items())
+    assert [key for key, _ in first] == sorted(dict(first), key=packed_order)
+    words = [species for (_, species), _ in first]
+    assert len({id(w) for w in words}) == len(set(words)) < len(words)  # one object per word
+    monkeypatch.setattr(simulate, "_BLOCK", 7)
+    assert list(final_state_sample(y, 7.5, 5000, seed=3).items()) == first
+    monkeypatch.setattr(simulate, "_BLOCK", 2048)
+    for chunk in (lambda live, steps: 1, lambda live, steps: int(min(steps, 3))):
+        monkeypatch.setattr(simulate, "_chunk_steps", chunk)
+        assert list(final_state_sample(y, 7.5, 5000, seed=3).items()) == first
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+def test_predicate_sees_each_distinct_final_state_once(processes):
+    y = step_configuration(8)
+    seen = []
+
+    def event(state):
+        seen.append(state)
+        return state.positions[0] == 3
+
+    est = estimate_event(y, event, 7.5, 5000, seed=3, processes=processes)
+    counts = final_state_sample(y, 7.5, 5000, seed=3)
+    assert [(s.positions, s.species) for s in seen] == list(counts)
+    for state in seen:
+        built = Configuration(state.positions, state.species)
+        assert type(state) is Configuration
+        assert state == built and hash(state) == hash(built)
+    hits = sum(c for (pos, _), c in counts.items() if pos[0] == 3)
+    assert 0 < hits < 5000 and est.estimate == hits / 5000
+
+
 def test_estimate_fields():
     names = [f.name for f in dataclasses.fields(SimulationEstimate)]
     assert names == ["estimate", "std_error", "runs"]
@@ -321,10 +361,8 @@ def test_histogram_independent_of_span_split_and_block_size(monkeypatch):
     whole = final_state_sample(y, t, runs, seed)
     assert sum(whole.values()) == runs
     cuts = [0, 1, 2056, 4099, runs]
-    parts = Counter()
-    for block in zip(cuts, cuts[1:]):
-        parts.update(simulate._advance_block(y, t, seed, block))
-    assert parts == whole
+    parts = (simulate._advance_block(y, t, seed, block) for block in zip(cuts, cuts[1:]))
+    assert list(simulate._items(y, simulate._merged(parts))) == list(whole.items())
     monkeypatch.setattr(simulate, "_BLOCK", 7)
     assert final_state_sample(y, t, runs, seed) == whole
     monkeypatch.setattr(simulate, "_BLOCK", 2048)
@@ -370,7 +408,13 @@ def test_engine_near_the_packing_limit():
 
 @pytest.mark.parametrize(
     "initial, t, runs, limit",
-    [(step_configuration(20), 100.0, 4096, 4 << 20), (step_configuration(1), 1.0, 1, 64 << 10)],
+    [
+        (step_configuration(20), 100.0, 4096, 4 << 20),
+        (step_configuration(1), 1.0, 1, 64 << 10),
+        # 5000 distinct final states over three blocks; 2900 KiB is just
+        # above the 2 933 611 bytes the per-block Counter merge peaked at
+        (step_configuration(20), 30.0, 5000, 2900 << 10),
+    ],
 )
 def test_peak_traced_memory(initial, t, runs, limit):
     final_state_sample(initial, 1.0, 8, 1)  # lazy imports and caches
