@@ -19,7 +19,6 @@ from .bethe import (
     bethe_residuals,
     braid_relations_hold,
     scattering_matrix,
-    t_operator,
     word_index,
 )
 from .contour import (

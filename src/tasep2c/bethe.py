@@ -1,4 +1,4 @@
-"""Scattering matrices, tensor-embedded two-site operators and amplitudes.
+"""Scattering matrices, slot operators and amplitudes.
 
 The transition kernel of the two-species exclusion process is a permutation
 sum of plane waves with matrix amplitudes.  The building block is the 4x4
@@ -24,13 +24,13 @@ yields each permutation's column as it is reached, so a caller that sums as
 it goes holds one path of columns and no 2^N x 2^N matrix.
 :func:`amplitude_column` pushes the one column of one permutation, which is
 how the identity suite checks the center entry's closed form.
-:func:`braid_relations_hold` applies both sides of each relation to vectors
-through the same push.  The full 2^N x 2^N matrices of :func:`amplitude`,
-:func:`t_operator` and :func:`two_site_embed` now serve only
-:func:`bethe_residuals` and the amplitude-structure acceptance check.
+:func:`braid_relations_hold` and :func:`bethe_residuals` apply their
+operators to vectors through the same push, and :func:`amplitude`
+assembles a whole matrix column by column.
 
-All matrices here are stored sparsely (dict-of-rows) because T factors have
-at most two nonzeros per row and amplitude products stay upper triangular.
+Matrices are stored sparsely (dict-of-rows) and columns as {row: value},
+because T factors have at most two nonzeros per row and amplitudes stay
+upper triangular.
 Entries are generic scalars, and :func:`scattering_matrix` is the one
 statement of S for all of them: elements of GF(2^61 - 1) at the identity
 suite's random points, with exact fractions as its hand-checkable anchors;
@@ -47,6 +47,7 @@ word (w_1 ... w_N) over {1, 2} maps to the binary integer with digits
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -76,10 +77,6 @@ class SparseMatrix:
         self.n = n
         self.rows = rows if rows is not None else {}
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, {i: {i: 1} for i in range(n)})
-
     def get(self, i: int, j: int):
         return self.rows.get(i, {}).get(j, 0)
 
@@ -94,6 +91,7 @@ class SparseMatrix:
         self.rows.setdefault(i, {})[j] = value
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """Unused here; kept for ``benchmarks/bench_trace.py``'s hook (ROADMAP item 4)."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         out: dict = {}
@@ -114,45 +112,6 @@ class SparseMatrix:
             if acc:
                 out[i] = acc
         return SparseMatrix(self.n, out)
-
-    def _merge(self, other: "SparseMatrix", flip: bool) -> "SparseMatrix":
-        out = {i: dict(row) for i, row in self.rows.items()}
-        for i, row in other.rows.items():
-            dst = out.setdefault(i, {})
-            for j, v in row.items():
-                w = -v if flip else v
-                dst[j] = dst[j] + w if j in dst else w
-        for i in list(out):
-            out[i] = {j: v for j, v in out[i].items() if not _is_scalar_zero(v)}
-            if not out[i]:
-                del out[i]
-        return SparseMatrix(self.n, out)
-
-    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self._merge(other, flip=False)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self._merge(other, flip=True)
-
-    def scaled(self, c) -> "SparseMatrix":
-        return SparseMatrix(
-            self.n, {i: {j: c * v for j, v in row.items()} for i, row in self.rows.items()}
-        )
-
-    def max_abs(self):
-        """Largest absolute entry; 0 for the zero matrix, NaN if any entry is NaN."""
-        best = 0
-        for row in self.rows.values():
-            for v in row.values():
-                a = abs(v)
-                if a > best:
-                    best = a
-                elif a != a:
-                    return a
-        return best
-
-    def is_upper_triangular(self) -> bool:
-        return all(j >= i for i, row in self.rows.items() for j in row)
 
 
 def word_index(word) -> int:
@@ -201,6 +160,7 @@ def two_site_embed(block: SparseMatrix, slot: int, n: int) -> SparseMatrix:
 
     The result is identity on all other tensor factors; each nonzero of
     the block fans out over the 2^(slot-1) * 2^(n-slot-1) spectator states.
+    Unused here; kept for ``benchmarks/bench_trace.py``'s hook (ROADMAP item 4).
     """
     if block.n != 4:
         raise ValueError("block must be 4x4")
@@ -218,27 +178,6 @@ def two_site_embed(block: SparseMatrix, slot: int, n: int) -> SparseMatrix:
     return out
 
 
-def t_operator(slot: int, xi_alpha, xi_beta, n: int) -> SparseMatrix:
-    """Scattering matrix acting at chain slots (slot, slot+1) of n sites."""
-    return two_site_embed(scattering_matrix(xi_alpha, xi_beta), slot, n)
-
-
-def amplitude_from_word(word: Iterable[int], point) -> SparseMatrix:
-    """Amplitude matrix built by replaying a word of adjacent swaps.
-
-    At each step the scattering parameters are (xi_alpha, xi_beta) with
-    alpha and beta the values currently at the swapped slots of the
-    partially built permutation, so any word representing the same
-    permutation yields the same matrix.
-    """
-    xi = tuple(point)
-    n = len(xi)
-    mat = SparseMatrix.identity(1 << n)
-    for a, xi_alpha, xi_beta in _letters(word, xi):
-        mat = t_operator(a, xi_alpha, xi_beta, n) @ mat
-    return mat
-
-
 def _letters(word: Iterable[int], xi: Sequence) -> Iterator[tuple]:
     """(a, xi_alpha, xi_beta) per letter a of a word of adjacent swaps.
 
@@ -253,8 +192,17 @@ def _letters(word: Iterable[int], xi: Sequence) -> Iterator[tuple]:
 
 
 def amplitude(sigma: Sequence[int], point) -> SparseMatrix:
-    """Amplitude matrix of a permutation (identity permutation -> identity)."""
-    return amplitude_from_word(adjacent_decomposition(sigma), point)
+    """Amplitude matrix of a permutation (identity permutation -> identity).
+
+    Assembled from its columns ``amplitude_column(sigma, c, point)``, one
+    unit column pushed through sigma's canonical word per c.
+    """
+    xi = tuple(point)
+    mat = SparseMatrix(1 << len(xi))
+    for c in range(mat.n):
+        for row, value in amplitude_column(sigma, c, xi).items():
+            mat.set(row, c, value)
+    return mat
 
 
 @lru_cache(maxsize=8)
@@ -276,11 +224,12 @@ def _word_trie(n: int) -> dict:
 def _push_column(column: dict, block: SparseMatrix, slot: int, n: int) -> dict:
     """Apply the slot operator of a 4x4 block to a sparse column vector.
 
-    The column is sorted once into four buckets by its 2-bit state at the
-    slot, keeping column order within each, and each block entry runs over
-    its own bucket.  Each entry collects its block-row terms in stored
-    order, the order in which ``SparseMatrix.__matmul__`` collects the same
-    entry of the full product, so both give identical values.
+    The one way a slot operator acts in the package: amplitude columns,
+    braid relations and the residuals' blocking step all push through it,
+    and no 2^N x 2^N operator is built.  The column is sorted once into four
+    buckets by its 2-bit state at the slot, keeping column order within
+    each, and each block entry runs over its own bucket, so each output
+    entry collects its terms in block-row order.
     """
     right = n - slot - 1
     keep = ~(3 << right)
@@ -311,9 +260,8 @@ def amplitude_columns(n: int, col: int, point: Sequence) -> Iterator[tuple[tuple
     point (exact, symbolic, numpy node arrays).  Species counts are
     conserved, so a column holds at most C(N, #2s) entries.  Permutations whose words share a
     prefix share its slot steps (154 instead of 600 at N = 5).  The words
-    are the canonical ones of :func:`amplitude`, so every entry equals the
-    corresponding entry of ``amplitude(sigma, point)`` computed the same
-    way, operation by operation.
+    are the canonical ones of :func:`amplitude_column`, so each column is
+    the one it pushes for sigma, operation by operation.
     """
     return _walk(_word_trie(n), {col: 1}, list(range(1, n + 1)), n, point, {})
 
@@ -347,8 +295,8 @@ def amplitude_column(sigma: Sequence[int], col: int, point: Sequence) -> dict:
 
     The unit column e_col pushed through the slot operators of the canonical
     word of sigma, one 4x4 block per letter: the column that
-    :func:`amplitude_columns` reaches for sigma, for one permutation and
-    without the 2^N x 2^N products of :func:`amplitude`.
+    :func:`amplitude_columns` reaches for sigma, for one permutation.
+    :func:`amplitude` assembles its matrix from these columns.
     """
     xi = tuple(point)
     n = len(xi)
@@ -495,45 +443,57 @@ def bethe_residuals(point, positions: Sequence[int]):
 
         F(.., x, x, ..) - B_i F(.., x, x+1, ..)         at x = positions[i],
 
-    with B_i the collision matrix embedded at slots (i, i+1).  Both vanish
-    identically; over exact fractions the returned values are exact zeros.
-    The time factor e^(eps t) is common to every term, so the residuals are
-    taken at t = 0, which keeps everything exact.
+    with B_i the collision matrix acting at slots (i, i+1).  Both vanish
+    identically; over exact fractions the returned values are exact zeros,
+    and a NaN entry makes its residual NaN.  The time factor e^(eps t) is
+    common to every term, so the residuals are taken at t = 0, which keeps
+    everything exact.  Each F(X) e_c sums, in permutation order, the columns
+    A_sigma e_c of one walk per unit column e_c.
     """
     xi = tuple(point)
     n = len(xi)
     perms = enumerate_permutations(n)
-    amps = {p: amplitude(p, point) for p in perms}
-    size = 1 << n
 
-    def field(xs):
-        total = SparseMatrix(size)
-        for p in perms:
-            coeff = 1
-            for i, x in enumerate(xs):
-                coeff = coeff * xi[p[i] - 1] ** x
-            total = total + amps[p].scaled(coeff)
-        return total
+    def coefficients(i=None, x=None):  # prod_j xi_sigma(j)^x_j per sigma, x_i set to x
+        xs = [x if j == i else y for j, y in enumerate(positions)]
+        return [(p, math.prod(xi[p[j] - 1] ** y for j, y in enumerate(xs))) for p in perms]
+
+    def field(columns, coeffs):
+        out: dict = {}
+        for p, coeff in coeffs:
+            for row, v in columns[p].items():
+                term = coeff * v
+                out[row] = out[row] + term if row in out else term
+        return out
+
+    def minus(x, y):
+        return {row: x.get(row, 0) - y.get(row, 0) for row in x.keys() | y.keys()}
 
     eps = sum(1 / z - 1 for z in xi)
-    fx = field(positions)
-    free = fx.scaled(eps + n)
-    for i in range(n):
-        shifted = list(positions)
-        shifted[i] -= 1
-        free = free - field(shifted)
-    free_residual = free.max_abs()
-
-    boundary = []
-    for i in range(1, n):
-        x = positions[i - 1]
-        coincident = list(positions)
-        coincident[i - 1] = x
-        coincident[i] = x
-        split = list(positions)
-        split[i - 1] = x
-        split[i] = x + 1
-        bmat = two_site_embed(blocking_matrix(), i, n)
-        diff = field(coincident) - (bmat @ field(split))
-        boundary.append(diff.max_abs())
+    free = [coefficients()] + [coefficients(i, positions[i] - 1) for i in range(n)]
+    pairs = [(coefficients(i, positions[i - 1]), coefficients(i, positions[i - 1] + 1))
+             for i in range(1, n)]
+    block, blocks = blocking_matrix(), {}
+    free_residual, boundary = 0, [0] * (n - 1)
+    for c in range(1 << n):
+        columns = dict(_walk(_word_trie(n), {c: 1}, list(range(1, n + 1)), n, xi, blocks))
+        fx, *shifted = (field(columns, coeffs) for coeffs in free)
+        residual = {row: (eps + n) * v for row, v in fx.items()}
+        for f in shifted:
+            residual = minus(residual, f)
+        free_residual = _max_abs(residual.values(), free_residual)
+        for i, (coincident, split) in enumerate(pairs):
+            pushed = _push_column(field(columns, split), block, i + 1, n)
+            boundary[i] = _max_abs(minus(field(columns, coincident), pushed).values(), boundary[i])
     return free_residual, tuple(boundary)
+
+
+def _max_abs(values: Iterable, best=0):
+    """The largest of best and every |value|; NaN once best or a value is NaN."""
+    for v in values:
+        a = abs(v)
+        if a > best:
+            best = a
+        elif a != a:
+            return a
+    return best

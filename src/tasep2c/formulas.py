@@ -106,7 +106,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bethe, contour
-from .bethe import SparseMatrix, word_index
+from .bethe import word_index
 from .contour import QuadratureSpec, _check_time, _fixed_result
 from .errors import AccuracyError, WindowTooSmallWarning
 

@@ -628,8 +628,9 @@ def closed_form_vs_product(xi: Sequence[Scalar], sigma: Sequence[int]) -> bool:
     """Center amplitude: product formula against the slot operators of sigma's word.
 
     The center entry is row c of the unit column e_c, c the center index,
-    pushed through the slot operators of the canonical word of sigma: the
-    entry of ``bethe.amplitude(sigma, point)`` without its 2^N x 2^N products.
+    pushed through the slot operators of the canonical word of sigma
+    (``bethe.amplitude_column``), the entry (c, c) of
+    ``bethe.amplitude(sigma, point)``.
     """
     return _closed_form_holds(validate_point(xi), sigma)
 

@@ -18,11 +18,12 @@ import numpy as np
 
 from tasep2c import simulate
 from tasep2c.bethe import (
-    amplitude,
-    amplitude_from_word,
+    _letters,
+    _push_column,
+    amplitude_column,
     bethe_residuals,
     center_index,
-    t_operator,
+    scattering_matrix,
 )
 from tasep2c.contour import QuadratureSpec, circle_quadrature, residue_value
 from tasep2c.formulas import (
@@ -75,26 +76,30 @@ def test_criterion_2_amplitude_structure():
         rng.shuffle(sigma)
         sigma = tuple(sigma)
 
-        amp = amplitude(sigma, xi)
-        assert amp.is_upper_triangular()
+        # every column l of the amplitude: upper triangular (no row below
+        # l), the center row holds only its diagonal, the diagonal entry
+        # factors over the word's 4x4 blocks at l's 2-bit state per slot,
+        # and the reverse word pushes the same column
         c = center_index(n)
-        assert list(amp.rows.get(c, {c: 1})) == [c]
-
-        # diagonal entries factor over the word's slot operators
-        factors = []
-        current = list(range(1, n + 1))
-        for a in adjacent_decomposition(sigma):
-            alpha, beta = current[a - 1], current[a]
-            factors.append(t_operator(a, xi[alpha - 1], xi[beta - 1], n))
-            current[a - 1], current[a] = beta, alpha
+        letters = [(a, scattering_matrix(xa, xb))
+                   for a, xa, xb in _letters(adjacent_decomposition(sigma), xi)]
+        reverse = [(a, scattering_matrix(xa, xb)) for a, xa, xb in
+                   _letters(adjacent_decomposition(sigma, strategy="reverse"), xi)]
         for l in range(1 << n):
-            prod = 1
-            for factor in factors:
-                prod = prod * factor.get(l, l)
-            assert amp.get(l, l) == prod
+            column = amplitude_column(sigma, l, xi)
+            assert all(row <= l for row in column)
+            assert l == c or c not in column
 
-        other = amplitude_from_word(adjacent_decomposition(sigma, strategy="reverse"), xi)
-        assert (amp - other).max_abs() == 0
+            prod = 1
+            for a, block in letters:
+                s = (l >> (n - a - 1)) & 3
+                prod = prod * block.get(s, s)
+            assert column.get(l, 0) == prod
+
+            other = {l: 1}
+            for a, block in reverse:
+                other = _push_column(other, block, a, n)
+            assert other == column
         checked += 1
     _report(2, "amplitude structure at 50 random (sigma, xi)", checked == 50)
 

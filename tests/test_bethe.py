@@ -10,19 +10,19 @@ from tasep2c.bethe import (
     SparseMatrix,
     amplitude,
     amplitude_center,
+    amplitude_column,
     amplitude_columns,
-    amplitude_from_word,
     bethe_residuals,
     blocking_matrix,
     braid_relations_hold,
     center_index,
     scattering_matrix,
-    t_operator,
     two_site_embed,
     word_index,
 )
 from tasep2c.errors import PoleError
-from tasep2c.identities import GFp, random_field_point, random_rational_point
+from tasep2c.formulas import Configuration, transition_probability
+from tasep2c.identities import GFp, random_field_point, random_rational_point, run_identity_suite
 from tasep2c.permutations import adjacent_decomposition, enumerate_permutations
 
 XI3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -35,17 +35,14 @@ def test_word_index_order():
 
 
 def test_scattering_entries():
+    s, q = F(-4, 3), F(-1, 3)
     m = scattering_matrix(F(1, 2), F(1, 3))
-    assert m.get(0, 0) == m.get(1, 1) == m.get(3, 3) == F(-4, 3)
-    assert m.get(1, 2) == F(-1, 3)
-    assert m.get(2, 2) == -1
-    assert m.is_upper_triangular()
+    assert m.rows == {0: {0: s}, 1: {1: s, 2: q}, 2: {2: -1}, 3: {3: s}}
 
 
 def test_scattering_equal_parameters_degenerates():
     m = scattering_matrix(F(1, 2), F(1, 2))
-    assert (m - SparseMatrix.identity(4).scaled(-1)).max_abs() == 0
-    assert m.get(1, 2) == 0
+    assert m.rows == {i: {i: -1} for i in range(4)}
 
 
 def test_scattering_pole():
@@ -53,51 +50,65 @@ def test_scattering_pole():
         scattering_matrix(1, F(1, 3))
 
 
+def _block_push(block, column):
+    # a 4x4 block acting on a two-site column is its slot operator at n = 2
+    return bethe._push_column(column, block, 1, 2)
+
+
 def test_scattering_inverse_relation():
-    left = scattering_matrix(F(1, 3), F(1, 2)) @ scattering_matrix(F(1, 2), F(1, 3))
-    assert (left - SparseMatrix.identity(4)).max_abs() == 0
+    # S(1/3, 1/2) S(1/2, 1/3) = I on every unit column
+    forward, back = scattering_matrix(F(1, 2), F(1, 3)), scattering_matrix(F(1, 3), F(1, 2))
+    for c in range(4):
+        assert _block_push(back, _block_push(forward, {c: 1})) == {c: 1}
 
 
 def test_blocking_matrix_reduces_scattering():
     # -(I - xa B)^-1 (I - xb B) = S(xa, xb), checked as S applied forward:
-    # (I - xa B) S(xa, xb) == -(I - xb B)
+    # (I - xa B) S(xa, xb) == -(I - xb B), on every unit column
     xa, xb = F(1, 2), F(1, 3)
     b = blocking_matrix()
-    lhs = (SparseMatrix.identity(4) - b.scaled(xa)) @ scattering_matrix(xa, xb)
-    rhs = (SparseMatrix.identity(4) - b.scaled(xb)).scaled(-1)
-    assert (lhs - rhs).max_abs() == 0
+
+    def minus_scaled_b(x, column):  # (I - x B) column, as a dense 4-vector
+        pushed = _block_push(b, column)
+        return [column.get(k, 0) - x * pushed.get(k, 0) for k in range(4)]
+
+    for c in range(4):
+        lhs = minus_scaled_b(xa, _block_push(scattering_matrix(xa, xb), {c: 1}))
+        assert lhs == [-v for v in minus_scaled_b(xb, {c: 1})]
 
 
 def test_two_site_embed_shape_and_entry():
-    t = t_operator(1, F(1, 2), F(1, 3), 3)
+    t = two_site_embed(scattering_matrix(F(1, 2), F(1, 3)), 1, 3)
     assert t.n == 8
     # block coordinate (2,2) of the scattering matrix lands on index 4
     assert t.get(4, 4) == -1
     assert sum(len(r) for r in t.rows.values()) == 5 * 2
     with pytest.raises(ValueError):
-        t_operator(3, F(1, 2), F(1, 3), 3)
+        two_site_embed(scattering_matrix(F(1, 2), F(1, 3)), 3, 3)
     with pytest.raises(ValueError):
-        t_operator(0, F(1, 2), F(1, 3), 3)
+        two_site_embed(scattering_matrix(F(1, 2), F(1, 3)), 0, 3)
 
 
 def test_t_operator_center_entry():
+    # row c of the slot operator T_slot, read off every pushed unit column:
+    # only its diagonal entry is nonzero
     c = center_index(4)
+    block = scattering_matrix(F(1, 2), F(1, 3))
     for slot in (1, 2, 3):
-        t = t_operator(slot, F(1, 2), F(1, 3), 4)
-        expect = -1 if slot == 1 else scattering_matrix(F(1, 2), F(1, 3)).get(0, 0)
-        assert t.get(c, c) == expect
-        assert list(t.rows[c]) == [c]
+        expect = -1 if slot == 1 else block.get(0, 0)
+        row = [bethe._push_column({j: 1}, block, slot, 4).get(c, 0) for j in range(16)]
+        assert row == [expect if j == c else 0 for j in range(16)]
 
 
 def test_amplitude_identity_permutation():
     for n in (1, 2, 3):
         amp = amplitude(tuple(range(1, n + 1)), tuple(F(1, k + 2) for k in range(n)))
-        assert (amp - SparseMatrix.identity(2**n)).max_abs() == 0
+        assert amp.n == 2**n and amp.rows == {i: {i: 1} for i in range(2**n)}
 
 
 def test_amplitude_two_particles_matches_display():
     xi = (F(1, 2), F(1, 3))
-    assert (amplitude((2, 1), xi) - scattering_matrix(*xi)).max_abs() == 0
+    assert amplitude((2, 1), xi).rows == scattering_matrix(*xi).rows
 
 
 def test_amplitude_center_examples():
@@ -118,9 +129,8 @@ def test_amplitude_word_independence():
     w1 = adjacent_decomposition(sigma)
     w2 = adjacent_decomposition(sigma, strategy="reverse")
     assert w1 != w2
-    a1 = amplitude_from_word(w1, XI3)
-    a2 = amplitude_from_word(w2, XI3)
-    assert (a1 - a2).max_abs() == 0
+    for c in range(8):
+        assert _pushed(w1, c, XI3) == _pushed(w2, c, XI3) == amplitude_column(sigma, c, XI3)
 
 
 def test_amplitude_structure_properties():
@@ -131,7 +141,7 @@ def test_amplitude_structure_properties():
         sigma = list(range(1, n + 1))
         rng.shuffle(sigma)
         amp = amplitude(tuple(sigma), xi)
-        assert amp.is_upper_triangular()
+        assert all(j >= i for i, row in amp.rows.items() for j in row)
         c = center_index(n)
         assert list(amp.rows.get(c, {c: 1})) == [c]
 
@@ -165,8 +175,7 @@ def test_braid_relations_report_a_planted_error(monkeypatch, field):
 @pytest.mark.parametrize("field", ["Q", "GF(p)"])
 @pytest.mark.parametrize("n, blocks", [(3, 4), (4, 5), (5, 5)])
 def test_braid_relations_build_one_block_per_pair(monkeypatch, n, blocks, field):
-    # the pairs (1,2), (2,1), (1,3), (2,3), and (3,4) once N >= 4; no slot
-    # operator is embedded, since both sides act on vectors
+    # the pairs (1,2), (2,1), (1,3), (2,3), and (3,4) once N >= 4
     calls = []
     original = bethe.scattering_matrix
 
@@ -175,7 +184,6 @@ def test_braid_relations_build_one_block_per_pair(monkeypatch, n, blocks, field)
         return original(xi_alpha, xi_beta)
 
     monkeypatch.setattr(bethe, "scattering_matrix", counted)
-    monkeypatch.setattr(bethe, "two_site_embed", None)
     point = tuple(F(1, k + 2) for k in range(n))
     if field == "GF(p)":
         point = tuple(GFp(z) for z in point)
@@ -271,6 +279,29 @@ def test_bethe_residuals_random_points():
             assert free == 0 and all(b == 0 for b in boundary)
 
 
+def test_no_route_builds_a_full_slot_operator(monkeypatch):
+    # every slot operator acts through bethe._push_column: with the 2^N x 2^N
+    # operator algebra disabled, each of these still returns its value
+    def refuse(*args):
+        raise AssertionError("a 2^N x 2^N slot operator was built")
+
+    monkeypatch.setattr(bethe, "two_site_embed", refuse)
+    monkeypatch.setattr(bethe.SparseMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(formulas, "_plans", {})  # the residue route builds its plan here
+    c = center_index(3)
+    assert amplitude((3, 1, 2), XI3).get(c, c) == amplitude_center((3, 1, 2), XI3)
+    assert bethe_residuals(XI3[:2], (0, 1)) == (0, (0,))
+    assert bethe_residuals(XI3, (0, 1, 5)) == (0, (0, 0))
+    assert braid_relations_hold(XI3)
+    assert braid_relations_hold(tuple(GFp(z) for z in XI3))
+    initial, final = Configuration((1, 2), "21"), Configuration((1, 2), "12")
+    residue = transition_probability(initial, final, 1.0)
+    quadrature = transition_probability(initial, final, 1.0, method="quadrature")
+    assert 0 < residue < 1 and abs(quadrature - residue) < 1e-9
+    records = run_identity_suite(n_values=(2, 3), points=2, identities=("closed_form", "braid"))
+    assert len(records) == 4 and all(r["passed"] for r in records)
+
+
 def test_sparse_matrix_basics():
     m = SparseMatrix(3)
     m.set(0, 1, 5)
@@ -278,16 +309,18 @@ def test_sparse_matrix_basics():
     assert m.rows == {}
     m.set(1, 2, F(1, 2))
     assert m.get(1, 2) == F(1, 2) and m.get(2, 2) == 0
-    ident = SparseMatrix.identity(3)
-    assert ((m @ ident) - m).max_abs() == 0
-    assert (m.scaled(2)).get(1, 2) == 1
+    assert (m @ _identity(3)).rows == m.rows
 
 
-def test_sparse_matrix_max_abs_reads_nan():
-    assert np.isnan(SparseMatrix(2, {0: {0: float("nan")}}).max_abs())
-    assert np.isnan(SparseMatrix(2, {0: {0: 3.0, 1: float("nan")}, 1: {1: 5.0}}).max_abs())
-    assert SparseMatrix(2, {0: {0: -3.0}, 1: {0: 2.0}}).max_abs() == 3.0
-    assert SparseMatrix(2).max_abs() == 0
+def test_max_abs_reads_nan():
+    # the residuals' reduction: NaN anywhere, also after a larger entry or
+    # in an earlier column (best), reads NaN
+    assert np.isnan(bethe._max_abs([float("nan")]))
+    assert np.isnan(bethe._max_abs([3.0, float("nan"), 5.0]))
+    assert np.isnan(bethe._max_abs([5.0], float("nan")))
+    assert bethe._max_abs([-3.0, 2.0]) == 3.0
+    assert bethe._max_abs([2.0], 4.0) == 4.0
+    assert bethe._max_abs([]) == 0
 
 
 @pytest.mark.parametrize("zero", [0, F(0), GFp(0), GFp(2**61 - 1), formulas._PackedLaurent()])
@@ -304,12 +337,16 @@ def test_sparse_matrix_keeps_numpy_array_entries():
     m.set(0, 1, np.zeros(3))
     m.set(1, 0, np.zeros(1))
     assert set(m.rows) == {0, 1}
-    assert (m @ SparseMatrix.identity(2)).rows.keys() == {0, 1}
+    assert (m @ _identity(2)).rows.keys() == {0, 1}
+
+
+def _identity(n):
+    return SparseMatrix(n, {i: {i: 1} for i in range(n)})
 
 
 def test_embed_rejects_bad_block():
     with pytest.raises(ValueError):
-        two_site_embed(SparseMatrix.identity(8), 1, 3)
+        two_site_embed(_identity(8), 1, 3)
 
 
 def _column(mat, col):
@@ -318,25 +355,27 @@ def _column(mat, col):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_amplitude_columns_match_full_matrices_exactly(n):
+    # the walk's columns against each permutation's word pushed by the
+    # filter loop, and the assembled matrix against those columns
     xi = random_rational_point(n, random.Random(40 + n))
     amps = {p: amplitude(p, xi) for p in enumerate_permutations(n)}
     for col in range(1 << n):
         cols = dict(amplitude_columns(n, col, xi))
         assert set(cols) == set(amps)
         for p, amp in amps.items():
-            assert cols[p] == _column(amp, col)
+            expect = _pushed(adjacent_decomposition(p), col, xi)
+            assert cols[p] == expect
+            assert _column(amp, col) == expect
 
 
 def test_amplitude_columns_on_node_arrays_are_bit_identical():
-    m = 4
-    nodes = [0.5 * cmath.exp(2j * cmath.pi * (k + 0.5) / m) for k in range(m)]
-    xis = [np.array(nodes).reshape([m if i == v else 1 for i in range(3)]) for v in range(3)]
+    xis = _node_point(3)
     for col in range(8):
         cols = dict(amplitude_columns(3, col, xis))
         for p in enumerate_permutations(3):
-            full = _column(amplitude(p, xis), col)
-            assert set(cols[p]) == set(full)
-            for i, value in full.items():
+            expect = _pushed(adjacent_decomposition(p), col, xis)
+            assert list(cols[p]) == list(expect)
+            for i, value in expect.items():
                 assert np.array_equal(cols[p][i], value)
 
 
@@ -361,6 +400,14 @@ def _filtered_push(column, block, slot, n):
                     term = a * b
                     out[i] = out[i] + term if i in out else term
     return {i: v for i, v in out.items() if not bethe._is_scalar_zero(v)}
+
+
+def _pushed(word, col, point):
+    """The unit column e_col pushed along a word by the filter loop."""
+    column = {col: 1}
+    for slot, xi_alpha, xi_beta in bethe._letters(word, point):
+        column = _filtered_push(column, scattering_matrix(xi_alpha, xi_beta), slot, len(point))
+    return column
 
 
 def _node_point(n, m=4):
@@ -418,19 +465,6 @@ def test_scattering_matrix_at_the_symbolic_point_is_the_u_form(n):
                 assert block.rows == _u_form_rows(alpha, beta, n)
 
 
-def _full_symbolic_amplitude(n, sigma):
-    # the product of embedded slot operators that the column kernel replaces
-    xi = _symbolic_point(n)
-    mat = SparseMatrix.identity(1 << n)
-    current = list(range(1, n + 1))
-    for a in adjacent_decomposition(sigma):
-        alpha, beta = current[a - 1], current[a]
-        block = scattering_matrix(xi[alpha - 1], xi[beta - 1])
-        mat = two_site_embed(block, a, n) @ mat
-        current[a - 1], current[a] = beta, alpha
-    return mat
-
-
 def test_symbolic_columns_match_full_products_at_n5():
     n = 5
     one = formulas._PackedLaurent({0: 1})
@@ -439,11 +473,11 @@ def test_symbolic_columns_match_full_products_at_n5():
         # (exponent vector, coefficient) pairs; a plain integer is a constant
         return sorted((formulas._unpack(e, n), c) for e, c in (one * entry).items())
 
-    full = {p: _full_symbolic_amplitude(n, p) for p in enumerate_permutations(n)}
+    xi = _symbolic_point(n)
     for col in range(1 << n):
         cols = dict(formulas._sym_columns(n, col))
-        for p, mat in full.items():
-            expect = _column(mat, col)
+        for p in enumerate_permutations(n):
+            expect = _pushed(adjacent_decomposition(p), col, xi)
             assert set(cols[p]) == set(expect)
             assert all(isinstance(v, formulas._PackedLaurent) for v in cols[p].values())
             assert all(terms(cols[p][r]) == terms(v) for r, v in expect.items())
@@ -469,6 +503,6 @@ def test_symbolic_columns_evaluate_to_exact_amplitudes(n):
         for p in enumerate_permutations(n):
             assert all(isinstance(v, formulas._PackedLaurent) for v in cols[p].values())
             for xi in points:
-                expect = _column(amplitude(p, xi), col)
+                expect = _pushed(adjacent_decomposition(p), col, xi)
                 got = {r: _evaluate_u_form(v, xi) for r, v in cols[p].items()}
                 assert got == expect

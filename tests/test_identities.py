@@ -31,7 +31,8 @@ from tasep2c.identities import (
     vandermonde,
     vandermonde_cofactor,
 )
-from tasep2c.permutations import enumerate_permutations, sign
+from tasep2c.permutations import adjacent_decomposition, enumerate_permutations, sign
+from test_bethe import _pushed
 
 XI2 = (F(1, 2), F(1, 3))
 XI3 = (F(1, 2), F(1, 3), F(1, 5))
@@ -214,15 +215,15 @@ def test_closed_form_vs_product():
 
 def test_pushed_center_column_is_the_amplitude_entry():
     # every sigma of S_4 at a GF(p) point and of S_3 at XI3: the whole pushed
-    # column, the center entry that closed_form reads included
+    # column against the filter-loop push of sigma's word, the center entry
+    # that closed_form reads included
     for point in (random_field_point(4, random.Random("column")), XI3):
         n = len(point)
         c = bethe.center_index(n)
         for sigma in enumerate_permutations(n):
             column = bethe.amplitude_column(sigma, c, point)
-            matrix = bethe.amplitude(sigma, point)
-            assert column == {i: row[c] for i, row in matrix.rows.items() if c in row}
-            assert column.get(c, 0) == matrix.get(c, c) == bethe.amplitude_center(sigma, point)
+            assert column == _pushed(adjacent_decomposition(sigma), c, point)
+            assert column.get(c, 0) == bethe.amplitude_center(sigma, point)
 
 
 def _skew_s(original, xi_alpha, xi_beta):
