@@ -26,7 +26,7 @@ it goes holds one path of columns and no 2^N x 2^N matrix.
 how the identity suite checks the center entry's closed form.
 :func:`braid_relations_hold` and :func:`bethe_residuals` apply their
 operators to vectors through the same push, and :func:`amplitude`
-assembles a whole matrix column by column.
+assembles a whole matrix column by column, building its word's blocks once.
 
 Matrices are stored sparsely (dict-of-rows) and columns as {row: value},
 because T factors have at most two nonzeros per row and amplitudes stay
@@ -194,15 +194,33 @@ def _letters(word: Iterable[int], xi: Sequence) -> Iterator[tuple]:
 def amplitude(sigma: Sequence[int], point) -> SparseMatrix:
     """Amplitude matrix of a permutation (identity permutation -> identity).
 
-    Assembled from its columns ``amplitude_column(sigma, c, point)``, one
-    unit column pushed through sigma's canonical word per c.
+    Assembled from its columns: each unit column is pushed through the
+    slot operators of sigma's canonical word, as in :func:`amplitude_column`,
+    with the word's 4x4 blocks built once for all 2^N columns.
     """
     xi = tuple(point)
-    mat = SparseMatrix(1 << len(xi))
+    n = len(xi)
+    blocks = _word_blocks(sigma, xi)
+    mat = SparseMatrix(1 << n)
     for c in range(mat.n):
-        for row, value in amplitude_column(sigma, c, xi).items():
+        for row, value in _push_word({c: 1}, blocks, n).items():
             mat.set(row, c, value)
     return mat
+
+
+def _word_blocks(sigma: Sequence[int], xi: tuple) -> list[tuple[int, SparseMatrix]]:
+    """(slot, 4x4 block) per letter of the canonical word of sigma at the point xi."""
+    if len(sigma) != len(xi):
+        raise ValueError("permutation size does not match the spectral point")
+    letters = _letters(adjacent_decomposition(sigma), xi)
+    return [(a, scattering_matrix(x, y)) for a, x, y in letters]
+
+
+def _push_word(column: dict, blocks: list[tuple[int, SparseMatrix]], n: int) -> dict:
+    """A sparse column pushed through the slot operators of a word's blocks, in order."""
+    for a, block in blocks:
+        column = _push_column(column, block, a, n)
+    return column
 
 
 @lru_cache(maxsize=8)
@@ -296,16 +314,9 @@ def amplitude_column(sigma: Sequence[int], col: int, point: Sequence) -> dict:
     The unit column e_col pushed through the slot operators of the canonical
     word of sigma, one 4x4 block per letter: the column that
     :func:`amplitude_columns` reaches for sigma, for one permutation.
-    :func:`amplitude` assembles its matrix from these columns.
     """
     xi = tuple(point)
-    n = len(xi)
-    if len(sigma) != n:
-        raise ValueError("permutation size does not match the spectral point")
-    column = {col: 1}
-    for a, xi_alpha, xi_beta in _letters(adjacent_decomposition(sigma), xi):
-        column = _push_column(column, scattering_matrix(xi_alpha, xi_beta), a, n)
-    return column
+    return _push_word({col: 1}, _word_blocks(sigma, xi), len(xi))
 
 
 def amplitude_center(sigma: Sequence[int], point):

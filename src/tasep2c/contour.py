@@ -261,7 +261,9 @@ def _fixed_result(total: int, nvars: int, t: float, bits: int) -> float:
     return math.ldexp(mant, exp2)
 
 
-@lru_cache(maxsize=1_000_000)
+# one entry per (window, t) of a mass check's tail bound, its one caller in
+# the package; exp_scaled_residue keeps the integers a miss reads
+@lru_cache(maxsize=64)
 def residue_value(k: int, e: int, t: float) -> float:
     """The integral I(k, e, t) as a float; the exact integer at t = 0.
 

@@ -32,21 +32,26 @@ glibc's 128 KiB mmap threshold.  Packing needs 4 (x_N + steps + 2) below
 2^63, so positions near 2^61 raise ``OverflowError``.
 
 Final states stay packed until the request returns.  A block ends with
-each final state as the column 4 (x_i - y_i) + [species 2], y the start,
-in the smallest unsigned type that holds it; one lexsort groups equal
-columns, and the block yields its distinct columns and their counts.
-Blocks merge in that form: parts wait until they hold more columns than
-the merged set so far, then fold into it with one lexsort, which bounds
-both the re-sorting and the memory.  The blocks are the one unit of work,
-whatever the worker count: one process advances them in order, and a
-``processes`` pool gives each worker a run of consecutive blocks and takes
-back one merged part per worker, so the parts merge in block order either
-way.  A request of one block starts no pool.  The merged states are
-unpacked at the end, ``_BLOCK`` at a time: :func:`final_state_sample`
-makes them ``(positions, species)`` keys, in the packed sort order, and
-:func:`estimate_event` makes each one a ``Configuration``, unvalidated as
-engine states are valid by construction, applies the predicate once per
-distinct state and adds up the counts of the hits.
+each final state as the int64 column 4 (x_i - y_i) + [species 2], y the
+start, and then takes one of two tails.  For a histogram or a custom
+predicate it narrows the columns to the smallest unsigned type that holds
+them, groups equal columns with one lexsort, and yields its distinct
+columns and their counts.  Blocks merge in that form: parts wait until
+they hold more columns than the merged set so far, then fold into it with
+one lexsort, which bounds both the re-sorting and the memory.  For a
+library event (:func:`leftmost_event`, :func:`transition_event`) the block
+instead counts the columns that pass the event's packed test, one
+(mask, want) pair per row, and yields that count.  The blocks are the one
+unit of work, whatever the worker count: one process advances them in
+order, and a ``processes`` pool gives each worker a run of consecutive
+blocks and takes back one merged part, or one count, per worker, so the
+parts merge in block order either way.  A request of one block starts no
+pool.  Merged states are unpacked at the end, ``_BLOCK`` at a time:
+:func:`final_state_sample` makes them ``(positions, species)`` keys, in
+the packed sort order, and :func:`estimate_event` makes each one a
+``Configuration`` for a custom predicate, unvalidated as engine states are
+valid by construction, applies the predicate once per distinct state and
+adds up the counts of the hits.
 
 Random numbers: run r owns the SplitMix64 stream (Steele, Lea & Flood,
 OOPSLA 2014) keyed by ``splitmix64(seed ^ splitmix64(r))``; its draw j is
@@ -87,6 +92,11 @@ _BLOCK = 2048
 # distinct final states as columns of small unsigned integers 4 (x_i - y_i) +
 # [species 2], in lexsort order, and the number of runs that ended in each
 _Packed = tuple[np.ndarray, np.ndarray]
+# a library event's test on the int64 final columns: (mask, want), one row per
+# particle, and a column hits iff column & mask == want on every row
+_Test = tuple[np.ndarray, np.ndarray]
+# the mask that keeps every bit of a row
+_ALL = -1
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -208,11 +218,15 @@ def _step_counts(n: int, t: float, keys: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _advance_block(initial: Configuration, t: float, seed: int, block: tuple[int, int]) -> _Packed:
-    """Distinct final states at time t of runs block[0]..block[1]-1, packed, with their counts.
+def _final_columns(
+    initial: Configuration, t: float, seed: int, block: tuple[int, int]
+) -> np.ndarray:
+    """Final states at time t of runs block[0]..block[1]-1, one int64 column each.
 
-    The step counts come first, from the dwells alone.  Runs sorted by
-    descending count are alive at step s exactly as the prefix
+    A column holds 4 (x_i - y_i) + [species 2] in row i, and the columns
+    come in descending step count, not in run order: both tails only count
+    them.  The step counts come first, from the dwells alone.  Runs sorted
+    by descending count are alive at step s exactly as the prefix
     ``[:alive[s]]``.  Row i of ``state`` packs particle i of every run as
     4 x_i + [species 2]; row n is a wall far enough right that the last
     particle never meets it.
@@ -247,9 +261,27 @@ def _advance_block(initial: Configuration, t: float, seed: int, block: tuple[int
             flat[here] = v
             flat[ahead] = w
         first += c
-    final = state[:n] - _origin(initial)
+    return state[:n] - _origin(initial)
+
+
+def _advance_block(initial: Configuration, t: float, seed: int, block: tuple[int, int]) -> _Packed:
+    """Distinct final states at time t of runs block[0]..block[1]-1, packed, with their counts."""
+    final = _final_columns(initial, t, seed, block)
     final = final.astype(np.min_scalar_type(int(final.max())))
-    return _distinct([(final, np.ones(m, np.int64))])
+    return _distinct([(final, np.ones(final.shape[1], np.int64))])
+
+
+def _count_block(
+    test: _Test, initial: Configuration, t: float, seed: int, block: tuple[int, int]
+) -> int:
+    """How many runs of block[0]..block[1]-1 end in a column that passes ``test``.
+
+    The test reads the int64 columns, before any narrowing, so a want that
+    no column can equal never wraps onto one.
+    """
+    mask, want = test
+    final = _final_columns(initial, t, seed, block)
+    return int(np.count_nonzero(((final & mask) == want).all(axis=0)))
 
 
 def _origin(initial: Configuration) -> np.ndarray:
@@ -308,19 +340,36 @@ def check_runs(runs: int) -> None:
 
 def _sample(initial: Configuration, t: float, runs: int, seed: int, processes: int) -> _Packed:
     """The distinct final states of the request, packed, with their counts."""
+    return _by_blocks(partial(_advance_blocks, initial), _merged, t, runs, seed, processes)
+
+
+def _hits(
+    initial: Configuration, test: _Test, t: float, runs: int, seed: int, processes: int
+) -> int:
+    """How many runs of the request end in a column that passes the packed test."""
+    return _by_blocks(partial(_count_blocks, test, initial), sum, t, runs, seed, processes)
+
+
+def _by_blocks(work: Callable, merge: Callable, t: float, runs: int, seed: int, processes: int):
+    """``work(t, seed, blocks)`` over the request's blocks, the results merged in block order.
+
+    One process takes every block in order.  A ``processes`` pool gives
+    each worker a run of consecutive blocks and ``merge`` folds the
+    workers' results in order; a request of one block starts no pool.
+    """
     t = _check_time(t)
     check_runs(runs)
     blocks = [(lo, min(lo + _BLOCK, runs)) for lo in range(0, runs, _BLOCK)]
-    advance = partial(_advance_blocks, initial, t, seed)
+    advance = partial(work, t, seed)
     workers = min(processes, len(blocks))  # never an idle worker
     if workers < 2:
         return advance(blocks)
-    # each worker merges a run of consecutive blocks and sends back one
-    # packed part: one per block would repeat every state the blocks share
+    # each worker sends back one result for its run of blocks: one packed
+    # part per block would repeat every state the blocks share
     cuts = [i * len(blocks) // workers for i in range(workers + 1)]
     shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     with multiprocessing.Pool(workers) as pool:
-        return _merged(pool.imap(advance, shares))
+        return merge(pool.imap(advance, shares))
 
 
 def _advance_blocks(
@@ -328,6 +377,13 @@ def _advance_blocks(
 ) -> _Packed:
     """The final states of the runs of ``blocks``, merged in block order."""
     return _merged(_advance_block(initial, t, seed, block) for block in blocks)
+
+
+def _count_blocks(
+    test: _Test, initial: Configuration, t: float, seed: int, blocks: list[tuple[int, int]]
+) -> int:
+    """How many runs of ``blocks`` end in a column that passes the packed test."""
+    return sum(_count_block(test, initial, t, seed, block) for block in blocks)
 
 
 def _items(
@@ -390,32 +446,91 @@ def estimate_event(
 ) -> SimulationEstimate:
     """Fraction of seeded runs whose final state satisfies the predicate.
 
-    The predicate is applied once per distinct final state, in this
-    process, so any callable works with every ``processes`` value; the
-    hits add up as integer counts.  The states are the ones
+    A library event (:func:`leftmost_event`, :func:`transition_event`)
+    carries a packed test, and each block counts its own hits on its
+    packed final states; no state is unpacked.  Any other callable is
+    applied once per distinct final state, in this process, so it works
+    with every ``processes`` value; those states are the ones
     :func:`final_state_sample` would return, taken from the same private
     entry point, so a wrapper around either public function sees each
-    batch once.  The estimate holds the fraction, its binomial standard
-    error and the run count, all fixed by the arguments.
+    batch once.  Either way the hits add up as integer counts, so the
+    estimate, its binomial standard error and the run count are fixed by
+    the arguments, whatever the path or the worker count.
     """
-    sample = _sample(initial, t, runs, seed, processes)
-    hits = 0
-    for (positions, species), count in _items(initial, sample):
-        if predicate(_engine_state(positions, species)):
-            hits += count
+    if isinstance(predicate, _LibraryEvent):
+        hits = _hits(initial, _test(predicate.rows(initial)), t, runs, seed, processes)
+    else:
+        hits = 0
+        sample = _sample(initial, t, runs, seed, processes)
+        for (positions, species), count in _items(initial, sample):
+            if predicate(_engine_state(positions, species)):
+                hits += count
     p = hits / runs
     return SimulationEstimate(estimate=p, std_error=math.sqrt(p * (1.0 - p) / runs), runs=runs)
 
 
+class _LibraryEvent:
+    """A predicate on states that also carries a packed test of final columns.
+
+    ``rows(initial)`` gives one (mask, want) pair per particle row.  A
+    type, not an attribute on the predicate: ``functools.wraps`` copies a
+    function's attributes, and a wrapper that changes the verdict must not
+    inherit the test.
+    """
+
+    __slots__ = ("_predicate", "rows")
+
+    def __init__(
+        self,
+        predicate: Callable[[Configuration], bool],
+        rows: Callable[[Configuration], list[tuple[int, int]]],
+    ):
+        self._predicate = predicate
+        self.rows = rows
+
+    def __call__(self, state: Configuration) -> bool:
+        return self._predicate(state)
+
+
+def _test(rows: list[tuple[int, int]]) -> _Test:
+    """The (mask, want) rows of a packed test as int64 columns.
+
+    Every final column is nonnegative, so no column & mask equals -1: a
+    want outside [0, 2^63) becomes -1, which no run can hit.
+    """
+    mask = [m for m, _ in rows]
+    want = [w if 0 <= w < 1 << 63 else -1 for _, w in rows]
+    return np.array(mask, np.int64)[:, None], np.array(want, np.int64)[:, None]
+
+
 def leftmost_event(x: int) -> Callable[[Configuration], bool]:
-    """Predicate: species order still 21...1 and the leftmost particle at x."""
+    """Predicate: species order still 21...1 and the leftmost particle at x.
+
+    Packed: row 0 equals 4 (x - y_0) + 1 and every other row has species
+    bit 0.  Only an int x is packed; any other x keeps the per-state test,
+    where 2.0 still equals 2 and 2.75 equals nothing.
+    """
 
     def event(state: Configuration) -> bool:
         return state.positions[0] == x and state.species == head_word(state.n)
 
-    return event
+    def rows(initial: Configuration) -> list[tuple[int, int]]:
+        return [(_ALL, 4 * (x - initial.positions[0]) + 1)] + [(1, 0)] * (initial.n - 1)
+
+    return _LibraryEvent(event, rows) if isinstance(x, int) else event
 
 
 def transition_event(final: Configuration) -> Callable[[Configuration], bool]:
-    """Predicate: the state equals the given configuration exactly."""
-    return lambda state: state == final
+    """Predicate: the state equals the given configuration exactly.
+
+    Packed: every row equals final's column 4 (x_i - y_i) + [species 2]; a
+    final of another size never hits.
+    """
+
+    def rows(initial: Configuration) -> list[tuple[int, int]]:
+        if final.n != initial.n:
+            return [(_ALL, -1)] * initial.n
+        pairs = zip(final.positions, final.species, initial.positions)
+        return [(_ALL, 4 * (x - y) + (c == "2")) for x, c, y in pairs]
+
+    return _LibraryEvent(lambda state: state == final, rows)

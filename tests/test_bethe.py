@@ -353,7 +353,7 @@ def _column(mat, col):
     return {i: row[col] for i, row in mat.rows.items() if col in row}
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
 def test_amplitude_columns_match_full_matrices_exactly(n):
     # the walk's columns against each permutation's word pushed by the
     # filter loop, and the assembled matrix against those columns
@@ -366,6 +366,22 @@ def test_amplitude_columns_match_full_matrices_exactly(n):
             expect = _pushed(adjacent_decomposition(p), col, xi)
             assert cols[p] == expect
             assert _column(amp, col) == expect
+
+
+def test_amplitude_builds_one_block_per_letter(monkeypatch):
+    calls = []
+
+    def counted(xi_alpha, xi_beta):
+        calls.append((xi_alpha, xi_beta))
+        return scattering_matrix(xi_alpha, xi_beta)
+
+    monkeypatch.setattr(bethe, "scattering_matrix", counted)
+    for n in (3, 5):
+        xi = random_rational_point(n, random.Random(n))
+        for sigma in ((2, 3, 1, 5, 4)[:n], tuple(range(n, 0, -1))):
+            calls.clear()
+            amplitude(sigma, xi)
+            assert len(calls) == len(adjacent_decomposition(sigma))
 
 
 def test_amplitude_columns_on_node_arrays_are_bit_identical():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -379,22 +380,113 @@ def histogram_digest(counts):
 # Digests of histograms recorded from the step-at-a-time engine that kept one
 # row of positions and species digits per run; any change to a draw, a step
 # count or a jump rule moves them.
-@pytest.mark.parametrize(
-    "initial, t, runs, seed, distinct, digest",
-    [
-        (step_configuration(3), 1.0, 1, 5, 1, "4149a4ae81b11542"),
-        (step_configuration(2), 2.0, 1, 0, 1, "28c9b413547a6f97"),
-        (step_configuration(3), 2.0, 5000, 4, 165, "355d17ad24992df7"),
-        (Configuration((0, 1, 3), "211"), 1.5, 4500, -7, 138, "1668a1b1f584f909"),
-        (step_configuration(8), 7.5, 600, 17, 596, "61bc8fbb6832e6c1"),
-        (step_configuration(20), 30.0, 300, 23, 300, "f0c6b88bf09afec0"),
-        (Configuration((-9, -4, -3, 0), "2121"), 3.0, 700, 2**63 + 1, 455, "371e775eab08874e"),
-    ],
-)
+GOLDEN = [
+    (step_configuration(3), 1.0, 1, 5, 1, "4149a4ae81b11542"),
+    (step_configuration(2), 2.0, 1, 0, 1, "28c9b413547a6f97"),
+    (step_configuration(3), 2.0, 5000, 4, 165, "355d17ad24992df7"),
+    (Configuration((0, 1, 3), "211"), 1.5, 4500, -7, 138, "1668a1b1f584f909"),
+    (step_configuration(8), 7.5, 600, 17, 596, "61bc8fbb6832e6c1"),
+    (step_configuration(20), 30.0, 300, 23, 300, "f0c6b88bf09afec0"),
+    (Configuration((-9, -4, -3, 0), "2121"), 3.0, 700, 2**63 + 1, 455, "371e775eab08874e"),
+]
+
+
+@pytest.mark.parametrize("initial, t, runs, seed, distinct, digest", GOLDEN)
 def test_golden_histograms(initial, t, runs, seed, distinct, digest):
     counts = final_state_sample(initial, t, runs, seed)
     assert sum(counts.values()) == runs
     assert (len(counts), histogram_digest(counts)) == (distinct, digest)
+
+
+def library_events(initial, t, seed):
+    """Leftmost events at three x and transitions to three finals, hit and missed."""
+    y0 = initial.positions[0]
+    common = final_state_sample(initial, t, 2048, seed).most_common(2)
+    finals = [Configuration(*key) for key, _ in common] + [initial]
+    return [leftmost_event(x) for x in (y0, y0 + 1, y0 + 3)] + list(map(transition_event, finals))
+
+
+@pytest.mark.parametrize("initial, t, seed", [(y, t, seed) for y, t, _, seed, _, _ in GOLDEN])
+def test_packed_events_count_like_the_per_state_path(initial, t, seed):
+    # the per-state count of each event on the histogram, against the packed
+    # count; 2048 runs fill one block and 5000 make three, which 2 or 3
+    # workers share.  A wrapper hides the packed test, so it takes the
+    # per-state path
+    events = library_events(initial, t, seed)
+    for runs in (1, 2047, 2048, 5000):
+        sample = final_state_sample(initial, t, runs, seed)
+        states = [(Configuration(*key), c) for key, c in sample.items()]
+        for event in events:
+            hits = sum(c for state, c in states if event(state))
+            for processes in (1, 2, 3) if runs > 2048 else (1,):
+                got = estimate_event(initial, event, t, runs, seed, processes)
+                assert got.estimate == hits / runs
+            if runs == 2047:
+                assert estimate_event(initial, lambda s: event(s), t, runs, seed) == got
+
+
+def test_library_events_skip_distinct_states(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("library events count on packed states")
+
+    y = step_configuration(3)
+    events = [leftmost_event(2), transition_event(Configuration((2, 3, 4), "121"))]
+    expect = [estimate_event(y, event, 2.0, 5000, 4) for event in events]
+    assert expect[1].estimate == 0.0214  # the CLI record's value
+    monkeypatch.setattr(simulate, "_distinct", refuse)
+    monkeypatch.setattr(simulate, "_engine_state", refuse)
+    for processes in (1, 3):
+        assert [estimate_event(y, e, 2.0, 5000, 4, processes) for e in events] == expect
+    with pytest.raises(AssertionError, match="packed"):
+        estimate_event(y, lambda s: events[0](s), 2.0, 5000, 4)
+
+
+def test_packed_test_never_wraps_onto_a_column():
+    # each want is off the columns by a multiple of 256 or by its sign or
+    # size, so a test on columns narrowed to uint8 would count false hits
+    y = Configuration((0, 1, 3), "211")
+    runs, seed, t = 3000, -7, 1.5
+    (top, _), = final_state_sample(y, t, runs, seed).most_common(1)
+    positions, species = top
+    events = [
+        leftmost_event(positions[0] + 64),
+        leftmost_event(-1),
+        leftmost_event(-(2**70)),
+        leftmost_event(2**70),
+        transition_event(Configuration(tuple(x + 64 for x in positions), species)),
+        transition_event(Configuration((-1,) + positions[1:], species)),
+        transition_event(Configuration(positions[:2] + (2**70,), species)),
+        transition_event(Configuration(positions + (positions[-1] + 1,), species + "1")),
+        transition_event(Configuration(positions[:2], species[:2])),
+    ]
+    assert estimate_event(y, transition_event(Configuration(*top)), t, runs, seed).estimate > 0
+    for event in events:
+        assert estimate_event(y, event, t, runs, seed).estimate == 0.0
+        assert estimate_event(y, lambda s: event(s), t, runs, seed).estimate == 0.0
+
+
+def test_a_wrapped_library_event_is_a_custom_predicate():
+    y, runs = step_configuration(3), 3000
+    event = leftmost_event(2)
+
+    @functools.wraps(event)
+    def missed(state):
+        return not event(state)
+
+    hit = estimate_event(y, event, 2.0, runs, 4).estimate
+    miss = estimate_event(y, missed, 2.0, runs, 4).estimate
+    assert 0 < hit < 1 and round(hit * runs) + round(miss * runs) == runs
+
+
+def test_leftmost_event_at_a_float_x_keeps_the_per_state_test():
+    y = step_configuration(3)
+    assert estimate_event(y, leftmost_event(2.0), 2.0, 3000, 4) == estimate_event(
+        y, leftmost_event(2), 2.0, 3000, 4
+    )
+    # 4 (2.75 - 1) + 1 = 8 would read as particle 0 at 3 with species 1, which
+    # every run from 111 reaches often; the species word never becomes 211
+    y = Configuration((1, 2, 3), "111")
+    assert estimate_event(y, leftmost_event(2.75), 2.0, 3000, 4).estimate == 0.0
 
 
 def test_engine_near_the_packing_limit():
