@@ -26,7 +26,12 @@ it goes holds one path of columns and no 2^N x 2^N matrix.
 how the identity suite checks the center entry's closed form.
 :func:`braid_relations_hold` and :func:`bethe_residuals` apply their
 operators to vectors through the same push, and :func:`amplitude`
-assembles a whole matrix column by column, building its word's blocks once.
+assembles a whole matrix column by column.  Every push at one spectral
+point reads its block from the one block table of that point
+(:class:`_Blocks`), a dict keyed by the particle pair (alpha, beta) that
+builds S(xi_alpha, xi_beta) on its first lookup: one 4x4 block per pair per
+point, whatever the scalar type.  A word is replayed through one helper,
+:func:`_push_word`, letter by letter (slot, alpha, beta).
 
 Matrices are stored sparsely (dict-of-rows) and columns as {row: value},
 because T factors have at most two nonzeros per row and amplitudes stay
@@ -178,17 +183,44 @@ def two_site_embed(block: SparseMatrix, slot: int, n: int) -> SparseMatrix:
     return out
 
 
-def _letters(word: Iterable[int], xi: Sequence) -> Iterator[tuple]:
-    """(a, xi_alpha, xi_beta) per letter a of a word of adjacent swaps.
+class _Blocks(dict):
+    """{(alpha, beta): the block S(point[alpha - 1], point[beta - 1])}, built on first lookup."""
 
-    alpha and beta are the values at slots a and a + 1 of the permutation
+    def __init__(self, point: Sequence):
+        super().__init__()
+        self.point = point
+
+    def __missing__(self, pair: tuple[int, int]) -> SparseMatrix:
+        alpha, beta = pair
+        block = self[pair] = scattering_matrix(self.point[alpha - 1], self.point[beta - 1])
+        return block
+
+
+def _letters(word: Iterable[int], n: int) -> Iterator[tuple[int, int, int]]:
+    """(a, alpha, beta) per letter a of a word of adjacent swaps on n particles.
+
+    alpha and beta are the particles at slots a and a + 1 of the permutation
     the word has built before that letter.
     """
-    current = list(range(1, len(xi) + 1))
+    current = list(range(1, n + 1))
     for a in word:
         alpha, beta = current[a - 1], current[a]
-        yield a, xi[alpha - 1], xi[beta - 1]
+        yield a, alpha, beta
         current[a - 1], current[a] = beta, alpha
+
+
+def _push_word(column: dict, letters: Iterable[tuple], blocks: _Blocks, n: int) -> dict:
+    """A sparse column pushed through the block of each letter (slot, alpha, beta), in order."""
+    for a, alpha, beta in letters:
+        column = _push_column(column, blocks[alpha, beta], a, n)
+    return column
+
+
+def _canonical_letters(sigma: Sequence[int], n: int) -> list[tuple[int, int, int]]:
+    """The letters of sigma's canonical word, for a point of n coordinates."""
+    if len(sigma) != n:
+        raise ValueError("permutation size does not match the spectral point")
+    return list(_letters(adjacent_decomposition(sigma), n))
 
 
 def amplitude(sigma: Sequence[int], point) -> SparseMatrix:
@@ -196,45 +228,30 @@ def amplitude(sigma: Sequence[int], point) -> SparseMatrix:
 
     Assembled from its columns: each unit column is pushed through the
     slot operators of sigma's canonical word, as in :func:`amplitude_column`,
-    with the word's 4x4 blocks built once for all 2^N columns.
+    with one block table for all 2^N columns.
     """
     xi = tuple(point)
     n = len(xi)
-    blocks = _word_blocks(sigma, xi)
+    letters, blocks = _canonical_letters(sigma, n), _Blocks(xi)
     mat = SparseMatrix(1 << n)
     for c in range(mat.n):
-        for row, value in _push_word({c: 1}, blocks, n).items():
+        for row, value in _push_word({c: 1}, letters, blocks, n).items():
             mat.set(row, c, value)
     return mat
-
-
-def _word_blocks(sigma: Sequence[int], xi: tuple) -> list[tuple[int, SparseMatrix]]:
-    """(slot, 4x4 block) per letter of the canonical word of sigma at the point xi."""
-    if len(sigma) != len(xi):
-        raise ValueError("permutation size does not match the spectral point")
-    letters = _letters(adjacent_decomposition(sigma), xi)
-    return [(a, scattering_matrix(x, y)) for a, x, y in letters]
-
-
-def _push_word(column: dict, blocks: list[tuple[int, SparseMatrix]], n: int) -> dict:
-    """A sparse column pushed through the slot operators of a word's blocks, in order."""
-    for a, block in blocks:
-        column = _push_column(column, block, a, n)
-    return column
 
 
 @lru_cache(maxsize=8)
 def _word_trie(n: int) -> dict:
     """Prefix tree of the canonical reduced words of S_n.
 
-    Children are keyed by slot; the key None holds the permutation whose
-    word ends at that node.
+    Children are keyed by letter (slot, alpha, beta) of :func:`_letters`;
+    the key None holds the permutation whose word ends at that node.
     """
     root: dict = {}
     for sigma in enumerate_permutations(n):
         node = root
-        for a in adjacent_decomposition(sigma):
-            node = node.setdefault(a, {})
+        for letter in _letters(adjacent_decomposition(sigma), n):
+            node = node.setdefault(letter, {})
         node[None] = sigma
     return root
 
@@ -281,11 +298,11 @@ def amplitude_columns(n: int, col: int, point: Sequence) -> Iterator[tuple[tuple
     are the canonical ones of :func:`amplitude_column`, so each column is
     the one it pushes for sigma, operation by operation.
     """
-    return _walk(_word_trie(n), {col: 1}, list(range(1, n + 1)), n, point, {})
+    return _walk(_word_trie(n), {col: 1}, n, _Blocks(point))
 
 
-def _walk(node: dict, column: dict, current: list, n: int, point: Sequence, blocks: dict):
-    """The walk of :func:`amplitude_columns` below one trie node, sharing ``blocks``.
+def _walk(node: dict, column: dict, n: int, blocks: _Blocks):
+    """The walk of :func:`amplitude_columns` below one trie node, reading ``blocks``.
 
     A module-level generator, not a closure that calls itself: such a
     closure is a reference cycle, which would keep its blocks (numpy node
@@ -295,17 +312,10 @@ def _walk(node: dict, column: dict, current: list, n: int, point: Sequence, bloc
     sigma = node.get(None)
     if sigma is not None:
         yield sigma, column
-    for a, child in node.items():
-        if a is None:
-            continue
-        alpha, beta = current[a - 1], current[a]
-        block = blocks.get((alpha, beta))
-        if block is None:
-            block = scattering_matrix(point[alpha - 1], point[beta - 1])
-            blocks[(alpha, beta)] = block
-        nxt = list(current)
-        nxt[a - 1], nxt[a] = beta, alpha
-        yield from _walk(child, _push_column(column, block, a, n), nxt, n, point, blocks)
+    for letter, child in node.items():
+        if letter is not None:
+            a, alpha, beta = letter
+            yield from _walk(child, _push_column(column, blocks[alpha, beta], a, n), n, blocks)
 
 
 def amplitude_column(sigma: Sequence[int], col: int, point: Sequence) -> dict:
@@ -316,7 +326,8 @@ def amplitude_column(sigma: Sequence[int], col: int, point: Sequence) -> dict:
     :func:`amplitude_columns` reaches for sigma, for one permutation.
     """
     xi = tuple(point)
-    return _push_word({col: 1}, _word_blocks(sigma, xi), len(xi))
+    n = len(xi)
+    return _push_word({col: 1}, _canonical_letters(sigma, n), _Blocks(xi), n)
 
 
 def amplitude_center(sigma: Sequence[int], point):
@@ -373,15 +384,7 @@ def braid_relations_hold(point, atol=0) -> bool:
     """
     xi = tuple(point)
     n = len(xi)
-    blocks: dict = {}
-
-    def push(column: dict, letter: tuple) -> dict:
-        slot, a, b = letter
-        block = blocks.get((a, b))
-        if block is None:
-            block = blocks[(a, b)] = scattering_matrix(xi[a - 1], xi[b - 1])
-        return _push_column(column, block, slot, n)
-
+    blocks = _Blocks(xi)
     relations = _braid_relations(n)
     for v in _braid_vectors(xi):
         first: dict = {}
@@ -392,9 +395,8 @@ def braid_relations_hold(point, atol=0) -> bool:
                 if word:
                     w = first.get(word[0])
                     if w is None:
-                        w = first[word[0]] = push(v, word[0])
-                    for letter in word[1:]:
-                        w = push(w, letter)
+                        w = first[word[0]] = _push_word(v, word[:1], blocks, n)
+                    w = _push_word(w, word[1:], blocks, n)
                 sides.append(w)
             if not _vectors_close(*sides, atol):
                 return False
@@ -484,10 +486,10 @@ def bethe_residuals(point, positions: Sequence[int]):
     free = [coefficients()] + [coefficients(i, positions[i] - 1) for i in range(n)]
     pairs = [(coefficients(i, positions[i - 1]), coefficients(i, positions[i - 1] + 1))
              for i in range(1, n)]
-    block, blocks = blocking_matrix(), {}
+    block, blocks = blocking_matrix(), _Blocks(xi)
     free_residual, boundary = 0, [0] * (n - 1)
     for c in range(1 << n):
-        columns = dict(_walk(_word_trie(n), {c: 1}, list(range(1, n + 1)), n, xi, blocks))
+        columns = dict(_walk(_word_trie(n), {c: 1}, n, blocks))
         fx, *shifted = (field(columns, coeffs) for coeffs in free)
         residual = {row: (eps + n) * v for row, v in fx.items()}
         for f in shifted:

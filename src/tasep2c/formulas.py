@@ -3,25 +3,28 @@
 The process state is an ordered integer position vector together with a
 species word over {1, 2} (2 = first class, 1 = second class).  Every formula
 is stated once, as the inputs of one evaluator, :func:`_evaluate`, which
-alone dispatches on the method, chooses the fixed-point scale and checks
-that the result is a probability.  Its two routes are:
+alone dispatches on the method, calls the residue at the fixed-point scale
+the formula names and reads it, and checks that the result is a
+probability.  Its two routes are:
 
 * *residue* (the default, and the numerically stable route): a callable
-  ``residue(t)`` expands the defining multiple contour integral into an
-  integer polynomial in the fixed-point one-variable integrals J(k, e) of
-  :func:`tasep2c.contour.exp_scaled_residue`, read at 2^bits each, and
-  returns it with its scale 2^(N * bits); the evaluator converts it to
-  float once, by :func:`tasep2c.contour._fixed_result`.  The determinant
-  routes read every entry at the fixed bits = 256 (``_FIXED_BITS``).  The
-  transition routes choose bits per query (:func:`_query_bits`): 256,
-  raised where the smallest e = 0 factor J(k_max, 0) would keep fewer
-  than 128 significant bits there.  Every alternating permutation
-  sum is a determinant of such integrals (Schuetz 1997; Chatterjee and
-  Schuetz 2010), taken exactly at any N.  In every leftmost formula row i
-  of the matrix reads one sequence s -> J(s, e_i) over N consecutive
-  columns, so :func:`_determinants` states each term as (sign, rows), the
-  N pairs (k_i, e_i) of column 0, and reads it from one shared table of
-  Dodgson condensation minors per (row shape, t, scale), :class:`_Minors`.
+  ``residue(t, bits)`` expands the defining multiple contour integral into
+  an integer polynomial in the fixed-point one-variable integrals J(k, e)
+  of :func:`tasep2c.contour.exp_scaled_residue`, read at 2^bits each, and
+  returns that one integer, at scale 2^(N * bits).  The formula passes
+  ``bits`` to :func:`_evaluate`, which calls the residue at it, reads the
+  total's scale and converts it to float, once, by
+  :func:`tasep2c.contour._fixed_result`.  The leftmost family passes the
+  fixed bits = 256 (``_FIXED_BITS``); the transition routes pass bits per
+  query (:func:`_query_bits`): 256, raised where the smallest e = 0
+  factor J(k_max, 0) would keep fewer than 128 significant bits there.
+  Every alternating permutation sum is a determinant of such integrals
+  (Schuetz 1997; Chatterjee and Schuetz 2010), taken exactly at any N.
+  In every leftmost formula row i of the matrix reads one sequence
+  s -> J(s, e_i) over N consecutive columns, so :func:`_determinants`
+  states each term as (sign, rows), the N pairs (k_i, e_i) of column 0,
+  and reads it from one shared table of Dodgson condensation minors per
+  (row shape, t, scale), :class:`_Minors`.
   The shifted-step formula's symmetric factor h_l enters its one matrix
   as the last row moved l columns on (h_l a_delta = a_(delta + (l))).
   The next point of an x-sweep moves column 0 by one and condenses only
@@ -100,7 +103,7 @@ import operator
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -271,11 +274,6 @@ def _determinants(terms):
     return residue
 
 
-def _at_fixed_scale(n: int, residue):
-    """``residue(t, bits)`` at _FIXED_BITS per entry, as :func:`_evaluate` takes it."""
-    return lambda t: (residue(t, _FIXED_BITS), n * _FIXED_BITS)
-
-
 def _query_bits(x: Sequence[int], y: Sequence[int], t: float) -> int:
     """Bits per entry for a transition query from y to x at time t.
 
@@ -331,16 +329,18 @@ def _quadrature(
     return contour.multi_contour(body, n, spec, factors=factors).value
 
 
-def _evaluate(what: str, n: int, t: float, method: str, quad, residue, quadrature) -> float:
+def _evaluate(what: str, n: int, t: float, bits: int, method: str, quad, residue,
+              quadrature) -> float:
     """The probability ``what`` of ``n`` particles at time t > 0 by ``method``.
 
     ``residue`` and ``quadrature`` are the formula's two routes (see the
     module docstring); ``quadrature`` is None where the formula has none.
-    ``residue(t)`` returns an exact integer and its scale: the total is
-    the probability times e^(n t) times 2^scale.
+    ``residue(t, bits)`` returns an exact integer read at 2^bits per
+    entry: the probability times e^(n t) times 2^(n * bits).  No other
+    function calls a residue or reads the scale of its total.
     """
     if method == "residue":
-        total, scale = residue(t)
+        total, scale = residue(t, bits), n * bits
         if total < 0:
             raise AccuracyError(f"{what} has a negative total at the 2^-{scale} fixed-point "
                                 "scale; the probability cannot be certified there")
@@ -377,13 +377,18 @@ def head_word(n: int) -> str:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Ordered particle positions plus the species word of equal length."""
+    """Ordered particle positions plus the species word of equal length.
+
+    Positions are integers: anything ``operator.index`` accepts, numpy
+    integers included, is stored as a plain int, and a float, even an
+    integral one, raises TypeError instead of being truncated.
+    """
 
     positions: tuple[int, ...]
     species: str
 
     def __post_init__(self) -> None:
-        positions = tuple(map(int, self.positions))
+        positions = tuple(map(operator.index, self.positions))
         object.__setattr__(self, "positions", positions)
         if not positions:
             raise ValueError("need at least one particle")
@@ -403,16 +408,20 @@ class Configuration:
 class StepInitial:
     """Step-like initial positions: y_1 = 1 and y_i = i + shift for i > 1.
 
-    shift = 0 is the step initial condition proper.
+    shift = 0 is the step initial condition proper.  The shift and n are
+    integers, as a :class:`Configuration`'s positions are: a float raises
+    TypeError.
     """
 
     shift: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shift", operator.index(self.shift))
         if self.shift < 0:
             raise ValueError(f"shift must be nonnegative, got {self.shift}")
 
     def positions(self, n: int) -> tuple[int, ...]:
+        n = operator.index(n)
         if n < 1:
             raise ValueError(f"need at least one particle, got n={n}")
         return tuple([1] + [i + self.shift for i in range(2, n + 1)])
@@ -757,9 +766,7 @@ def transition_probability(
     row = word_index(final.species)
     col = word_index(initial.species)
 
-    def residue(t):
-        bits = _query_bits(x, y, t)
-        return _transition_total(n, col, row, x, y, t, bits), n * bits
+    residue = partial(_transition_total, n, col, row, x, y)
 
     def body(xis):
         acc = 0
@@ -774,7 +781,8 @@ def transition_probability(
         return acc
 
     quadrature = (body, [(0, 0)] * n)
-    return _evaluate("transition probability", n, t, method, quad, residue, quadrature)
+    bits = _query_bits(x, y, t)
+    return _evaluate("transition probability", n, t, bits, method, quad, residue, quadrature)
 
 
 def head_transition_probability(initial: Configuration, final: Configuration, t: float) -> float:
@@ -798,13 +806,13 @@ def head_transition_probability(initial: Configuration, final: Configuration, t:
     y = initial.positions
     x = final.positions
 
-    def residue(t):
-        bits = _query_bits(x, y, t)
+    def residue(t, bits):
         mat = [[_fixed_integral(x[j] - y[a] - 1, max(a - 1, 0) - max(j - 1, 0), t, bits)
                 for j in range(n)] for a in range(n)]
-        return _fixed_det(mat), n * bits
+        return _fixed_det(mat)
 
-    return _evaluate("head transition probability", n, t, "residue", None, residue, None)
+    bits = _query_bits(x, y, t)
+    return _evaluate("head transition probability", n, t, bits, "residue", None, residue, None)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +839,10 @@ def leftmost_probability(
     x adds at most N(N+1)/2 of them.  Quadrature integrates the same
     integrand written as the plain Vandermonde prod_(i<j) (xi_j - xi_i)
     times the one-variable factors of the determinant's column j = 0.
+    ``x`` is an integer (:class:`Configuration`'s rule): a float raises
+    TypeError before any table is read.
     """
+    x = operator.index(x)
     _require_head(initial, "leftmost probability")
     _check_time(t)
     y = initial.positions
@@ -842,9 +853,9 @@ def leftmost_probability(
         return 1.0 if x == y[0] else 0.0
 
     rows = [(x - y[i] - 1, -(n - i) + (i == 0)) for i in range(n)]
-    residue = _at_fixed_scale(n, _determinants([(1, rows)]))
+    residue = _determinants([(1, rows)])
     quadrature = (vandermonde, rows)
-    return _evaluate("leftmost probability", n, t, method, quad, residue, quadrature)
+    return _evaluate("leftmost probability", n, t, _FIXED_BITS, method, quad, residue, quadrature)
 
 
 def tasep_leftmost_probability(
@@ -862,7 +873,9 @@ def tasep_leftmost_probability(
     and B the same with the power raised by one.  Both have one row shape,
     so they read one table of condensation minors, in which det B at x is
     det A at x + 1: each new point of a sweep adds one determinant.
+    ``x`` is an integer, as in :func:`leftmost_probability`.
     """
+    x = operator.index(x)
     if len(set(initial.species)) != 1:
         raise ValueError("single-species formula needs all particles of one species")
     _check_time(t)
@@ -873,9 +886,10 @@ def tasep_leftmost_probability(
     if t == 0:
         return 1.0 if x == y[0] else 0.0
     rows = [(x - y[i] - 1, -(n - i)) for i in range(n)]
-    residue = _at_fixed_scale(n, _determinants([(1, rows), (-1, [(k + 1, e) for k, e in rows])]))
+    residue = _determinants([(1, rows), (-1, [(k + 1, e) for k, e in rows])])
     quadrature = (lambda xis: (1 - math.prod(xis)) * vandermonde(xis), rows)
-    return _evaluate("TASEP leftmost probability", n, t, method, quad, residue, quadrature)
+    what = "TASEP leftmost probability"
+    return _evaluate(what, n, t, _FIXED_BITS, method, quad, residue, quadrature)
 
 
 def leftmost_probability_shifted_step(
@@ -898,8 +912,10 @@ def leftmost_probability_shifted_step(
     sum is the single determinant of m = (0, .., 0, l): the step matrix
     with its last row moved l columns on.
     :func:`tasep2c.identities.det_collapse` checks the identity, and
-    shift = 0 reproduces the plain step initial condition.
+    shift = 0 reproduces the plain step initial condition.  ``shift``, ``n``
+    and ``x`` are integers, as in :func:`leftmost_probability`.
     """
+    shift, n, x = map(operator.index, (shift, n, x))
     if shift < 0:
         raise ValueError(f"shift must be nonnegative, got {shift}")
     if n < 1:
@@ -915,7 +931,7 @@ def leftmost_probability_shifted_step(
     sign = (-1) ** (n * (n - 1) // 2)
     base = x - n - shift - 1
     rows = [(base + i + shift * (i == n - 1), -(n - 1)) for i in range(n)]
-    residue = _at_fixed_scale(n, _determinants([(sign, rows)]))
+    residue = _determinants([(sign, rows)])
     prefactor = sign / math.factorial(n)
 
     def body(xis):
@@ -923,7 +939,8 @@ def leftmost_probability_shifted_step(
         return prefactor * complete_homogeneous(shift, xis) * vdm * vdm
 
     quadrature = (body, [(base, -(n - 1))] * n)
-    return _evaluate("shifted-step leftmost probability", n, t, method, quad, residue, quadrature)
+    what = "shifted-step leftmost probability"
+    return _evaluate(what, n, t, _FIXED_BITS, method, quad, residue, quadrature)
 
 
 def leftmost_probability_step_det(n: int, x: int, t: float) -> float:

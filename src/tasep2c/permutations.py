@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
 
-#: Largest n accepted by enumerate_permutations unless the caller raises it.
+#: Largest n accepted by enumerate_permutations and every other walk over S_n.
 DEFAULT_ENUMERATION_CAP = 10
 
 
@@ -38,20 +38,22 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def check_enumeration_size(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """Raise ValueError unless 1 <= n <= cap: the guard of every walk over S_n."""
+def check_enumeration_size(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= DEFAULT_ENUMERATION_CAP, as every walk over S_n does."""
     if n < 1:
         raise ValueError(f"group size must be positive, got {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap} ({math.factorial(n)} elements)")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {DEFAULT_ENUMERATION_CAP} "
+                         f"({math.factorial(n)} elements)")
 
 
-def enumerate_permutations(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Perm]:
+def enumerate_permutations(n: int) -> list[Perm]:
     """All n! permutations of {1, .., n} in lexicographic order.
 
-    ``cap`` guards the factorial blowup; exceeding it raises ValueError.
+    DEFAULT_ENUMERATION_CAP guards the factorial blowup; a larger n raises
+    ValueError.
     """
-    check_enumeration_size(n, cap)
+    check_enumeration_size(n)
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 

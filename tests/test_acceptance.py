@@ -81,10 +81,10 @@ def test_criterion_2_amplitude_structure():
         # factors over the word's 4x4 blocks at l's 2-bit state per slot,
         # and the reverse word pushes the same column
         c = center_index(n)
-        letters = [(a, scattering_matrix(xa, xb))
-                   for a, xa, xb in _letters(adjacent_decomposition(sigma), xi)]
-        reverse = [(a, scattering_matrix(xa, xb)) for a, xa, xb in
-                   _letters(adjacent_decomposition(sigma, strategy="reverse"), xi)]
+        letters = [(a, scattering_matrix(xi[alpha - 1], xi[beta - 1]))
+                   for a, alpha, beta in _letters(adjacent_decomposition(sigma), n)]
+        reverse = [(a, scattering_matrix(xi[alpha - 1], xi[beta - 1])) for a, alpha, beta in
+                   _letters(adjacent_decomposition(sigma, strategy="reverse"), n)]
         for l in range(1 << n):
             column = amplitude_column(sigma, l, xi)
             assert all(row <= l for row in column)

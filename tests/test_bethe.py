@@ -368,7 +368,8 @@ def test_amplitude_columns_match_full_matrices_exactly(n):
             assert _column(amp, col) == expect
 
 
-def test_amplitude_builds_one_block_per_letter(monkeypatch):
+def _counted_blocks(monkeypatch):
+    """Every (xi_alpha, xi_beta) that bethe.scattering_matrix is called at, in order."""
     calls = []
 
     def counted(xi_alpha, xi_beta):
@@ -376,12 +377,37 @@ def test_amplitude_builds_one_block_per_letter(monkeypatch):
         return scattering_matrix(xi_alpha, xi_beta)
 
     monkeypatch.setattr(bethe, "scattering_matrix", counted)
+    return calls
+
+
+def test_amplitude_builds_one_block_per_letter(monkeypatch):
+    # a reduced word swaps each pair at most once, so one block per letter
+    # is one per pair of the word: 10 for the N = 5 reversal.  The matrix
+    # reads one table for all 2^N columns
+    calls = _counted_blocks(monkeypatch)
     for n in (3, 5):
         xi = random_rational_point(n, random.Random(n))
         for sigma in ((2, 3, 1, 5, 4)[:n], tuple(range(n, 0, -1))):
-            calls.clear()
-            amplitude(sigma, xi)
-            assert len(calls) == len(adjacent_decomposition(sigma))
+            for build in (amplitude, lambda sigma, xi: amplitude_column(sigma, 1, xi)):
+                calls.clear()
+                build(sigma, xi)
+                assert len(calls) == len(set(calls)) == len(adjacent_decomposition(sigma))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_one_walk_builds_one_block_per_pair_it_meets(monkeypatch, n):
+    # a reduced word swaps alpha < beta, so the walk over S_n meets each of
+    # the n(n - 1)/2 such pairs; the residuals' 2^n walks share one table
+    calls = _counted_blocks(monkeypatch)
+    xi = random_rational_point(n, random.Random(f"walk-{n}"))
+    for col in (0, (1 << n) - 1):
+        calls.clear()
+        assert len(dict(amplitude_columns(n, col, xi))) == len(enumerate_permutations(n))
+        assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+    if n <= 3:
+        calls.clear()
+        bethe_residuals(xi, tuple(range(n)))
+        assert len(calls) == len(set(calls)) == n * (n - 1) // 2
 
 
 def test_amplitude_columns_on_node_arrays_are_bit_identical():
@@ -421,8 +447,9 @@ def _filtered_push(column, block, slot, n):
 def _pushed(word, col, point):
     """The unit column e_col pushed along a word by the filter loop."""
     column = {col: 1}
-    for slot, xi_alpha, xi_beta in bethe._letters(word, point):
-        column = _filtered_push(column, scattering_matrix(xi_alpha, xi_beta), slot, len(point))
+    for slot, alpha, beta in bethe._letters(word, len(point)):
+        block = scattering_matrix(point[alpha - 1], point[beta - 1])
+        column = _filtered_push(column, block, slot, len(point))
     return column
 
 
@@ -448,8 +475,8 @@ def test_bucketed_push_matches_the_filter_loop(field):
     word = adjacent_decomposition((4, 3, 2, 1))
     for start in ({k: k - 7 for k in range(16) if k != 7}, {8: 1}):
         column = expected = start
-        for slot, xi_alpha, xi_beta in bethe._letters(word, point):
-            block = scattering_matrix(xi_alpha, xi_beta)
+        for slot, alpha, beta in bethe._letters(word, 4):
+            block = scattering_matrix(point[alpha - 1], point[beta - 1])
             column = bethe._push_column(column, block, slot, 4)
             expected = _filtered_push(expected, block, slot, 4)
             assert list(column) == list(expected)

@@ -1,9 +1,12 @@
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,20 @@ class TestConfiguration:
         assert c.positions == (-1, 0, 1)
         assert all(type(p) is int for p in c.positions)
         assert c == Configuration((-1, 0, 1), "211")
+
+    def test_non_integral_positions_and_shifts_are_refused(self):
+        # a float, even an integral one, is refused rather than truncated
+        for positions in ((1.5, 2.7), (1.0, 2.0)):
+            with pytest.raises(TypeError):
+                Configuration(positions, "21")
+        with pytest.raises(TypeError):
+            step_configuration(3, 1.5)
+        with pytest.raises(TypeError):
+            StepInitial(1.0)
+        with pytest.raises(TypeError):
+            step_configuration(3.0)
+        config = step_configuration(np.int64(3), np.int64(1))
+        assert config.positions == (1, 3, 4) and type(StepInitial(np.int64(1)).shift) is int
 
     def test_step_initial(self):
         assert StepInitial(0).positions(4) == (1, 2, 3, 4)
@@ -1014,3 +1031,79 @@ def test_summation_realization_small():
         for x2 in range(x + 1, x + window)
     )
     assert total == pytest.approx(leftmost_probability(y, x, t), abs=1e-10)
+
+
+#: A leftmost-family call with a float position, count or shift, and the
+#: integer call it stands for.  Each reads one row shape at t = 1.0.
+FLOAT_CALLS = {
+    "leftmost": ("leftmost_probability(step_configuration(3), 2.0, 1.0)",
+                 "leftmost_probability(step_configuration(3), 2, 1.0)"),
+    "tasep_leftmost": ("tasep_leftmost_probability(Configuration((1, 2, 3), '111'), 2.0, 1.0)",
+                       "tasep_leftmost_probability(Configuration((1, 2, 3), '111'), 2, 1.0)"),
+    "shifted_step_x": ("leftmost_probability_shifted_step(1, 3, 3.0, 1.0)",
+                       "leftmost_probability_shifted_step(1, 3, 3, 1.0)"),
+    "shifted_step_shift": ("leftmost_probability_shifted_step(1.0, 3, 3, 1.0)",
+                           "leftmost_probability_shifted_step(1, 3, 3, 1.0)"),
+    "shifted_step_n": ("leftmost_probability_shifted_step(1, 3.0, 3, 1.0)",
+                       "leftmost_probability_shifted_step(1, 3, 3, 1.0)"),
+    "step_det": ("leftmost_probability_step_det(3, 2.0, 1.0)",
+                 "leftmost_probability_step_det(3, 2, 1.0)"),
+}
+
+
+@pytest.fixture(scope="module")
+def fresh_process_values():
+    """float.hex of each integer call of FLOAT_CALLS, each in a new process."""
+    code = ("import sys; from tasep2c.formulas import *; "
+            "print(float.hex(eval(sys.argv[1])))")
+    env = dict(os.environ, PYTHONPATH=str(Path(formulas.__file__).parents[1]))
+    return {case: subprocess.run([sys.executable, "-c", code, call], env=env, check=True,
+                                 capture_output=True, text=True).stdout.strip()
+            for case, (_, call) in FLOAT_CALLS.items()}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CALLS))
+def test_a_refused_float_leaves_no_table_behind(case, fresh_tables, fresh_process_values):
+    # (0.0, -2) hashes like (0, -2): a table of minors built for a float
+    # shape would serve, and fail, every later integer call of that shape
+    refused, call = FLOAT_CALLS[case]
+    namespace = vars(formulas)
+    with pytest.raises(TypeError):
+        eval(refused, namespace)
+    assert formulas._minor_table.cache_info().currsize == 0
+    assert float.hex(eval(call, namespace)) == fresh_process_values[case]
+
+
+def test_evaluate_alone_reads_the_residue_at_the_bits_it_is_given(monkeypatch):
+    # the leftmost family at _FIXED_BITS, transitions at _query_bits(x, y, t),
+    # including the two pinned raised scales; every residue total is one int
+    real, seen = formulas._evaluate, []
+
+    def spy(what, n, t, bits, method, quad, residue, quadrature):
+        def recorded(t, at):
+            total = residue(t, at)
+            seen.append((at, type(total)))
+            return total
+
+        return real(what, n, t, bits, method, quad, recorded, quadrature)
+
+    monkeypatch.setattr(formulas, "_evaluate", spy)
+    leftmost_probability(step_configuration(3), 2, 1.0)
+    tasep_leftmost_probability(Configuration((1, 2, 3), "111"), 2, 1.0)
+    leftmost_probability_shifted_step(1, 3, 3, 1.0)
+    leftmost_probability_step_det(3, 2, 1.0)
+    assert seen == [(256, int)] * 4
+    cases = [
+        (Configuration((1, 2), "21"), Configuration((2, 3), "21"), 1.0, 256),
+        (Configuration((1, 2), "21"), Configuration((40, 41), "21"), 0.1, 576),
+        (Configuration((1, 2, 3), "211"), Configuration((34, 35, 36), "121"), 0.1, 512),
+    ]
+    for initial, final, t, bits in cases:
+        assert formulas._query_bits(final.positions, initial.positions, t) == bits
+        routes = [transition_probability]
+        if final.species == initial.species:
+            routes.append(head_transition_probability)
+        for route in routes:
+            seen.clear()
+            route(initial, final, t)
+            assert seen == [(bits, int)]

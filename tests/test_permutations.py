@@ -48,8 +48,6 @@ def test_enumerate_cap():
     with pytest.raises(ValueError):
         enumerate_permutations(11)
     with pytest.raises(ValueError):
-        enumerate_permutations(4, cap=3)
-    with pytest.raises(ValueError):
         enumerate_permutations(0)
 
 
