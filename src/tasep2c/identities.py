@@ -86,7 +86,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import bethe
 from .errors import DegeneratePointError
@@ -694,10 +694,13 @@ _SUITE = {
     "braid": (lambda xi, rng: bethe.braid_relations_hold(xi), lambda n: 4 * n),
 }
 SUITE_IDENTITIES = tuple(_SUITE)
+#: The suite identities whose check walks all of S_n, so a size past the
+#: enumeration cap is refused before the suite draws any point.
+_WALKS_S_N = ("main",)
 
 
 def run_identity_suite(
-    n_values: Sequence[int] = (2, 3, 4, 5, 6),
+    n_values: Iterable[int] = (2, 3, 4, 5, 6),
     points: int = 100,
     seed: int = 2024,
     identities: Sequence[str] = SUITE_IDENTITIES,
@@ -708,16 +711,23 @@ def run_identity_suite(
     (seed, identity, n), so a seed pins every record.  Returns one record
     per (identity, n) with the point count, the pass flag, and the coarse
     cleared-denominator degree bound d: a false identity passes each point
-    with probability at most d / p.  Each n asked must be at least 2.
+    with probability at most d / p.  Each n asked must be at least 2, and
+    at most the enumeration cap for an identity that walks S_n; every
+    argument is checked before the first point is drawn.
     """
+    n_values = tuple(n_values)  # read once per identity; a generator would run dry
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points}")
     if any(n < 2 for n in n_values):
-        raise ValueError(f"the identities are stated for N >= 2, got {tuple(n_values)}")
-    records = []
+        raise ValueError(f"the identities are stated for N >= 2, got {n_values}")
     for identity in identities:
         if identity not in _SUITE:
             raise ValueError(f"unknown identity {identity!r}")
+        if identity in _WALKS_S_N:
+            for n in n_values:
+                check_enumeration_size(n)
+    records = []
+    for identity in identities:
         check, degree_bound = _SUITE[identity]
         for n in n_values:
             rng = random.Random((seed, identity, n).__repr__())

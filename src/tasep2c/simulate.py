@@ -31,24 +31,26 @@ each chunk holds about 4 * ``_BLOCK`` draws, which keeps temporaries below
 glibc's 128 KiB mmap threshold.  Packing needs 4 (x_N + steps + 2) below
 2^63, so positions near 2^61 raise ``OverflowError``.
 
-Final states stay packed until the request returns.  A block ends with
-each final state as the int64 column 4 (x_i - y_i) + [species 2], y the
-start, and then takes one of two tails.  For a histogram or a custom
-predicate it narrows the columns to the smallest unsigned type that holds
-them, groups equal columns with one lexsort, and yields its distinct
-columns and their counts.  Blocks merge in that form: parts wait until
-they hold more columns than the merged set so far, then fold into it with
-one lexsort, which bounds both the re-sorting and the memory.  For a
-library event (:func:`leftmost_event`, :func:`transition_event`) the block
-instead counts the columns that pass the event's packed test, one
-(mask, want) pair per row, and yields that count.  The blocks are the one
-unit of work, whatever the worker count: one process advances them in
-order, and a ``processes`` pool gives each worker a run of consecutive
-blocks and takes back one merged part, or one count, per worker, so the
-parts merge in block order either way.  A request of one block starts no
-pool.  Merged states are unpacked at the end, ``_BLOCK`` at a time:
-:func:`final_state_sample` makes them ``(positions, species)`` keys, in
-the packed sort order, and :func:`estimate_event` makes each one a
+Final states stay packed until the request returns.  One driver,
+``_by_blocks``, serves every request, and its one unit of work is a block:
+the block ends with each final state as the int64 column
+4 (x_i - y_i) + [species 2], y the start, and hands the columns to the
+request's tail.  There are two tails.  The histogram tail, for
+:func:`final_state_sample` and custom predicates, narrows the columns to
+the smallest unsigned type that holds them, groups equal columns with one
+lexsort, and yields its distinct columns and their counts; these merge in
+that form: parts wait until they hold more columns than the merged set so
+far, then fold into it with one lexsort, which bounds both the re-sorting
+and the memory.  The event tail, for a library event
+(:func:`leftmost_event`, :func:`transition_event`), counts the int64
+columns that pass the event's packed test, one (mask, want) pair per row,
+and the counts add up.  The blocks are the same whatever the worker count:
+one process runs them in order, and a ``processes`` pool gives each worker
+a run of consecutive blocks and takes back one merged result per worker,
+so the results merge in block order either way.  A request of one block
+starts no pool.  Merged states are unpacked at the end, ``_BLOCK`` at a
+time: :func:`final_state_sample` makes them ``(positions, species)`` keys,
+in the packed sort order, and :func:`estimate_event` makes each one a
 ``Configuration`` for a custom predicate, unvalidated as engine states are
 valid by construction, applies the predicate once per distinct state and
 adds up the counts of the hits.
@@ -74,6 +76,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -264,23 +267,19 @@ def _final_columns(
     return state[:n] - _origin(initial)
 
 
-def _advance_block(initial: Configuration, t: float, seed: int, block: tuple[int, int]) -> _Packed:
-    """Distinct final states at time t of runs block[0]..block[1]-1, packed, with their counts."""
-    final = _final_columns(initial, t, seed, block)
+def _histogram(final: np.ndarray) -> _Packed:
+    """The histogram tail: the distinct columns of ``final``, narrowed, with their counts."""
     final = final.astype(np.min_scalar_type(int(final.max())))
     return _distinct([(final, np.ones(final.shape[1], np.int64))])
 
 
-def _count_block(
-    test: _Test, initial: Configuration, t: float, seed: int, block: tuple[int, int]
-) -> int:
-    """How many runs of block[0]..block[1]-1 end in a column that passes ``test``.
+def _count(test: _Test, final: np.ndarray) -> int:
+    """The event tail: how many columns of ``final`` pass ``test``.
 
     The test reads the int64 columns, before any narrowing, so a want that
     no column can equal never wraps onto one.
     """
     mask, want = test
-    final = _final_columns(initial, t, seed, block)
     return int(np.count_nonzero(((final & mask) == want).all(axis=0)))
 
 
@@ -340,18 +339,14 @@ def check_runs(runs: int) -> None:
 
 def _sample(initial: Configuration, t: float, runs: int, seed: int, processes: int) -> _Packed:
     """The distinct final states of the request, packed, with their counts."""
-    return _by_blocks(partial(_advance_blocks, initial), _merged, t, runs, seed, processes)
+    return _by_blocks(initial, _histogram, _merged, t, runs, seed, processes)
 
 
-def _hits(
-    initial: Configuration, test: _Test, t: float, runs: int, seed: int, processes: int
-) -> int:
-    """How many runs of the request end in a column that passes the packed test."""
-    return _by_blocks(partial(_count_blocks, test, initial), sum, t, runs, seed, processes)
-
-
-def _by_blocks(work: Callable, merge: Callable, t: float, runs: int, seed: int, processes: int):
-    """``work(t, seed, blocks)`` over the request's blocks, the results merged in block order.
+def _by_blocks(
+    initial: Configuration, tail: Callable, merge: Callable, t: float, runs: int, seed: int,
+    processes: int,
+):
+    """``tail`` of each block's final columns, the results merged in block order.
 
     One process takes every block in order.  A ``processes`` pool gives
     each worker a run of consecutive blocks and ``merge`` folds the
@@ -360,30 +355,24 @@ def _by_blocks(work: Callable, merge: Callable, t: float, runs: int, seed: int, 
     t = _check_time(t)
     check_runs(runs)
     blocks = [(lo, min(lo + _BLOCK, runs)) for lo in range(0, runs, _BLOCK)]
-    advance = partial(work, t, seed)
+    work = partial(_worker, initial, tail, merge, t, seed)
     workers = min(processes, len(blocks))  # never an idle worker
     if workers < 2:
-        return advance(blocks)
+        return work(blocks)
     # each worker sends back one result for its run of blocks: one packed
     # part per block would repeat every state the blocks share
     cuts = [i * len(blocks) // workers for i in range(workers + 1)]
     shares = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     with multiprocessing.Pool(workers) as pool:
-        return merge(pool.imap(advance, shares))
+        return merge(pool.imap(work, shares))
 
 
-def _advance_blocks(
-    initial: Configuration, t: float, seed: int, blocks: list[tuple[int, int]]
-) -> _Packed:
-    """The final states of the runs of ``blocks``, merged in block order."""
-    return _merged(_advance_block(initial, t, seed, block) for block in blocks)
-
-
-def _count_blocks(
-    test: _Test, initial: Configuration, t: float, seed: int, blocks: list[tuple[int, int]]
-) -> int:
-    """How many runs of ``blocks`` end in a column that passes the packed test."""
-    return sum(_count_block(test, initial, t, seed, block) for block in blocks)
+def _worker(
+    initial: Configuration, tail: Callable, merge: Callable, t: float, seed: int,
+    blocks: list[tuple[int, int]],
+):
+    """``tail`` of the final columns of each of ``blocks``, merged in block order."""
+    return merge(tail(_final_columns(initial, t, seed, block)) for block in blocks)
 
 
 def _items(
@@ -447,18 +436,20 @@ def estimate_event(
     """Fraction of seeded runs whose final state satisfies the predicate.
 
     A library event (:func:`leftmost_event`, :func:`transition_event`)
-    carries a packed test, and each block counts its own hits on its
-    packed final states; no state is unpacked.  Any other callable is
-    applied once per distinct final state, in this process, so it works
-    with every ``processes`` value; those states are the ones
-    :func:`final_state_sample` would return, taken from the same private
-    entry point, so a wrapper around either public function sees each
-    batch once.  Either way the hits add up as integer counts, so the
-    estimate, its binomial standard error and the run count are fixed by
-    the arguments, whatever the path or the worker count.
+    carries a packed test, and the request runs the event tail: each
+    block counts the runs whose int64 final column passes it, and no state
+    is unpacked.  Any other callable is applied once per distinct final
+    state, in this process, so it works with every ``processes`` value;
+    those states come from the histogram request that
+    :func:`final_state_sample` makes, so a wrapper around either public
+    function sees each batch once.  Either way the hits add up as integer
+    counts over the same blocks, so the estimate, its binomial standard
+    error and the run count are fixed by the arguments, whatever the tail
+    or the worker count.
     """
     if isinstance(predicate, _LibraryEvent):
-        hits = _hits(initial, _test(predicate.rows(initial)), t, runs, seed, processes)
+        tail = partial(_count, _test(predicate.rows(initial)))
+        hits = _by_blocks(initial, tail, sum, t, runs, seed, processes)
     else:
         hits = 0
         sample = _sample(initial, t, runs, seed, processes)
@@ -507,9 +498,11 @@ def leftmost_event(x: int) -> Callable[[Configuration], bool]:
     """Predicate: species order still 21...1 and the leftmost particle at x.
 
     Packed: row 0 equals 4 (x - y_0) + 1 and every other row has species
-    bit 0.  Only an int x is packed; any other x keeps the per-state test,
-    where 2.0 still equals 2 and 2.75 equals nothing.
+    bit 0.  x goes through ``operator.index``, as in
+    :func:`tasep2c.formulas.leftmost_probability`: a numpy integer is
+    packed like an int, and a float raises ``TypeError``.
     """
+    x = operator.index(x)
 
     def event(state: Configuration) -> bool:
         return state.positions[0] == x and state.species == head_word(state.n)
@@ -517,7 +510,7 @@ def leftmost_event(x: int) -> Callable[[Configuration], bool]:
     def rows(initial: Configuration) -> list[tuple[int, int]]:
         return [(_ALL, 4 * (x - initial.positions[0]) + 1)] + [(1, 0)] * (initial.n - 1)
 
-    return _LibraryEvent(event, rows) if isinstance(x, int) else event
+    return _LibraryEvent(event, rows)
 
 
 def transition_event(final: Configuration) -> Callable[[Configuration], bool]:

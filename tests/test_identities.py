@@ -308,6 +308,8 @@ def test_suite_runner_small():
     keys = {(r["identity"], r["n"]) for r in records}
     assert ("main", 2) in keys and ("braid", 3) in keys
     assert all(r["points"] == 5 and r["degree_bound"] > 0 for r in records)
+    # any iterable of sizes gives the same records
+    assert run_identity_suite(n_values=iter((2, 3)), points=5, seed=1) == records
 
 
 @pytest.mark.parametrize("points", (0, -1))
@@ -320,6 +322,15 @@ def test_suite_rejects_checking_no_points(points):
 def test_suite_rejects_sizes_below_two():
     with pytest.raises(ValueError, match="N >= 2"):
         run_identity_suite(n_values=(1,), points=1)
+
+
+def test_suite_refuses_a_size_past_the_cap_before_any_point(monkeypatch):
+    # the main check walks S_n: N = 11 is refused before N = 2 is checked
+    calls = []
+    monkeypatch.setattr(identities, "_main_lhs", lambda xi: calls.append(xi))
+    with pytest.raises(ValueError, match="enumeration cap"):
+        run_identity_suite(n_values=(2, 11), points=1, identities=("main",))
+    assert calls == []
 
 
 def test_suite_checks_the_matrix_identities_at_n6():

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tasep2c import simulate
@@ -169,6 +170,12 @@ def test_no_more_workers_than_blocks(monkeypatch):
         assert sizes == expect
         want = final_state_sample(y, 1.0, runs, seed=11)
         assert list(got.items()) == list(want.items())
+    # a library event runs the same blocks through the event tail
+    for runs, processes, expect in ((5, 3, []), (5000, 8, [3])):
+        sizes.clear()
+        got = estimate_event(y, leftmost_event(2), 1.0, runs, seed=11, processes=processes)
+        assert sizes == expect
+        assert got == estimate_event(y, leftmost_event(2), 1.0, runs, seed=11)
 
 
 def test_key_order_independent_of_worker_count():
@@ -362,7 +369,8 @@ def test_histogram_independent_of_span_split_and_block_size(monkeypatch):
     whole = final_state_sample(y, t, runs, seed)
     assert sum(whole.values()) == runs
     cuts = [0, 1, 2056, 4099, runs]
-    parts = (simulate._advance_block(y, t, seed, block) for block in zip(cuts, cuts[1:]))
+    blocks = zip(cuts, cuts[1:])
+    parts = (simulate._histogram(simulate._final_columns(y, t, seed, b)) for b in blocks)
     assert list(simulate._items(y, simulate._merged(parts))) == list(whole.items())
     monkeypatch.setattr(simulate, "_BLOCK", 7)
     assert final_state_sample(y, t, runs, seed) == whole
@@ -478,15 +486,17 @@ def test_a_wrapped_library_event_is_a_custom_predicate():
     assert 0 < hit < 1 and round(hit * runs) + round(miss * runs) == runs
 
 
-def test_leftmost_event_at_a_float_x_keeps_the_per_state_test():
+def test_leftmost_event_takes_integer_x_only():
+    # x goes through operator.index, as leftmost_probability's does
+    for x in (2.0, 2.75):
+        with pytest.raises(TypeError):
+            leftmost_event(x)
     y = step_configuration(3)
-    assert estimate_event(y, leftmost_event(2.0), 2.0, 3000, 4) == estimate_event(
+    event = leftmost_event(np.int64(2))
+    assert isinstance(event, simulate._LibraryEvent)
+    assert estimate_event(y, event, 2.0, 3000, 4) == estimate_event(
         y, leftmost_event(2), 2.0, 3000, 4
     )
-    # 4 (2.75 - 1) + 1 = 8 would read as particle 0 at 3 with species 1, which
-    # every run from 111 reaches often; the species word never becomes 211
-    y = Configuration((1, 2, 3), "111")
-    assert estimate_event(y, leftmost_event(2.75), 2.0, 3000, 4).estimate == 0.0
 
 
 def test_engine_near_the_packing_limit():

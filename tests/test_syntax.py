@@ -19,7 +19,7 @@ SOURCES = [path for folder in ("src/tasep2c", "tests", "benchmarks")
 
 
 def test_sources_are_found():
-    # 9 package modules, 10 test modules and 8 benchmark scripts; the
+    # 9 package modules, 11 test modules and 8 benchmark scripts; the
     # file name is each file's test id, so no two may share one
     assert len(SOURCES) >= 27
     assert len({p.name for p in SOURCES}) == len(SOURCES)
